@@ -667,8 +667,9 @@ def bench_shard_scaling(
     hetero.plan_batch(pool)  # warm: hot keys hit, matching the router runs
     n_pool = len(pool)
 
-    def closed_loop(submit, wait_idle, stats) -> float:
+    def closed_loop(window) -> float:
         """Aggregate decisions/sec over ``probe_s`` of wave submission."""
+        submit, stats = window.try_submit, window.stats
         done_before = stats.completed
         start = time.perf_counter()
         deadline = start + probe_s
@@ -677,16 +678,14 @@ def bench_shard_scaling(
             for _ in range(2048):
                 submit(pool[i % n_pool])
                 i += 1
-            wait_idle()
+            window.wait_idle()
         elapsed = time.perf_counter() - start
         return (stats.completed - done_before) / elapsed
 
     server_config = ServerConfig(max_batch=512, queue_capacity=16384)
     with low_latency_gc():
         server = DecisionServer(hetero.decisions, server_config)
-        single_per_sec = closed_loop(
-            server.try_submit, server.flush_now, server.stats
-        )
+        single_per_sec = closed_loop(server)
 
     expected = hetero.decisions.plan_batch(
         [pool[i % n_pool] for i in range(identity_requests)]
@@ -746,9 +745,7 @@ def bench_shard_scaling(
                     "decisions differ from the unsharded plan_batch path"
                 )
             with low_latency_gc():
-                per_sec = closed_loop(
-                    router.try_submit, router.wait_idle, router.stats
-                )
+                per_sec = closed_loop(router)
             if router.stats.rejected or router.stats.dropped:
                 raise RuntimeError(
                     f"shards={size}: {router.stats.rejected} rejected / "

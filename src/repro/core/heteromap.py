@@ -142,13 +142,6 @@ class HeteroMap:
         """The paper's primary setup: GTX-750Ti + Xeon Phi 7120P."""
         return cls(DEFAULT_PAIR, **kwargs)
 
-    @classmethod
-    def with_fleet(
-        cls, names: "Iterable[str | AcceleratorSpec]", **kwargs
-    ) -> "HeteroMap":
-        """An N-device fleet from registry names and/or specs."""
-        return cls(Fleet.from_names(names), **kwargs)
-
     @property
     def decision_cache(self) -> DecisionCache | None:
         """The decision layer's exact LRU cache (``None`` when disabled)."""

@@ -179,16 +179,6 @@ class DecisionService:
             obs.gauge("quality.generation", float(self.generation))
         return self.generation
 
-    @property
-    def gpu(self) -> AcceleratorSpec:
-        """The fleet's reference GPU (the predictor's knob anchor)."""
-        return self.fleet.primary_gpu
-
-    @property
-    def multicore(self) -> AcceleratorSpec:
-        """The fleet's reference multicore."""
-        return self.fleet.primary_multicore
-
     # -- gates -------------------------------------------------------------
 
     @property
@@ -268,7 +258,13 @@ class DecisionService:
                 configs[id(entry)],
                 explored=True,
             )
-            self._audit_probe(decision)
+            if obs.enabled():
+                # Probes never execute: no observed time, and the
+                # explored flag keeps them out of the placement fold.
+                chosen = decision.chosen
+                self._record(
+                    decision, chosen.spec, chosen.config, chosen.result, None, True
+                )
         if obs.enabled():
             obs.counter("quality.exploration_probes", len(probe_rows))
 
@@ -363,7 +359,9 @@ class DecisionService:
                 confidence = self.predictor.confidence_batch(
                     miss_features
                 ).confidence
-            decoded = decode_config_batch(vectors, self.gpu, self.multicore)
+            decoded = decode_config_batch(
+                vectors, self.fleet.primary_gpu, self.fleet.primary_multicore
+            )
             for slot, (row, (spec, config), vector) in enumerate(
                 zip(miss_rows, decoded, vectors)
             ):
@@ -507,8 +505,22 @@ class DecisionService:
         """
         if self.adapter is not None:
             self.adapter.observe(decision, spec, result)
-        if not obs.enabled():
-            return
+        if obs.enabled():
+            self._record(
+                decision, spec, config, result, result.time_ms, decision.explored
+            )
+
+    def _record(
+        self,
+        decision: Decision,
+        spec: AcceleratorSpec,
+        config: MachineConfig,
+        result: SimulationResult,
+        observed_time_ms: float | None,
+        explored: bool,
+    ) -> None:
+        """Write one audit record for ``decision`` deployed as
+        ``spec``/``config`` with predicted ``result`` (obs enabled)."""
         runner_up = decision.runner_up_excluding(spec.name, self.metric)
         trace = obs.current_trace()
         obs.record_decision(
@@ -527,46 +539,9 @@ class DecisionService:
                 runner_up_time_ms=runner_up.time_ms,
                 devices=tuple(e.spec.name for e in decision.estimates),
                 costs_ms=decision.costs_ms,
-                observed_time_ms=result.time_ms,
+                observed_time_ms=observed_time_ms,
                 trace_id=trace.trace_id if trace is not None else None,
                 confidence=decision.confidence,
-                explored=decision.explored,
-            )
-        )
-
-    def _audit_probe(self, decision: Decision) -> None:
-        """Record one exploration probe in the audit stream.
-
-        Probes never execute, so there is no observed time; the record
-        carries the full simulate-only cost vector and ``explored=True``
-        so the quality observatory counts it separately from placements.
-        """
-        if not obs.enabled():
-            return
-        chosen = decision.chosen
-        runner_up = decision.estimates[decision.runner_up_index]
-        trace = obs.current_trace()
-        obs.record_decision(
-            obs.DecisionRecord(
-                benchmark=decision.workload.benchmark,
-                dataset=decision.workload.dataset,
-                predictor=self.predictor_name,
-                metric=self.metric,
-                features=decision.features,
-                chosen_accelerator=chosen.spec.name,
-                config=obs.config_summary(
-                    chosen.config, is_gpu=chosen.spec.is_gpu
-                ),
-                predicted_time_ms=chosen.time_ms,
-                predicted_energy_j=chosen.energy_j,
-                predicted_utilization=chosen.result.utilization,
-                runner_up_accelerator=runner_up.spec.name,
-                runner_up_time_ms=runner_up.time_ms,
-                devices=tuple(e.spec.name for e in decision.estimates),
-                costs_ms=decision.costs_ms,
-                observed_time_ms=None,
-                trace_id=trace.trace_id if trace is not None else None,
-                confidence=decision.confidence,
-                explored=True,
+                explored=explored,
             )
         )

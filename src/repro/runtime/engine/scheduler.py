@@ -62,38 +62,10 @@ class DeviceState:
 
 
 class Scheduler:
-    """Pluggable placement policies over an N-device fleet.
+    """Pluggable placement policies over an N-device fleet."""
 
-    Constructed either from a :class:`~repro.machine.fleet.Fleet` or —
-    the historical signature — from a bare ``(gpu, multicore)`` pair,
-    which becomes the N=2 degenerate fleet.
-    """
-
-    def __init__(
-        self,
-        fleet: Fleet | AcceleratorSpec,
-        multicore: AcceleratorSpec | None = None,
-    ) -> None:
-        if isinstance(fleet, Fleet):
-            if multicore is not None:
-                raise TypeError(
-                    "pass either a Fleet or a (gpu, multicore) pair, not both"
-                )
-            self.fleet = fleet
-        else:
-            if multicore is None:
-                raise TypeError("a bare spec needs a multicore companion")
-            self.fleet = Fleet((fleet, multicore))
-
-    @property
-    def gpu(self) -> AcceleratorSpec:
-        """The fleet's reference GPU."""
-        return self.fleet.primary_gpu
-
-    @property
-    def multicore(self) -> AcceleratorSpec:
-        """The fleet's reference multicore."""
-        return self.fleet.primary_multicore
+    def __init__(self, fleet: Fleet) -> None:
+        self.fleet = fleet
 
     def place(
         self, decisions: "list[Decision]", *, policy: str = "solo"

@@ -15,8 +15,9 @@ Two trace families cover the paper-adjacent scenarios:
   that slams the admission queue during ON windows, exercising
   backpressure and the retry-after path.
 
-:func:`run_open_loop` drives a :class:`~repro.runtime.server.DecisionServer`
-with a trace over a workload pool and returns an :class:`OpenLoopReport`
+:func:`run_open_loop` drives any :class:`~repro.runtime.server.AdmissionWindow`
+(the single-process server or the shard router) with a trace over a
+workload pool and returns an :class:`OpenLoopReport`
 with sustained decisions/sec, latency/queue-wait percentiles, and
 admission accounting.  Traces are seeded and fully deterministic.
 """
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.runtime.deploy import Workload
-from repro.runtime.server import DecisionServer
+from repro.runtime.server import AdmissionWindow
 
 __all__ = [
     "OpenLoopReport",
@@ -144,7 +145,7 @@ class OpenLoopReport:
 
 
 async def run_open_loop(
-    server: DecisionServer,
+    server: AdmissionWindow,
     arrivals: np.ndarray,
     workloads: Sequence[Workload],
     *,

@@ -1,33 +1,39 @@
 """Async serving front end: dynamic batching, backpressure, fairness.
 
 ``plan_batch`` made the *batch* path fast; this module gives that
-throughput an ingestion story.  :class:`DecisionServer` is an asyncio
-front end over one :class:`~repro.runtime.engine.decision.DecisionService`:
+throughput an ingestion story.  :class:`AdmissionWindow` is the one
+batching window both serving front ends run on:
 
 * **dynamic batching window** — incoming workloads accumulate in
-  per-tenant queues and are flushed through **one** ``predict_batch``
-  forward (cache-deduped) when the window fills (``max_batch``) or the
-  oldest request hits the flush deadline, whichever comes first;
+  per-tenant queues and are flushed as one batch when the window fills
+  (``max_batch``) or the oldest queued request hits the flush deadline,
+  whichever comes first;
 * **backpressure** — admission is bounded by ``queue_capacity``; once
   full, requests are *rejected with a retry-after hint* (derived from the
   measured service rate) instead of queueing without bound.  Admitted
   requests are never dropped: every one resolves by flush or by
-  :meth:`DecisionServer.drain`;
+  :meth:`AdmissionWindow.drain`;
 * **per-tenant fairness** — flush assembly round-robins one request per
   tenant per turn, so a bursty client saturates its own queue without
   starving the others;
 * **observability** — p50/p99 decision-latency and queue-wait samples,
   batch occupancy, and admit/reject counters accumulate in
-  :class:`ServerStats` and (when ``REPRO_OBS`` is on) stream into
-  :mod:`repro.obs` as ``server.*`` histograms and counters.
+  :class:`ServerStats`.
+
+A front end supplies only the flush *sink*.  :class:`DecisionServer`,
+over one :class:`~repro.runtime.engine.decision.DecisionService`,
+decides each batch through **one** cache-deduped ``predict_batch``
+forward and completes it inline (when ``REPRO_OBS`` is on it also
+streams ``server.*`` histograms and counters into :mod:`repro.obs`);
+:class:`~repro.runtime.shard.ShardRouter` ships it to worker processes.
 
 Two request paths share the same flush machinery:
 
-* :meth:`DecisionServer.submit` — the awaitable path: returns the
+* :meth:`AdmissionWindow.submit` — the awaitable path: returns the
   request's result (a ``(spec, config)`` plan, a costed ``Decision``, or
   an executed ``RunOutcome`` depending on ``ServerConfig.mode``);
-* :meth:`DecisionServer.try_submit` — the open-loop fast path used by the
-  load generator: no future allocation, an optional ``callback(tag,
+* :meth:`AdmissionWindow.try_submit` — the open-loop fast path used by
+  the load generator: no future allocation, an optional ``callback(tag,
   result)`` for result delivery, ``False`` when admission is refused.
 
 Decisions are bit-identical to the synchronous ``plan_batch`` path by
@@ -47,6 +53,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro import obs
+from repro.core.encoding import encode_features_batch
 from repro.runtime.deploy import Workload
 from repro.runtime.engine.contracts import RunOutcome
 from repro.runtime.engine.decision import DecisionService
@@ -54,10 +61,12 @@ from repro.runtime.engine.execution import ExecutionBackend, SimulatedBackend
 from repro.runtime.engine.scheduler import POLICIES, Scheduler
 
 __all__ = [
+    "AdmissionWindow",
     "DecisionServer",
     "ServerConfig",
     "ServerOverloadedError",
     "ServerStats",
+    "WindowConfig",
     "low_latency_gc",
 ]
 
@@ -91,6 +100,9 @@ def low_latency_gc() -> Iterator[None]:
 #: Flush triggers, in the order the stats report them.
 FLUSH_REASONS = ("size", "deadline", "drain")
 
+#: Poll interval while a drain waits on work another thread completes.
+_IDLE_POLL_S = 0.0005
+
 
 class ServerOverloadedError(RuntimeError):
     """Admission queue full: come back after ``retry_after_s`` seconds."""
@@ -105,31 +117,22 @@ class ServerOverloadedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ServerConfig:
-    """Tuning knobs for one :class:`DecisionServer`."""
+class WindowConfig:
+    """The batching-window knobs every :class:`AdmissionWindow` shares."""
 
-    #: Flush as soon as this many requests are pending.
+    #: Flush as soon as this many requests are queued.
     max_batch: int = 256
-    #: ... or when the oldest pending request has waited this long.
+    #: ... or when the oldest queued request has waited this long.
     flush_deadline_ms: float = 2.0
-    #: Total pending requests (all tenants) before admission rejects.
-    #: Bounds how large an arrival burst the window absorbs between event
-    #: loop turns; beyond it, requests are refused with a retry-after hint.
+    #: Total pending requests (all tenants, queued or in flight) before
+    #: admission rejects.  Bounds how large an arrival burst the window
+    #: absorbs between event loop turns; beyond it, requests are refused
+    #: with a retry-after hint.
     queue_capacity: int = 8192
-    #: What a request resolves to: ``"plan"`` → (spec, config), ``"decide"``
-    #: → both-device-costed :class:`Decision`, ``"run"`` → executed
-    #: :class:`RunOutcome` (audited when observability is on).
-    mode: str = "plan"
     #: Distinct workload *objects* whose encoded feature row is memoized
     #: (hot pools re-submit the same prepared Workload, so the encode pass
     #: — the single largest per-request cost — amortizes to a dict hit).
     feature_memo_capacity: int = 4096
-    #: Placement policy for ``"run"`` mode flushes (see
-    #: :data:`repro.runtime.engine.scheduler.POLICIES`).  ``"solo"`` is
-    #: bit-identical to executing each chosen estimate directly, so the
-    #: default changes nothing about served outcomes — it just gives every
-    #: server request a placement span in the trace stream.
-    placement_policy: str = "solo"
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -143,6 +146,25 @@ class ServerConfig:
                 "queue_capacity must be >= max_batch, got "
                 f"{self.queue_capacity} < {self.max_batch}"
             )
+
+
+@dataclass(frozen=True)
+class ServerConfig(WindowConfig):
+    """Tuning knobs for one :class:`DecisionServer`."""
+
+    #: What a request resolves to: ``"plan"`` → (spec, config), ``"decide"``
+    #: → both-device-costed :class:`Decision`, ``"run"`` → executed
+    #: :class:`RunOutcome` (audited when observability is on).
+    mode: str = "plan"
+    #: Placement policy for ``"run"`` mode flushes (see
+    #: :data:`repro.runtime.engine.scheduler.POLICIES`).  ``"solo"`` is
+    #: bit-identical to executing each chosen estimate directly, so the
+    #: default changes nothing about served outcomes — it just gives every
+    #: server request a placement span in the trace stream.
+    placement_policy: str = "solo"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.mode not in ("plan", "decide", "run"):
             raise ValueError(f"unknown server mode {self.mode!r}")
         if self.placement_policy not in POLICIES:
@@ -160,8 +182,8 @@ class ServerStats:
     rejected: int = 0
     completed: int = 0
     #: Admitted requests that will never resolve.  Stays 0 unless the
-    #: server is stopped with ``flush=False`` — rejection is the only
-    #: load-shedding mechanism, never silent drops.
+    #: server is stopped with ``flush=False`` or a flush sink raises —
+    #: rejection is the only load-shedding mechanism, never silent drops.
     dropped: int = 0
     flushes: int = 0
     flush_reasons: dict[str, int] = field(
@@ -218,45 +240,50 @@ class _Request:
         self.trace = trace  # TraceContext | None (None when obs is off)
 
 
-class DecisionServer:
-    """Dynamic-batching asyncio front end over one decision service."""
+class AdmissionWindow:
+    """The batching window under both serving front ends.
 
-    def __init__(
-        self,
-        decisions: DecisionService,
-        config: ServerConfig | None = None,
-        *,
-        backend: ExecutionBackend | None = None,
-        scheduler: Scheduler | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.decisions = decisions
-        self.config = config or ServerConfig()
-        self.backend: ExecutionBackend = backend or SimulatedBackend()
-        #: Placement layer for ``"run"`` flushes; defaults to a scheduler
-        #: over the decision service's own fleet.
-        self.scheduler = scheduler or Scheduler(decisions.fleet)
+    Owns admission (the bounded per-tenant queue and its retry-after
+    hint), the size and deadline flush triggers, the ``id(workload)``
+    feature-row memo, and completion accounting plus callback delivery.
+    A subclass supplies the flush sink, :meth:`_sink`, which takes one
+    assembled batch and must hand every request of it to
+    :meth:`_complete` — inline (:class:`DecisionServer`) or later from
+    another thread (the shard router's collector).
+
+    Counters are single-writer, so no lock guards the hot path: the
+    admission thread writes ``admitted``, ``rejected``, ``dropped`` and
+    the flush counts; only the completing thread writes ``completed``,
+    the latency samples and the service rate.  :attr:`pending` is their
+    difference.
+    """
+
+    def __init__(self, config: WindowConfig, clock: Callable[[], float]) -> None:
+        self.config = config
         self.clock = clock
         self.stats = ServerStats()
         self._queues: dict[str, deque[_Request]] = {}
         self._rr: deque[str] = deque()  # tenant round-robin rotation
-        self._pending = 0
+        self._queued = 0  # admitted, not yet handed to the sink
         self._loop = None  # captured on start()
         self._timer = None  # armed deadline flush, if any
         self._size_flush_scheduled = False  # call_soon size flush armed
-        #: EWMA of flush service rate (requests/sec) for retry-after hints.
+        #: EWMA of completion rate (requests/sec) for retry-after hints.
         self._service_rate = 0.0
+        #: Set when the sink can no longer complete what was admitted
+        #: (a dead shard worker); every entry point then raises it.
+        self._failure: BaseException | None = None
         # id(workload) -> (workload, encoded row); the workload reference
         # keeps the id stable, so the identity check below is exact.
         self._feature_memo: dict[int, tuple[Workload, np.ndarray]] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> "DecisionServer":
+    def start(self) -> "AdmissionWindow":
         """Bind to the running event loop (idempotent).
 
         Must be called from within a running loop before requests are
-        submitted; ``async with server`` does it for you.
+        submitted; ``async with window`` does it for you.
         """
         import asyncio
 
@@ -266,7 +293,7 @@ class DecisionServer:
         self._loop = loop
         return self
 
-    async def __aenter__(self) -> "DecisionServer":
+    async def __aenter__(self) -> "AdmissionWindow":
         return self.start()
 
     async def __aexit__(self, *exc) -> None:
@@ -281,28 +308,60 @@ class DecisionServer:
             for queue in self._queues.values():
                 self.stats.dropped += len(queue)
                 queue.clear()
-            self._pending = 0
+            self._queued = 0
 
     async def drain(self) -> None:
-        """Flush until nothing is pending (yields between flushes)."""
+        """Flush until every admitted request has resolved (yields
+        between flushes, and polls while the sink finishes in-flight
+        batches on another thread)."""
         import asyncio
 
-        while self._pending:
-            self._flush("drain")
-            await asyncio.sleep(0)
+        while self.pending:
+            self._raise_failure()
+            if self._queued:
+                self._flush("drain")
+                await asyncio.sleep(0)
+            else:
+                await asyncio.sleep(_IDLE_POLL_S)
+        self._raise_failure()
+
+    def wait_idle(self, *, timeout_s: float = 60.0) -> None:
+        """Synchronous :meth:`drain` for loop-less callers (benches).
+
+        Raises:
+            TimeoutError: when in-flight work outlives ``timeout_s``.
+        """
+        deadline = time.monotonic() + timeout_s
+        while self.pending:
+            self._raise_failure()
+            if self._queued:
+                self._flush("drain")
+            elif time.monotonic() >= deadline:
+                raise TimeoutError(
+                    f"{self.pending} requests still pending after "
+                    f"{timeout_s:.0f}s"
+                )
+            else:
+                time.sleep(_IDLE_POLL_S)
+        self._raise_failure()
 
     def flush_now(self) -> int:
         """Force one flush (tests / closed-loop probes); returns its size."""
-        if not self._pending:
+        if not self._queued:
             return 0
         return self._flush("drain")
+
+    def _raise_failure(self) -> None:
+        if self._failure is not None:
+            raise self._failure
 
     # -- admission ---------------------------------------------------------
 
     @property
     def pending(self) -> int:
-        """Requests admitted but not yet flushed."""
-        return self._pending
+        """Requests admitted but not yet resolved (queued or in flight)."""
+        stats = self.stats
+        return stats.admitted - stats.completed - stats.dropped
 
     def retry_after_s(self) -> float:
         """Backpressure hint: time for the backlog to drain at the
@@ -312,7 +371,7 @@ class DecisionServer:
             return self.config.flush_deadline_ms / 1e3
         return max(
             self.config.flush_deadline_ms / 1e3,
-            self._pending / self._service_rate,
+            self.pending / self._service_rate,
         )
 
     def try_submit(
@@ -330,21 +389,32 @@ class DecisionServer:
             workload: a prepared workload.
             tenant: fairness bucket the request queues under.
             tag: opaque token handed back to ``callback``.
-            callback: called as ``callback(tag, result)`` at flush time.
-            arrival_s: override the admission timestamp (server clock
+            callback: called once as ``callback(tag, result)`` when the
+                request completes (on the completing thread).
+            arrival_s: override the admission timestamp (window clock
                 domain) — open-loop drivers pass the *scheduled* arrival
                 so catch-up submission can't hide queueing delay.
 
         Returns:
             True when admitted; False when rejected by backpressure
             (the caller should retry after :meth:`retry_after_s`).
+
+        Raises:
+            Exception: the sink's recorded failure (a dead shard worker
+                raises ``ShardWorkerError``).
         """
-        if self._pending >= self.config.queue_capacity:
-            self.stats.rejected += 1
+        if self._failure is not None:
+            raise self._failure
+        stats = self.stats
+        # ``pending``, inlined: this runs once per arrival.
+        if stats.admitted - stats.completed - stats.dropped >= (
+            self.config.queue_capacity
+        ):
+            stats.rejected += 1
             if obs.enabled():
                 obs.counter("server.rejected")
             return False
-        self.stats.admitted += 1
+        stats.admitted += 1
         request = _Request(
             tag,
             workload,
@@ -358,8 +428,8 @@ class DecisionServer:
             queue = self._queues[tenant] = deque()
             self._rr.append(tenant)
         queue.append(request)
-        self._pending += 1
-        if self._pending >= self.config.max_batch:
+        self._queued += 1
+        if self._queued >= self.config.max_batch:
             # Bound to a loop, the size flush is *deferred* to the next
             # loop turn instead of running inline: a catch-up burst can
             # then keep admitting until ``queue_capacity`` — which is what
@@ -381,25 +451,21 @@ class DecisionServer:
         Raises:
             ServerOverloadedError: when backpressure rejects the request;
                 carries the ``retry_after_s`` hint.
-            NotTrainedError: at flush time, before the predictor is
-                trained (surfaces through the awaited future).
         """
         if self._loop is None:
             self.start()
-        if self._pending >= self.config.queue_capacity:
-            retry = self.retry_after_s()
-            self.stats.rejected += 1
-            if obs.enabled():
-                obs.counter("server.rejected")
-            raise ServerOverloadedError(retry, self._pending)
-        future = self._loop.create_future()
-        self.try_submit(
-            workload,
-            tenant=tenant,
-            callback=lambda _tag, result, fut=future: (
-                None if fut.done() else fut.set_result(result)
-            ),
-        )
+        loop = self._loop
+        future = loop.create_future()
+
+        def resolve(_tag, result) -> None:
+            # The completing thread need not be the loop's (the shard
+            # router's collector), so the result crosses over safely.
+            loop.call_soon_threadsafe(
+                lambda: None if future.done() else future.set_result(result)
+            )
+
+        if not self.try_submit(workload, tenant=tenant, callback=resolve):
+            raise ServerOverloadedError(self.retry_after_s(), self.pending)
         return await future
 
     # -- batching window ---------------------------------------------------
@@ -418,23 +484,23 @@ class DecisionServer:
 
     def _on_deadline(self) -> None:
         self._timer = None
-        if self._pending:
+        if self._queued:
             self._flush("deadline")
 
     def _on_size_flush(self) -> None:
         self._size_flush_scheduled = False
-        while self._pending >= self.config.max_batch:
+        while self._queued >= self.config.max_batch:
             self._flush("size")
 
     def _assemble(self) -> list[_Request]:
-        """Take up to ``max_batch`` pending requests, fairly.
+        """Take up to ``max_batch`` queued requests, fairly.
 
         Single active tenant drains FIFO (the fast path); multiple
         tenants alternate one request per tenant per turn, so each of
         ``k`` backlogged tenants gets ~``max_batch / k`` of every flush
         no matter how deep one tenant's queue is.
         """
-        count = min(self._pending, self.config.max_batch)
+        count = min(self._queued, self.config.max_batch)
         batch: list[_Request] = []
         rotation = self._rr
         if len(rotation) == 1:
@@ -448,52 +514,65 @@ class DecisionServer:
                 queue = self._queues[tenant]
                 if queue:
                     batch.append(queue.popleft())
-        self._pending -= len(batch)
+        self._queued -= len(batch)
         return batch
 
-    def _encode_batch(self, batch: list[_Request]) -> np.ndarray:
-        """The batch's feature matrix, via the per-workload row memo."""
+    def _rows(self, batch: list[_Request]) -> list[np.ndarray]:
+        """Each request's encoded feature row, via the per-workload memo."""
         memo = self._feature_memo
         rows = []
         for request in batch:
             workload = request.workload
             entry = memo.get(id(workload))
             if entry is None or entry[0] is not workload:
-                row = self.decisions.encode([workload])[0]
+                row = self._encode([workload])[0]
                 if len(memo) >= self.config.feature_memo_capacity:
                     memo.clear()  # epoch reset: simplest bounded policy
                 memo[id(workload)] = (workload, row)
             else:
                 row = entry[1]
             rows.append(row)
-        return np.vstack(rows)
+        return rows
+
+    def _encode(self, workloads: list[Workload]) -> np.ndarray:
+        """Feature rows for memo misses."""
+        return encode_features_batch([(w.bvars, w.ivars) for w in workloads])
 
     def _flush(self, reason: str) -> int:
-        """Drain one batch through the decision service synchronously."""
+        """Hand one assembled batch to the sink; returns its size."""
         self._cancel_timer()
         batch = self._assemble()
         if not batch:
             return 0
-        flush_start = self.clock()
-        if obs.enabled():
-            # Row-aligned request scope: every span below (flush, decide,
-            # predict, place, execute) carries the batch's trace ids, and
-            # the decision layer can attribute cache hits per row.
-            with obs.trace_scope([r.trace for r in batch]), obs.span(
-                "server.flush",
-                reason=reason,
-                batch=len(batch),
-                mode=self.config.mode,
-            ):
-                results = self._serve(batch)
-        else:
-            results = self._serve(batch)
-        done = self.clock()
         stats = self.stats
         stats.flushes += 1
         stats.flush_reasons[reason] += 1
         stats.batch_sizes.append(len(batch))
-        stats.completed += len(batch)
+        try:
+            self._sink(batch, reason, self.clock())
+        except BaseException:
+            # These requests will never resolve: account them, then raise.
+            stats.dropped += len(batch)
+            raise
+        # The deadline clock restarts for whatever arrived mid-flush.
+        if self._queued and self._timer is None:
+            self._arm_timer()
+        return len(batch)
+
+    def _sink(self, batch: list[_Request], reason: str, flush_start: float) -> None:
+        """Serve one assembled batch; every request must reach
+        :meth:`_complete`."""
+        raise NotImplementedError
+
+    def _complete(
+        self, batch: list[_Request], results: list, flush_start: float, done: float
+    ) -> None:
+        """Account one finished batch and deliver its results in order.
+
+        Runs on the completing thread, the only writer of ``completed``,
+        the latency samples and the service rate.
+        """
+        stats = self.stats
         waits = stats.queue_waits_ms
         lats = stats.latencies_ms
         tenant_lats = stats.tenant_latencies_ms
@@ -513,21 +592,67 @@ class DecisionServer:
                 if self._service_rate <= 0.0
                 else 0.8 * self._service_rate + 0.2 * rate
             )
-        if obs.enabled():
-            self._observe(batch, results, reason, flush_start, done)
         for request, result in zip(batch, results):
             if request.callback is not None:
                 request.callback(request.tag, result)
-        # The deadline clock restarts for whatever arrived mid-flush.
-        if self._pending and self._timer is None:
-            self._arm_timer()
-        return len(batch)
+        # Last, so a waiter that sees ``pending`` reach 0 knows every
+        # callback has run.
+        stats.completed += len(batch)
+
+
+class DecisionServer(AdmissionWindow):
+    """Dynamic-batching asyncio front end over one decision service.
+
+    Its sink decides each assembled batch in-process — in ``plan``,
+    ``decide`` or ``run`` mode — and completes it inline.
+    """
+
+    config: ServerConfig
+
+    def __init__(
+        self,
+        decisions: DecisionService,
+        config: ServerConfig | None = None,
+        *,
+        backend: ExecutionBackend | None = None,
+        scheduler: Scheduler | None = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        super().__init__(config or ServerConfig(), clock)
+        self.decisions = decisions
+        self.backend: ExecutionBackend = backend or SimulatedBackend()
+        #: Placement layer for ``"run"`` flushes; defaults to a scheduler
+        #: over the decision service's own fleet.
+        self.scheduler = scheduler or Scheduler(decisions.fleet)
+
+    def _encode(self, workloads: list[Workload]) -> np.ndarray:
+        return self.decisions.encode(workloads)
+
+    def _sink(self, batch: list[_Request], reason: str, flush_start: float) -> None:
+        """Decide one assembled batch synchronously and complete it."""
+        if obs.enabled():
+            # Row-aligned request scope: every span below (flush, decide,
+            # predict, place, execute) carries the batch's trace ids, and
+            # the decision layer can attribute cache hits per row.
+            with obs.trace_scope([r.trace for r in batch]), obs.span(
+                "server.flush",
+                reason=reason,
+                batch=len(batch),
+                mode=self.config.mode,
+            ):
+                results = self._serve(batch)
+        else:
+            results = self._serve(batch)
+        done = self.clock()
+        self._complete(batch, results, flush_start, done)
+        if obs.enabled():
+            self._observe(batch, results, reason, flush_start, done)
 
     def _serve(self, batch: list[_Request]) -> list:
         """Decide one assembled batch according to the configured mode."""
         mode = self.config.mode
         if mode == "plan":
-            entries = self.decisions.choose_encoded(self._encode_batch(batch))
+            entries = self.decisions.choose_encoded(np.vstack(self._rows(batch)))
             return [(entry.spec, entry.config) for entry in entries]
         workloads = [request.workload for request in batch]
         decisions = self.decisions.decide_batch(workloads)
@@ -611,13 +736,9 @@ class DecisionServer:
         obs.histogram("server.batch_occupancy", len(batch))
         shards = self._shards(self.config.mode, results)
         routed: dict[tuple[str, str], int] = {}
-        tail = len(batch)
-        for request, shard, wait, latency in zip(
-            batch,
-            shards,
-            self.stats.queue_waits_ms[-tail:],
-            self.stats.latencies_ms[-tail:],
-        ):
+        for request, shard in zip(batch, shards):
+            wait = (flush_start - request.arrival_s) * 1e3
+            latency = (done - request.arrival_s) * 1e3
             obs.histogram("server.queue_wait_ms", wait)
             obs.histogram("server.decision_latency_ms", latency)
             obs.histogram(
@@ -637,5 +758,5 @@ class DecisionServer:
             obs.slo_observe("decision_latency_ms", latency)
         for (tenant, shard), count in sorted(routed.items()):
             obs.counter("server.requests", count, tenant=tenant, shard=shard)
-        obs.gauge("server.pending", self._pending)
+        obs.gauge("server.pending", self._queued)
         obs.gauge("server.service_rate_per_sec", self._service_rate)

@@ -1,27 +1,31 @@
 """Shard router: consistent-hash admission over N worker processes.
 
 :class:`ShardRouter` is the multi-process sibling of
-:class:`~repro.runtime.server.DecisionServer` and speaks the same
-duck-typed surface the load generator drives (``start`` / ``try_submit``
-/ ``drain`` / ``stats`` / ``clock``), so ``run_open_loop`` works against
-either unchanged.  The differences are *where* work happens:
+:class:`~repro.runtime.server.DecisionServer`: both run on the same
+:class:`~repro.runtime.server.AdmissionWindow`, so admission,
+backpressure, tenant fairness, the size/deadline flushes and the whole
+serving surface (``start`` / ``try_submit`` / ``submit`` / ``drain`` /
+``wait_idle`` / ``stats`` / ``clock``) are shared, and ``run_open_loop``
+drives either unchanged.  Only the flush sink differs:
 
-* every admitted request routes by its workload's canonical feature-key
-  bytes through a :class:`~repro.runtime.shard.ring.HashRing`, so equal
-  workloads always hit the shard whose decision cache already holds
-  their entry — repeat decisions stay shard-local by construction;
-* per-shard buffers coalesce into **flush blocks** — the block's unique
-  feature rows as one ``(u, 17)`` float64 matrix plus an ``int32``
-  inverse index — shipped over a multiprocessing queue.  IPC cost
-  scales with flushes and unique keys, never with requests;
-* one collector thread drains a shared reply queue, fans block results
-  back out to request callbacks, and folds worker exits into the
+* each flushed batch routes at flush time by every workload's canonical
+  feature-key bytes through a :class:`~repro.runtime.shard.ring.HashRing`,
+  so equal workloads always hit the shard whose decision cache already
+  holds their entry — repeat decisions stay shard-local by construction;
+* the batch splits into one **flush block** per owning shard — the
+  block's unique feature rows as one ``(u, 17)`` float64 matrix plus an
+  ``int32`` inverse index — shipped over a multiprocessing queue.  IPC
+  cost scales with flushes and unique keys, never with requests;
+* one collector thread drains a shared reply queue and completes each
+  block through the window's accounting, and folds worker exits into the
   cross-shard :class:`ShardReport`.
 
 Membership is dynamic: :meth:`ShardRouter.add_shard` and
 :meth:`ShardRouter.remove_shard` re-ring live traffic with the ring's
-bounded-movement guarantee (~K/N keys remapped); a leaving shard first
-drains everything already routed to it, so admitted requests never drop.
+bounded-movement guarantee (~K/N keys remapped); a leaving shard answers
+the blocks already shipped to it before it stops, and requests still
+queued route to the new owner at their flush, so admitted requests never
+drop.
 
 Decisions are bit-identical to the unsharded ``plan_batch`` path:
 workers train the same predictor from the same :class:`ShardSpec` seed,
@@ -34,16 +38,14 @@ import multiprocessing
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.encoding import encode_features_batch
 from repro.machine.specs import AcceleratorSpec, get_accelerator
-from repro.runtime.deploy import Workload
-from repro.runtime.server import ServerStats
+from repro.runtime.server import AdmissionWindow, WindowConfig, _Request
 from repro.runtime.shard.ring import DEFAULT_VNODES, HashRing
 from repro.runtime.shard.worker import ShardSpec, shard_worker_main
 
@@ -66,66 +68,59 @@ class ShardWorkerError(RuntimeError):
         self.details = details
 
 
+#: Seconds to wait for a worker to train and signal ready.
+READY_TIMEOUT_S = 120.0
+#: multiprocessing start method; ``None`` uses the platform default (fork
+#: on Linux — workers still rebuild state from the spec, so behavior is
+#: start-method agnostic).
+START_METHOD: str | None = None
+
+
 @dataclass(frozen=True)
-class RouterConfig:
-    """Tuning knobs for one :class:`ShardRouter`."""
+class RouterConfig(WindowConfig):
+    """Tuning knobs for one :class:`ShardRouter`.
+
+    The window knobs (``max_batch``, ``flush_deadline_ms``,
+    ``queue_capacity``, ``feature_memo_capacity``) are the server's; a
+    flushed batch of ``max_batch`` splits into one block per owning
+    shard, about ``max_batch / shards`` requests each.
+    """
 
     #: Worker processes to launch (ring members at startup).
     shards: int = 2
-    #: Ship a shard's buffer once this many requests are waiting on it.
-    max_batch: int = 256
-    #: ... or when the oldest buffered request has waited this long.
-    flush_deadline_ms: float = 2.0
-    #: Total pending requests (buffered + in flight across all shards)
-    #: before admission rejects with a retry-after hint.
-    queue_capacity: int = 8192
     #: Virtual nodes per shard on the hash ring.
     vnodes: int = DEFAULT_VNODES
-    #: Distinct workload *objects* whose (row, ring-key) is memoized.
-    route_memo_capacity: int = 4096
-    #: Seconds to wait for a worker to train and signal ready.
-    ready_timeout_s: float = 120.0
-    #: multiprocessing start method; ``None`` uses the platform default
-    #: (fork on Linux — workers still rebuild state from the spec, so
-    #: behavior is start-method agnostic).
-    start_method: str | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.flush_deadline_ms <= 0:
-            raise ValueError(
-                f"flush_deadline_ms must be > 0, got {self.flush_deadline_ms}"
-            )
-        if self.queue_capacity < self.max_batch:
-            raise ValueError(
-                "queue_capacity must be >= max_batch, got "
-                f"{self.queue_capacity} < {self.max_batch}"
-            )
         if self.vnodes < 1:
             raise ValueError(f"vnodes must be >= 1, got {self.vnodes}")
 
 
 @dataclass(frozen=True)
 class ShardSnapshot:
-    """One shard's final accounting inside a :class:`ShardReport`."""
+    """One shard's final accounting inside a :class:`ShardReport`.
+
+    The counters are the worker's own final report; a shard that died
+    keeps only what the router counted for it (``completed``).
+    """
 
     shard: str
-    pid: int
     active: bool
-    completed: int
-    flushes: int
-    unique_rows: int
-    mean_batch: float
-    max_batch: int
-    decide_s: float
-    cache_hits: int
-    cache_misses: int
-    cache_evictions: int
-    cache_entries: int
-    device_counts: dict[str, int]
+    pid: int = 0
+    completed: int = 0
+    flushes: int = 0
+    unique_rows: int = 0
+    mean_batch: float = 0.0
+    max_batch: int = 0
+    decide_s: float = 0.0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    cache_evictions: int = 0
+    cache_entries: int = 0
+    device_counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -175,21 +170,6 @@ class ShardReport:
         return out
 
 
-class _Request:
-    """One admitted request (slotted: allocated per arrival)."""
-
-    __slots__ = ("tag", "workload", "arrival_s", "callback", "tenant", "row", "key")
-
-    def __init__(self, tag, workload, arrival_s, callback, tenant, row, key):
-        self.tag = tag
-        self.workload = workload
-        self.arrival_s = arrival_s
-        self.callback = callback
-        self.tenant = tenant
-        self.row = row  # encoded (17,) float64 feature row
-        self.key = key  # canonical ring-key bytes of that row
-
-
 class _ShardHandle:
     """Router-side state for one worker process."""
 
@@ -197,8 +177,6 @@ class _ShardHandle:
         "name",
         "process",
         "request_queue",
-        "buffer",
-        "dispatched",
         "completed",
         "ready_meta",
         "ready_event",
@@ -210,20 +188,11 @@ class _ShardHandle:
         self.name = name
         self.process = process
         self.request_queue = request_queue
-        self.buffer: list[_Request] = []
-        # Single-writer counters: ``dispatched`` is written only by the
-        # admission thread, ``completed`` only by the collector; their
-        # difference is the shard's in-flight count without a lock.
-        self.dispatched = 0
-        self.completed = 0
+        self.completed = 0  # requests answered (written by the collector)
         self.ready_meta: dict | None = None
         self.ready_event = threading.Event()
         self.stopped_event = threading.Event()
         self.final_stats: dict | None = None
-
-    @property
-    def inflight(self) -> int:
-        return self.dispatched - self.completed
 
 
 def _shard_obs_env(name: str) -> str | None:
@@ -243,16 +212,18 @@ def _shard_obs_env(name: str) -> str | None:
     return f"jsonl:{stem}-{name}{suffix or '.jsonl'}"
 
 
-class ShardRouter:
+class ShardRouter(AdmissionWindow):
     """Consistent-hash admission layer over N shard worker processes.
 
-    Speaks the :class:`~repro.runtime.server.DecisionServer` serving
-    surface (``start`` / ``try_submit`` / ``submit`` / ``drain`` /
-    ``stats`` / ``clock``), so the open-loop load generator and the
-    serve CLI drive it interchangeably.  Results are always *plans* —
-    ``(AcceleratorSpec, MachineConfig)`` — the same thing the server's
-    ``"plan"`` mode resolves to.
+    The serving surface is the :class:`~repro.runtime.server.AdmissionWindow`
+    the single-process server runs on, so the open-loop load generator
+    and the serve CLI drive both interchangeably.  Results are always
+    *plans* — ``(AcceleratorSpec, MachineConfig)`` — the same thing the
+    server's ``"plan"`` mode resolves to; callbacks fire on the collector
+    thread.
     """
+
+    config: RouterConfig
 
     def __init__(
         self,
@@ -261,10 +232,8 @@ class ShardRouter:
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        super().__init__(config or RouterConfig(), clock)
         self.spec = spec
-        self.config = config or RouterConfig()
-        self.clock = clock
-        self.stats = ServerStats()
         self.ring = HashRing(vnodes=self.config.vnodes)
         self._handles: dict[str, _ShardHandle] = {}
         self._retired: list[ShardSnapshot] = []
@@ -273,17 +242,8 @@ class ShardRouter:
         # block_id -> (handle, batch, flush_start); distinct-key dict ops
         # from two threads are safe under the GIL.
         self._blocks: dict[int, tuple[_ShardHandle, list[_Request], float]] = {}
-        self._buffered = 0
-        self._loop = None
-        self._timer = None
-        self._service_rate = 0.0
-        self._failure: ShardWorkerError | None = None
-        # id(workload) -> (workload, row, key); the reference keeps the
-        # id stable so the identity check is exact (same memo the
-        # single-process server uses for its encode pass).
-        self._route_memo: dict[int, tuple[Workload, np.ndarray, bytes]] = {}
         self._spec_memo: dict[str, AcceleratorSpec] = {}
-        self._mp = multiprocessing.get_context(self.config.start_method)
+        self._mp = multiprocessing.get_context(START_METHOD)
         self._reply_queue = self._mp.Queue()
         self._collector: threading.Thread | None = None
         self._launched = False
@@ -314,20 +274,11 @@ class ShardRouter:
 
     def start(self) -> "ShardRouter":
         """Bind to the running event loop (and launch if needed)."""
-        import asyncio
-
         self.launch()
-        loop = asyncio.get_running_loop()
-        if self._loop is not None and self._loop is not loop:
-            raise RuntimeError("router already bound to a different loop")
-        self._loop = loop
-        return self
-
-    async def __aenter__(self) -> "ShardRouter":
-        return self.start()
+        return super().start()
 
     async def __aexit__(self, *exc) -> None:
-        await self.drain()
+        await self.stop()
         self.close()
 
     def _spawn(self) -> _ShardHandle:
@@ -352,20 +303,16 @@ class ShardRouter:
         return handle
 
     def _await_ready(self, handles: Sequence[_ShardHandle]) -> None:
-        deadline = time.monotonic() + self.config.ready_timeout_s
+        deadline = time.monotonic() + READY_TIMEOUT_S
         for handle in handles:
             remaining = deadline - time.monotonic()
             if not handle.ready_event.wait(max(0.0, remaining)):
                 self._raise_failure()
                 raise TimeoutError(
                     f"shard {handle.name!r} not ready within "
-                    f"{self.config.ready_timeout_s:.0f}s"
+                    f"{READY_TIMEOUT_S:.0f}s"
                 )
             self._raise_failure()
-
-    def _raise_failure(self) -> None:
-        if self._failure is not None:
-            raise self._failure
 
     # -- membership --------------------------------------------------------
 
@@ -390,30 +337,25 @@ class ShardRouter:
     def remove_shard(self, name: str, *, timeout_s: float = 30.0) -> ShardSnapshot:
         """Retire one shard with zero request loss.
 
-        Order matters: the shard leaves the ring first (new traffic
-        reroutes under the ring's bounded-movement guarantee), then its
-        buffered requests ship and its in-flight blocks drain, and only
-        then does the worker stop.  The retired shard's final snapshot
+        The shard leaves the ring first, so requests still queued in the
+        window route to their keys' new owners when they flush (same
+        plans: decisions are a pure function of the feature row).  The
+        blocks already shipped to it still resolve: the worker answers
+        its request queue in order, so every block reply precedes its
+        final ``stopped`` message.  The retired shard's final snapshot
         stays in the close-time report.
 
         Raises:
             KeyError: for an unknown or already-retired shard.
+            ValueError: for the last ring member — an empty ring would
+                strand the requests already admitted.
         """
         handle = self._handles.get(name)
         if handle is None:
             raise KeyError(f"unknown shard {name!r}")
+        if len(self.ring) == 1:
+            raise ValueError(f"cannot remove {name!r}: it is the last shard")
         self.ring.remove(name)
-        if handle.buffer:
-            self._ship(handle, "drain")
-        deadline = time.monotonic() + timeout_s
-        while handle.inflight and time.monotonic() < deadline:
-            self._raise_failure()
-            time.sleep(0.0005)
-        if handle.inflight:
-            raise TimeoutError(
-                f"shard {name!r} still has {handle.inflight} in-flight "
-                f"requests after {timeout_s:.0f}s"
-            )
         snapshot = self._stop_worker(handle, timeout_s=timeout_s)
         self._retired.append(snapshot)
         del self._handles[name]
@@ -428,214 +370,45 @@ class ShardRouter:
             raise TimeoutError(f"shard {handle.name!r} did not stop")
         handle.process.join(timeout_s)
         handle.request_queue.close()
-        stats = handle.final_stats or {}
         return ShardSnapshot(
-            shard=handle.name,
-            pid=stats.get("pid", 0),
-            active=active,
-            completed=stats.get("completed", 0),
-            flushes=stats.get("flushes", 0),
-            unique_rows=stats.get("unique_rows", 0),
-            mean_batch=stats.get("mean_batch", 0.0),
-            max_batch=stats.get("max_batch", 0),
-            decide_s=stats.get("decide_s", 0.0),
-            cache_hits=stats.get("cache_hits", 0),
-            cache_misses=stats.get("cache_misses", 0),
-            cache_evictions=stats.get("cache_evictions", 0),
-            cache_entries=stats.get("cache_entries", 0),
-            device_counts=dict(stats.get("device_counts", {})),
+            shard=handle.name, active=active, **(handle.final_stats or {})
         )
 
-    # -- admission ---------------------------------------------------------
+    # -- flush sink --------------------------------------------------------
 
-    @property
-    def pending(self) -> int:
-        """Requests admitted but not yet resolved (buffered + in flight)."""
-        inflight = sum(h.inflight for h in self._handles.values())
-        return self._buffered + inflight
+    def _sink(self, batch: list[_Request], reason: str, flush_start: float) -> None:
+        """Ship the batch as one deduplicated block per owning shard.
 
-    def retry_after_s(self) -> float:
-        """Backpressure hint: backlog drain time at the measured rate."""
-        if self._service_rate <= 0.0:
-            return self.config.flush_deadline_ms / 1e3
-        return max(
-            self.config.flush_deadline_ms / 1e3,
-            self.pending / self._service_rate,
-        )
-
-    def _route(self, workload: Workload) -> tuple[np.ndarray, bytes]:
-        memo = self._route_memo
-        entry = memo.get(id(workload))
-        if entry is None or entry[0] is not workload:
-            row = encode_features_batch([(workload.bvars, workload.ivars)])[0]
+        A block carries each *unique* feature row once plus an int32
+        inverse map, so a hot pool of H workloads ships at most H rows
+        per block no matter how many requests rode in.
+        """
+        lookup = self.ring.lookup
+        # shard -> (requests, unique rows, inverse); key -> (block, row)
+        blocks: dict[str, tuple[list, list, list]] = {}
+        slots: dict[bytes, tuple[tuple, int]] = {}
+        for request, row in zip(batch, self._rows(batch)):
             key = row.tobytes()
-            if len(memo) >= self.config.route_memo_capacity:
-                memo.clear()  # epoch reset: simplest bounded policy
-            memo[id(workload)] = (workload, row, key)
-            return row, key
-        return entry[1], entry[2]
-
-    def try_submit(
-        self,
-        workload: Workload,
-        *,
-        tenant: str = "default",
-        tag=None,
-        callback: Callable | None = None,
-        arrival_s: float | None = None,
-    ) -> bool:
-        """Admit one request onto its ring-assigned shard's buffer.
-
-        Same contract as :meth:`DecisionServer.try_submit`: ``True`` on
-        admission (the callback will fire exactly once, from the
-        collector thread), ``False`` when backpressure rejects.
-
-        Raises:
-            ShardWorkerError: when any worker has died — admitted
-                requests are accounted for, but the router is unusable.
-        """
-        self._raise_failure()
-        if self.pending >= self.config.queue_capacity:
-            self.stats.rejected += 1
+            slot = slots.get(key)
+            if slot is None:
+                block = blocks.setdefault(lookup(key), ([], [], []))
+                slot = slots[key] = (block, len(block[1]))
+                block[1].append(row)
+            block, row_index = slot
+            block[0].append(request)
+            block[2].append(row_index)
+        for name, (requests, rows, inverse) in blocks.items():
+            handle = self._handles[name]
+            block_id = self._next_block
+            self._next_block += 1
+            self._blocks[block_id] = (handle, requests, flush_start)
+            handle.request_queue.put(
+                ("block", block_id, np.vstack(rows), np.asarray(inverse, np.int32))
+            )
             if obs.enabled():
-                obs.counter("server.rejected")
-            return False
-        row, key = self._route(workload)
-        handle = self._handles[self.ring.lookup(key)]
-        self.stats.admitted += 1
-        handle.buffer.append(
-            _Request(
-                tag,
-                workload,
-                self.clock() if arrival_s is None else arrival_s,
-                callback,
-                tenant,
-                row,
-                key,
-            )
-        )
-        self._buffered += 1
-        if len(handle.buffer) >= self.config.max_batch:
-            self._ship(handle, "size")
-        elif self._timer is None:
-            self._arm_timer()
-        return True
-
-    async def submit(self, workload: Workload, *, tenant: str = "default"):
-        """Admit one request and await its ``(spec, config)`` plan."""
-        from repro.runtime.server import ServerOverloadedError
-
-        if self._loop is None:
-            self.start()
-        loop = self._loop
-        future = loop.create_future()
-
-        def _resolve(_tag, result, fut=future):
-            loop.call_soon_threadsafe(
-                lambda: None if fut.done() else fut.set_result(result)
-            )
-
-        if not self.try_submit(workload, tenant=tenant, callback=_resolve):
-            raise ServerOverloadedError(self.retry_after_s(), self.pending)
-        return await future
-
-    # -- batching window ---------------------------------------------------
-
-    def _arm_timer(self) -> None:
-        if self._loop is None:
-            return  # unbound (synchronous use): flush on size/drain
-        self._timer = self._loop.call_later(
-            self.config.flush_deadline_ms / 1e3, self._on_deadline
-        )
-
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _on_deadline(self) -> None:
-        self._timer = None
-        self.flush_now("deadline")
-        if self._buffered:  # pragma: no cover - re-arm safety net
-            self._arm_timer()
-
-    def flush_now(self, reason: str = "drain") -> int:
-        """Ship every non-empty shard buffer; returns requests shipped."""
-        shipped = 0
-        for handle in list(self._handles.values()):
-            if handle.buffer:
-                shipped += self._ship(handle, reason)
-        if not self._buffered:
-            self._cancel_timer()
-        return shipped
-
-    def _ship(self, handle: _ShardHandle, reason: str) -> int:
-        """Coalesce one shard's buffer into a flush block and send it.
-
-        The block carries each *unique* feature row once plus an int32
-        inverse map, so a hot pool of H workloads ships H rows per block
-        no matter how many requests rode in.
-        """
-        batch = handle.buffer
-        handle.buffer = []
-        self._buffered -= len(batch)
-        flush_start = self.clock()
-        unique_index: dict[bytes, int] = {}
-        unique_rows: list[np.ndarray] = []
-        inverse = np.empty(len(batch), dtype=np.int32)
-        waits = self.stats.queue_waits_ms
-        for position, request in enumerate(batch):
-            row_index = unique_index.get(request.key)
-            if row_index is None:
-                row_index = unique_index[request.key] = len(unique_rows)
-                unique_rows.append(request.row)
-            inverse[position] = row_index
-            waits.append((flush_start - request.arrival_s) * 1e3)
-        block_id = self._next_block
-        self._next_block += 1
-        self._blocks[block_id] = (handle, batch, flush_start)
-        handle.dispatched += len(batch)
-        self.stats.flushes += 1
-        self.stats.flush_reasons[reason] = (
-            self.stats.flush_reasons.get(reason, 0) + 1
-        )
-        self.stats.batch_sizes.append(len(batch))
-        handle.request_queue.put(
-            ("block", block_id, np.vstack(unique_rows), inverse)
-        )
-        if obs.enabled():
-            obs.counter("router.flush", reason=reason, shard=handle.name)
-            obs.histogram("router.block_occupancy", len(batch))
-            obs.histogram("router.block_unique_rows", len(unique_rows))
-        return len(batch)
-
-    # -- draining ----------------------------------------------------------
-
-    async def drain(self) -> None:
-        """Ship all buffers and await every in-flight block's result."""
-        import asyncio
-
-        self.flush_now("drain")
-        while self.pending:
-            self._raise_failure()
-            self.flush_now("drain")
-            await asyncio.sleep(0.0005)
-        self._raise_failure()
-
-    def wait_idle(self, *, timeout_s: float = 60.0) -> None:
-        """Synchronous :meth:`drain` for loop-less callers (benches)."""
-        deadline = time.monotonic() + timeout_s
-        self.flush_now("drain")
-        while self.pending:
-            self._raise_failure()
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"{self.pending} requests still pending after "
-                    f"{timeout_s:.0f}s"
-                )
-            self.flush_now("drain")
-            time.sleep(0.0005)
-        self._raise_failure()
+                obs.counter("router.flush", reason=reason, shard=name)
+                obs.histogram("router.block_occupancy", len(requests))
+                obs.histogram("router.block_unique_rows", len(rows))
 
     # -- collector ---------------------------------------------------------
 
@@ -646,8 +419,7 @@ class ShardRouter:
         return spec
 
     def _collect(self) -> None:
-        """Reply-queue loop: fan block results back out to callbacks."""
-        stats = self.stats
+        """Reply-queue loop: complete each answered block."""
         while True:
             message = self._reply_queue.get()
             kind = message[0]
@@ -666,27 +438,10 @@ class ShardRouter:
                     (self._resolve_spec(device), config)
                     for device, config in plans
                 ]
-                lats = stats.latencies_ms
-                tenant_lats = stats.tenant_latencies_ms
-                for request, row_index in zip(batch, inverse):
-                    latency = (done - request.arrival_s) * 1e3
-                    lats.append(latency)
-                    per_tenant = tenant_lats.get(request.tenant)
-                    if per_tenant is None:
-                        per_tenant = tenant_lats[request.tenant] = []
-                    per_tenant.append(latency)
-                    if request.callback is not None:
-                        request.callback(request.tag, resolved[row_index])
+                self._complete(
+                    batch, [resolved[i] for i in inverse.tolist()], flush_start, done
+                )
                 handle.completed += len(batch)
-                stats.completed += len(batch)
-                elapsed = done - flush_start
-                if elapsed > 0:
-                    rate = len(batch) / elapsed
-                    self._service_rate = (
-                        rate
-                        if self._service_rate <= 0.0
-                        else 0.8 * self._service_rate + 0.2 * rate
-                    )
             elif kind == "stopped":
                 _, name, final = message
                 handle = self._handles.get(name)
@@ -707,7 +462,7 @@ class ShardRouter:
     def close(self, *, timeout_s: float = 30.0) -> ShardReport:
         """Stop every worker and return the cross-shard report.
 
-        Buffered requests are shipped and drained first (zero drops);
+        Queued requests are flushed and drained first (zero drops);
         call :meth:`drain` / :meth:`wait_idle` yourself if you need the
         drain to happen under an event loop.  Idempotent — a second
         close returns the same report.
@@ -733,20 +488,7 @@ class ShardRouter:
                 handle.process.terminate()
                 handle.process.join(timeout_s)
                 snapshot = ShardSnapshot(
-                    shard=handle.name,
-                    pid=0,
-                    active=True,
-                    completed=handle.completed,
-                    flushes=0,
-                    unique_rows=0,
-                    mean_batch=0.0,
-                    max_batch=0,
-                    decide_s=0.0,
-                    cache_hits=0,
-                    cache_misses=0,
-                    cache_evictions=0,
-                    cache_entries=0,
-                    device_counts={},
+                    shard=handle.name, active=True, completed=handle.completed
                 )
             snapshots.append(snapshot)
         self._handles.clear()

@@ -53,12 +53,12 @@ class ShardSpec:
     cache_capacity: int | None = None
 
 
-def _drain_stats(name: str, hetero, state: dict) -> dict:
-    """The shard's final accounting, JSON-able for the rollup."""
+def _drain_stats(hetero, state: dict) -> dict:
+    """The shard's final accounting, JSON-able for the rollup (one key
+    per :class:`~repro.runtime.shard.router.ShardSnapshot` counter)."""
     cache = hetero.decisions.cache
     batch_sizes = state["batch_sizes"]
     return {
-        "shard": name,
         "pid": os.getpid(),
         "completed": state["completed"],
         "flushes": state["flushes"],
@@ -73,7 +73,6 @@ def _drain_stats(name: str, hetero, state: dict) -> dict:
         "cache_misses": cache.stats.misses if cache is not None else 0,
         "cache_evictions": cache.stats.evictions if cache is not None else 0,
         "cache_entries": len(cache) if cache is not None else 0,
-        "fleet_fingerprint": hetero.fleet.fingerprint,
     }
 
 
@@ -135,7 +134,7 @@ def shard_worker_main(
             message = request_queue.get()
             kind = message[0]
             if kind == "stop":
-                reply_queue.put(("stopped", name, _drain_stats(name, hetero, state)))
+                reply_queue.put(("stopped", name, _drain_stats(hetero, state)))
                 break
             if kind != "block":  # pragma: no cover - protocol guard
                 raise RuntimeError(f"unknown shard message {kind!r}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.core.encoding import NUM_FEATURES, NUM_TARGETS
 from repro.core.heteromap import HeteroMap
 from repro.core.online import ExplorationConfig, ExplorationPolicy
@@ -106,3 +107,40 @@ class TestExplorationNeverChangesPlans:
         _, exploring, _ = trained_pair
         assert exploring.decisions.track_confidence
         assert isinstance(exploring.decisions.exploration, ExplorationPolicy)
+
+
+class TestProbeAuditRecord:
+    """A probe's audit record: explored, never observed, costed on the
+    fleet exactly like the decide tier costs the same workload."""
+
+    def test_probe_record_pins_chosen_and_runner_up(self):
+        names = ("gtx750ti", "gtx970", "xeonphi7120p", "cpu40core")
+        hetero = HeteroMap(names, predictor="cart", seed=9)
+        hetero.train(num_samples=40, seed=9)
+        hetero.enable_exploration(
+            ExplorationConfig(rate=1.0, confidence_threshold=1.0)
+        )
+        workloads = {item: prepare_workload(*item) for item in ITEMS}
+        state = obs.configure(obs.ObsConfig(enabled=True))
+        try:
+            hetero.plan_batch(list(workloads.values()))
+            records = list(state.decisions)
+        finally:
+            obs.reset()
+        assert records and all(record.explored for record in records)
+        for record in records:
+            decision = hetero.decisions.decide(
+                workloads[(record.benchmark, record.dataset)]
+            )
+            chosen = decision.chosen
+            best_other = min(
+                (e for e in decision.estimates if e is not chosen),
+                key=lambda e: (e.time_ms, e.spec.name),
+            )
+            assert record.observed_time_ms is None
+            assert record.chosen_accelerator == chosen.spec.name
+            assert record.predicted_time_ms == chosen.time_ms
+            assert record.runner_up_accelerator == best_other.spec.name
+            assert record.runner_up_time_ms == best_other.time_ms
+            assert record.devices == tuple(hetero.fleet.names)
+            assert record.costs_ms == decision.costs_ms

@@ -33,7 +33,7 @@ FLEET_NAMES = ("gtx750ti", "gtx970", "xeonphi7120p", "cpu40core")
 @pytest.fixture(scope="module")
 def fleet4():
     """A trained 4-device HeteroMap (same seed as the pair fixture)."""
-    hetero = HeteroMap.with_fleet(FLEET_NAMES, predictor="cart", seed=5)
+    hetero = HeteroMap(FLEET_NAMES, predictor="cart", seed=5)
     hetero.train(num_samples=40, seed=5)
     return hetero
 
@@ -41,9 +41,7 @@ def fleet4():
 @pytest.fixture(scope="module")
 def fleet4_permuted():
     """The same fleet with the device list reversed."""
-    hetero = HeteroMap.with_fleet(
-        tuple(reversed(FLEET_NAMES)), predictor="cart", seed=5
-    )
+    hetero = HeteroMap(tuple(reversed(FLEET_NAMES)), predictor="cart", seed=5)
     hetero.train(num_samples=40, seed=5)
     return hetero
 

@@ -8,6 +8,7 @@ import gc
 import pytest
 
 from repro.core.heteromap import HeteroMap
+from repro.errors import NotTrainedError
 from repro.runtime.deploy import prepare_workload
 from repro.runtime.server import (
     DecisionServer,
@@ -201,6 +202,24 @@ class TestBackpressure:
         error = asyncio.run(scenario())
         assert error.retry_after_s > 0
         assert error.pending == 4
+
+
+class TestSinkFailure:
+    def test_failed_flush_counts_drops_and_drain_returns(self, pool):
+        """A flush that raises can never resolve its batch: the batch is
+        counted as dropped, so ``pending`` returns to zero and a later
+        drain does not wait on it."""
+        untrained = HeteroMap.with_default_pair(predictor="decision_tree")
+        server = DecisionServer(
+            untrained.decisions, ServerConfig(max_batch=2, queue_capacity=8)
+        )
+        assert server.try_submit(pool[0])
+        with pytest.raises(NotTrainedError):
+            server.try_submit(pool[1])  # the inline size flush raises
+        assert server.stats.dropped == 2
+        assert server.stats.completed == 0
+        assert server.pending == 0
+        asyncio.run(asyncio.wait_for(server.drain(), timeout=5.0))
 
 
 class TestFairness:

@@ -295,9 +295,7 @@ class TestFleetCacheIsolation:
     def shared_fleets(self):
         shared = DecisionCache(capacity=64)
         a = HeteroMap.with_default_pair(predictor="deep16", seed=5)
-        b = HeteroMap.with_fleet(
-            ("gtx970", "cpu40core"), predictor="deep16", seed=5
-        )
+        b = HeteroMap(("gtx970", "cpu40core"), predictor="deep16", seed=5)
         a.train(num_samples=30, seed=5)
         b.train(num_samples=30, seed=5)
         a.decisions.cache = shared
@@ -331,9 +329,7 @@ class TestFleetCacheIsolation:
 
     def test_shared_cache_decisions_match_private_cache(self, shared_fleets):
         _, _, b = shared_fleets
-        isolated = HeteroMap.with_fleet(
-            ("gtx970", "cpu40core"), predictor="deep16", seed=5
-        )
+        isolated = HeteroMap(("gtx970", "cpu40core"), predictor="deep16", seed=5)
         isolated.train(num_samples=30, seed=5)
         for (spec_a, config_a), (spec_b, config_b) in zip(
             b.plan_batch(ITEMS), isolated.plan_batch(ITEMS)

@@ -15,9 +15,12 @@ canonicalization caveats.
 from __future__ import annotations
 
 import asyncio
+import sys
+import time
 
 import pytest
 
+from repro.core.encoding import encode_features_batch
 from repro.core.heteromap import HeteroMap
 from repro.machine.specs import DEFAULT_PAIR
 from repro.runtime.deploy import prepare_workload
@@ -28,6 +31,7 @@ from repro.runtime.shard import (
     ShardSnapshot,
     ShardSpec,
 )
+from repro.runtime.shard.router import ShardWorkerError
 
 SPEC = ShardSpec(fleet=DEFAULT_PAIR, predictor="decision_tree", train_samples=1)
 
@@ -152,6 +156,52 @@ class TestMembership:
         assert retired.shard in {s.shard for s in report.shards}
         assert report.completed == len(expected)
 
+    def test_remove_with_requests_still_queued(self, pool, reference):
+        """Requests admitted before a leave, still queued or in flight,
+        resolve anyway: the leaving shard answers its in-flight blocks
+        before it stops, and queued requests route to the new owner at
+        their flush."""
+        requests = [pool[i % len(pool)] for i in range(30)]
+        expected = reference.plan_batch(requests)
+        router = make_router()
+        router.launch()
+        try:
+            results: dict[int, tuple] = {}
+            for i, workload in enumerate(requests):
+                assert router.try_submit(
+                    workload,
+                    tag=i,
+                    callback=lambda t, r, o=results: o.__setitem__(t, r),
+                )
+            # max_batch=8: three flushes shipped, six requests still queued.
+            assert router.pending > 0
+            key = encode_features_batch([(pool[0].bvars, pool[0].ivars)])[0]
+            owner = router.ring.lookup(key.tobytes())
+            router.remove_shard(owner)
+            assert router.ring.lookup(key.tobytes()) != owner
+            router.wait_idle()
+            assert len(results) == len(requests)
+            for i, (spec, config) in enumerate(expected):
+                assert results[i][0].name == spec.name
+                assert results[i][1] == config
+        finally:
+            report = router.close()
+        assert report.completed == len(requests)
+
+    def test_last_shard_cannot_leave(self, pool):
+        router = make_router(shards=1)
+        router.launch()
+        try:
+            (only,) = router.shards
+            with pytest.raises(ValueError):
+                router.remove_shard(only)
+            assert router.shards == (only,)
+            assert router.try_submit(pool[0])
+            router.wait_idle()
+        finally:
+            report = router.close()
+        assert report.completed == 1
+
     def test_remove_unknown_shard_raises(self):
         router = make_router()
         router.launch()
@@ -193,6 +243,59 @@ class TestBackpressure:
 
         router = asyncio.run(scenario())
         assert router.stats.completed == 1
+
+
+class TestConcurrency:
+    def test_single_writer_counters_under_switch_pressure(self, pool):
+        """The admission thread and the collector share the window's
+        counters without a lock.  A lost update would leave ``pending``
+        stuck above zero (``wait_idle`` times out) or the sample lists
+        out of step with ``completed``."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        router = make_router(shards=4)
+        try:
+            router.launch()
+            results: dict[int, tuple] = {}
+            outcomes = [
+                router.try_submit(
+                    pool[i % len(pool)],
+                    tag=i,
+                    callback=lambda t, r, o=results: o.__setitem__(t, r),
+                )
+                for i in range(600)
+            ]
+            router.wait_idle(timeout_s=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+            report = router.close()
+        stats = router.stats
+        admitted = outcomes.count(True)
+        assert stats.admitted == admitted == stats.completed == len(results)
+        assert stats.rejected == len(outcomes) - admitted
+        assert router.pending == 0
+        assert len(stats.latencies_ms) == len(stats.queue_waits_ms) == admitted
+        assert report.completed == admitted
+
+
+class TestWorkerFailure:
+    def test_dead_worker_raises_instead_of_hanging(self, pool):
+        router = make_router()
+        router.launch()
+        try:
+            # A protocol violation kills one worker; it reports the error.
+            router._handles[router.shards[0]].request_queue.put(("bogus",))
+            with pytest.raises(ShardWorkerError):
+                for _ in range(2000):
+                    router.try_submit(pool[0])
+                    time.sleep(0.005)
+            with pytest.raises(ShardWorkerError):
+                router.wait_idle()
+            with pytest.raises(ShardWorkerError):
+                asyncio.run(router.drain())
+        finally:
+            with pytest.raises(ShardWorkerError):
+                router.close()
 
 
 class TestReport:

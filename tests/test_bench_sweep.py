@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.benchmarking import bench_sweep
 from repro.benchmarking.bench_sweep import check_regressions, main
+from repro.core import training
 
 
 def run_main(tmp_path, *extra):
@@ -126,7 +130,12 @@ class TestRegressionCheck:
 
 
 class TestSectionSelection:
-    def test_partial_run_merges_over_baseline(self, tmp_path):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_partial_run_merges_over_baseline(self, tmp_path, monkeypatch, cpus):
+        # Pin the host's CPU count where the bench and the database build
+        # read it, so the verdict is the same on any host.
+        monkeypatch.setattr(bench_sweep, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(training, "available_cpus", lambda: cpus)
         rc, output = run_main(tmp_path, "--sections", "lattice_sweep", "db_build")
         assert rc == 0
         payload = json.loads(output.read_text())
@@ -139,7 +148,17 @@ class TestSectionSelection:
         assert rc == 0
         merged = json.loads(output.read_text())
         assert merged["lattice_sweep"]["sentinel"] == 123
-        assert merged["db_build"]["num_samples"] == 2
+        db = merged["db_build"]
+        assert db["available_cpus"] == cpus
+        if cpus == 1:
+            # No pool can run: the requested samples, parallel leg skipped.
+            assert db["num_samples"] == 2
+            assert "parallel_skipped" in db
+        else:
+            # A real pool: samples raised to the amortization floor.
+            assert db["num_samples"] == 128
+            assert "parallel_skipped" not in db
+            assert db["parallel_build_s"] > 0
 
     def test_predict_throughput_payload(self, tmp_path):
         rc, output = run_main(
