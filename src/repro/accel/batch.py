@@ -1,30 +1,28 @@
-"""Vectorized batch evaluation of the accelerator cost model.
+"""Vectorized evaluation of the accelerator cost model.
 
-The scalar path (:mod:`repro.accel.cost_model` / :mod:`repro.accel.energy`,
-wrapped by :func:`repro.accel.simulator.simulate`) evaluates one
-``(profile, spec, config)`` point per call.  Everything that sweeps the
-M lattice — the exhaustive oracle, offline training labels, thread-sweep
-figures — pays that cost once per lattice point, serially.
+:func:`repro.accel.simulator.simulate` costs one ``(profile, spec,
+config)`` deployment per call and stays the reference.  :func:`_pass` is
+the one array formulation of the same model: each element is a *row*, one
+phase of one deployment, and the terms it reads are per-row columns.  A
+pass covers one accelerator kind, so the GPU/multicore branches stay plain
+``if`` statements.  It serves :func:`batch_evaluate` (one workload on a
+config set such as the M lattice) and :func:`fleet_evaluate` (any mix of
+deployments, e.g. every (workload × device) pair of a decide batch).
 
-This module materializes a set of configurations as NumPy column arrays
-(:class:`ConfigTable`: one row per config, columns for cores, threads per
-core, SIMD width, schedule, placement, affinity, blocktime, GPU thread
-counts) and evaluates *all* of them for a workload profile in one pass
-(:func:`batch_evaluate`): the per-phase compute/memory/sync/overhead math
-of :func:`~repro.accel.cost_model.evaluate_cost` and the energy and
-utilization objectives of :func:`~repro.accel.energy.evaluate_energy` are
-re-expressed as array expressions over the config axis.
-
-The scalar path stays the reference implementation: the equivalence suite
-(``tests/accel/test_batch.py``) asserts batch == scalar to within 1e-9
-relative error for time, energy, and utilization across the full lattice
-of every accelerator spec, so the vectorization cannot silently drift
-from the model the figures validate.
+Results equal :func:`simulate` bit for bit: only IEEE-exact elementwise
+operations (``+ - * /``, ``minimum``, ``maximum``, ``abs``, ``where``)
+run in NumPy, since NumPy's SIMD ``power`` and ``log10`` round unlike
+libm on a few percent of inputs; ``x ** 0.8``, ``x ** 0.5``, ``log10``
+and the config-independent row terms (:func:`_row`) are Python floats;
+every expression keeps the scalar operand order; and phases add in phase
+order, missing ones as exact zeros.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import namedtuple
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,11 +38,11 @@ from repro.accel.cost_model import (
     _GRAIN_ITEMS,
     _MC_ATOMIC_CACHE_FACTOR,
     _MC_LAUNCH_US,
-    _REUSE_BONUS,
     _SCHED_DYNAMIC_OVERHEAD,
     _SCHED_GUIDED_OVERHEAD,
     _SEQ_MISS,
     _SIMD_MAX_FILL,
+    _cache_hit,
     _divergence_divisor,
     _streaming_cost,
 )
@@ -52,56 +50,322 @@ from repro import obs
 from repro.accel.energy import EnergyResult
 from repro.accel.simulator import SimulationResult
 from repro.errors import SimulationError
-from repro.machine.mvars import MachineConfig, OmpSchedule, clamp_config
+from repro.machine.mvars import MachineConfig, OmpSchedule, clamp_config, total_threads
 from repro.machine.space import iter_configs
 from repro.machine.specs import AcceleratorSpec
 from repro.workload.phases import PhaseKind
-from repro.workload.profile import PhaseProfile, WorkloadProfile
+from repro.workload.profile import WorkloadProfile
 
 __all__ = [
     "ConfigTable",
     "BatchResult",
     "lattice_table",
     "batch_evaluate",
+    "by_kind",
     "fleet_evaluate",
     "fleet_argbest",
 ]
 
-# Schedule encoding for the vectorized _schedule_factor: the scalar model
-# treats AUTO as DYNAMIC, so both share a code.
-_SCHEDULE_CODES = {
-    OmpSchedule.STATIC: 0,
-    OmpSchedule.GUIDED: 1,
-    OmpSchedule.DYNAMIC: 2,
-    OmpSchedule.AUTO: 2,
+# Spec × profile terms: scalars for a lattice, per-row arrays otherwise.
+_Deploy = namedtuple(
+    "_Deploy",
+    "int_peak fp_peak needed max_threads footprint_pressure saturation bw_base"
+    " latency atomic_cost coherent_factor iterations contention overhead"
+    " streaming idle_watts",
+)
+# Config × spec terms, libm powers and logarithm included.
+_Config = namedtuple(
+    "_Config",
+    "threads threads_floor width width_m1 skew_weight schedule_overhead"
+    " rate_base fp_base placement affinity blocktime local_factor local_div"
+    " outstanding barrier_factor hide span_active",
+)
+#: Rows per pass over a lattice: about the most whose live row arrays
+#: still fit a core's L2 cache.
+_BLOCK_ROWS = 2048
+# The config-independent terms of each phase row (see ``_row``).
+_Rows = namedtuple(
+    "_Rows",
+    "max_par items_per_iteration divisor int_ops fp_ops skew_waste skew"
+    " edges_per_item simd_addressable simd_tail seq_traffic irregular_traffic"
+    " irregular_share item_bytes conflicted atomics barrier_s memory_factor"
+    " preferred placement_weight rw_share affinity_weight",
+)
+_KIND_FLAGS = {
+    kind: (kind.is_data_parallel, kind is PhaseKind.PUSH_POP) for kind in PhaseKind
 }
+# The schedule factor as 1.0 + weight * skew + overhead: a static
+# schedule's 0.0 adds exactly nothing, and None stands for the dynamic
+# chunk penalty (the scalar model treats AUTO as DYNAMIC).
+_SCHEDULE_TERMS = {
+    OmpSchedule.STATIC: (0.5, 0.0),
+    OmpSchedule.GUIDED: (0.2, _SCHED_GUIDED_OVERHEAD),
+    OmpSchedule.DYNAMIC: (0.1, None),
+    OmpSchedule.AUTO: (0.1, None),
+}
+
+
+def _deploy_row(spec: AcceleratorSpec, profile: WorkloadProfile) -> tuple:
+    iterations = max(1, profile.num_iterations)
+    if spec.is_gpu:
+        saturation = spec.cores * min(spec.latency_hiding, 2.0)
+        launch_us = _GPU_LAUNCH_US
+    else:
+        saturation, launch_us = spec.cores * 0.5, _MC_LAUNCH_US
+    return (
+        spec.cores * spec.clock_ghz * 1e9 * spec.ipc,
+        (spec.dp_tflops + 0.03 * spec.sp_tflops) * 1e12,
+        spec.cores * spec.latency_hiding,
+        spec.max_threads,
+        min(4.0, profile.footprint_bytes / max(spec.cache_bytes, 1.0)) / 4.0,
+        saturation,
+        spec.mem_bw_gbps * 1e9 * spec.mem_efficiency,
+        spec.mem_latency_ns * 1e-9,
+        spec.atomic_cost_ns,
+        _MC_ATOMIC_CACHE_FACTOR if spec.coherent else 1.0,
+        iterations,
+        profile.contention,
+        iterations * launch_us * 1e-6,
+        _streaming_cost(spec, profile),
+        spec.idle_watts,
+    )
+
+
+def _config_row(spec: AcceleratorSpec, config: MachineConfig) -> tuple:
+    threads = float(total_threads(config, spec))
+    cores = min(config.cores, spec.cores)
+    tpc = min(config.threads_per_core, spec.threads_per_core)
+    width = min(config.simd_width, spec.simd_width)
+    weight, overhead = _SCHEDULE_TERMS[config.omp_schedule]
+    if overhead is None:
+        overhead = _SCHED_DYNAMIC_OVERHEAD * (64.0 / max(config.omp_chunk, 1)) ** 0.5
+    core_scale = cores ** 0.8 / spec.cores ** 0.8 * spec.cores
+    if spec.is_gpu:
+        active = min(1.0, threads / spec.max_threads)
+    else:
+        active = min(1.0, cores / spec.cores)
+    return (
+        threads,
+        max(threads, 1.0),
+        width,
+        width - 1.0,
+        weight,
+        overhead,
+        core_scale * spec.clock_ghz * 1e9 * spec.ipc * (1.0 + 0.3 * (tpc - 1)),
+        spec.dp_tflops * 1e12 / spec.simd_width * (core_scale / spec.cores),
+        config.placement_looseness,
+        config.affinity,
+        math.log10(max(config.blocktime_ms, 1.0)) / 3.0,
+        0.5 + config.gpu_local_threads / 1024.0,
+        max(config.gpu_local_threads, 1),
+        8.0 * cores,
+        0.25 + 0.75 * threads / spec.max_threads,
+        min(1.0, 0.25 + 0.12 * tpc),
+        (spec.tdp_watts - spec.idle_watts) * active,
+    )
+
+
+def _matrix(rows: list[tuple]) -> np.ndarray:
+    """Tuples as a C-contiguous (fields, len(rows)) float matrix."""
+    return np.ascontiguousarray(np.array(rows, dtype=np.float64).T)
+
+
+def _libm(fn, values: np.ndarray, levels=None) -> np.ndarray:
+    """``fn`` applied with Python floats, so it rounds exactly like libm.
+
+    ``levels`` = (first, inverse) says axis-1 entries repeat: ``fn`` then
+    runs once per distinct column and the result is expanded back.
+    """
+    if levels is not None:
+        first, inverse = levels
+        return _libm(fn, values[:, first])[:, inverse]
+    flat = [fn(value) for value in values.ravel().tolist()]
+    return np.array(flat).reshape(values.shape)
+
+
+def _row(gpu: bool, phase, profile: WorkloadProfile, spec: AcceleratorSpec) -> tuple:
+    """The config-independent terms of one phase row (``_Rows``), taken
+    with Python floats in the scalar model's expressions and order."""
+    items, skew = phase.items, phase.work_skew
+    total = phase.total_bytes
+    data_parallel, push_pop = _KIND_FLAGS[phase.kind]
+    items_per_iteration = max(1.0, items / max(1, profile.num_iterations))
+    edges_per_item = phase.edges / items if items else 0.0
+    max_par = phase.max_parallelism
+    if gpu and data_parallel:
+        max_par = max_par * max(1.0, 0.5 * edges_per_item)
+    miss = 1.0 - _cache_hit(spec, profile, phase, items_per_iteration)
+    rw_share = phase.shared_rw_bytes / total if total else 0.0
+    contention = profile.contention
+    return (
+        max_par,
+        items_per_iteration,
+        _divergence_divisor(spec, phase),
+        phase.int_ops,
+        phase.fp_ops,
+        1.0 + 0.8 * skew,
+        skew,
+        edges_per_item,
+        # Zero off data-parallel rows: 1.0 + (width - 1.0) * 0.0 is the
+        # scalar model's SIMD efficiency of exactly 1.0 there.
+        phase.seq_bytes / total if total and data_parallel else 0.0,
+        1.0 - 0.5 * skew,
+        phase.seq_bytes * _SEQ_MISS,
+        phase.rand_bytes * miss + phase.indirect_bytes * miss * spec.indirect_penalty,
+        (phase.rand_bytes + phase.indirect_bytes) / total if total else 0.0,
+        min(1.0, (total / items if items else 0.0) / 256.0),
+        phase.atomics * contention,
+        phase.atomics,
+        phase.barriers * spec.barrier_cost_us * 1e-6,
+        1.0 + 3.0 * contention if gpu and push_pop else 1.0,
+        min(1.0, 0.6 * skew + 0.6 * rw_share),
+        0.35 if total > 0 else 0.0,
+        rw_share,
+        0.3 if total > 0 else 0.0,
+    )
+
+
+def _pass(gpu: bool, row: _Rows, deploy: _Deploy, config: _Config, levels=None):
+    """:func:`~repro.accel.cost_model._phase_cost` over rows of one kind.
+
+    ``row`` holds the :func:`_row` terms of every row; the rest of the
+    model follows the scalar code expression by expression, in its
+    operand order.  Returns the (compute, memory, sync, overhead, busy,
+    stall) seconds of every row.  ``levels`` marks rows laid out as
+    (phases, configs) whose configs repeat thread counts (see
+    :func:`_libm`).
+    """
+    useful = np.maximum(1.0, np.minimum(config.threads, row.max_par))
+
+    # ---- compute ------------------------------------------------------
+    granularity = row.items_per_iteration / useful
+    grain_eff = granularity / (granularity + _GRAIN_ITEMS)
+    thread_pressure = useful / deploy.max_threads
+    if gpu:
+        hide = np.minimum(1.0, useful / deploy.needed)
+        occupancy = np.maximum(hide, thread_pressure)
+        int_rate = deploy.int_peak * occupancy
+        fp_rate = np.maximum(deploy.fp_peak * occupancy, 1e8)
+        work_factor = row.skew_waste
+    else:
+        hide = config.hide
+        density_fill = np.minimum(1.0, row.edges_per_item / config.width)
+        fill = _SIMD_MAX_FILL * density_fill * row.simd_addressable * row.simd_tail
+        simd_eff = 1.0 + config.width_m1 * fill
+        parallel_cap = np.minimum(1.0, useful / config.threads_floor)
+        int_rate = config.rate_base * parallel_cap * simd_eff
+        fp_rate = np.maximum(config.fp_base * simd_eff, 1e8)
+        work_factor = 1.0 + config.skew_weight * row.skew + config.schedule_overhead
+    int_rate = int_rate / row.divisor
+    fp_rate = fp_rate / row.divisor
+    compute_s = (
+        (row.int_ops / int_rate + row.fp_ops / fp_rate)
+        * work_factor / np.maximum(grain_eff, 1e-3)
+    )
+
+    # ---- memory -------------------------------------------------------
+    gain = _CONGESTION_GAIN_GPU if gpu else _CONGESTION_GAIN_MC
+    congestion = (
+        gain * thread_pressure * row.irregular_share * row.item_bytes
+        * deploy.footprint_pressure
+    )
+    if gpu:
+        congestion = congestion * config.local_factor
+    ratio = useful / deploy.saturation
+    if levels is not None:
+        ratio = ratio.reshape(-1, len(levels[1]))
+    bw_ramp = np.minimum(
+        1.0, _libm(lambda x: x ** 0.5, ratio, levels).reshape(useful.shape)
+    )
+    effective_bw = deploy.bw_base * np.maximum(bw_ramp, 0.05) / (1.0 + congestion)
+    outstanding = useful if gpu else config.outstanding
+    random_bw = np.minimum(effective_bw, outstanding * 64.0 / deploy.latency)
+    memory_s = (
+        row.seq_traffic / effective_bw
+        + row.irregular_traffic / np.maximum(random_bw, 1.0)
+    )
+    if gpu:
+        memory_s = memory_s * row.memory_factor
+    else:
+        memory_s = memory_s * (
+            1.0 + row.placement_weight * np.abs(config.placement - row.preferred)
+        )
+
+    # ---- synchronization ----------------------------------------------
+    collision = np.minimum(1.0, useful / row.items_per_iteration)
+    drain_width = np.maximum(1.0, np.minimum(useful, row.items_per_iteration))
+    serialized = row.conflicted * collision / drain_width
+    streamed = (row.atomics - row.conflicted * collision) * _ATOMIC_BYTES
+    streamed = streamed * deploy.coherent_factor
+    sync_s = serialized * deploy.atomic_cost * 1e-9 + streamed / deploy.bw_base
+    sync_s = sync_s + row.barrier_s * config.barrier_factor
+    if not gpu:
+        sync_s = sync_s * (1.0 + 0.4 * np.abs(config.blocktime - deploy.contention))
+        sync_s = sync_s * (
+            1.0 + row.affinity_weight * np.abs(config.affinity - row.rw_share)
+        )
+
+    # ---- fixed overheads and utilization accounting -------------------
+    if gpu:
+        groups = useful / config.local_div
+        overhead_s = (
+            deploy.overhead
+            + deploy.iterations * groups * _GPU_GROUP_DISPATCH_US * 1e-6
+        )
+    else:
+        overhead_s = np.full_like(useful, deploy.overhead)
+    busy = compute_s + hide * np.minimum(memory_s, compute_s)
+    stall = np.maximum(memory_s - compute_s, 0.0) * (1.0 - hide) + sync_s
+    return compute_s, memory_s, sync_s, overhead_s, busy, stall
+
+
+def _fold(grid, deploy: _Deploy, span_active) -> tuple:
+    """Workload totals of (phases, deployments) :func:`_pass` outputs:
+    (time, busy, stall, utilization, power, energy).  Phases add in phase
+    order, as :func:`evaluate_cost` adds them from 0.0."""
+    compute, memory, sync, overhead, busy, stall = grid
+    totals = np.maximum(compute, memory) + sync + overhead
+    time_s, busy_s, stall_s = totals[0], busy[0], stall[0]
+    for p in range(1, len(totals)):
+        time_s = time_s + totals[p]
+        busy_s = busy_s + busy[p]
+        stall_s = stall_s + stall[p]
+    time_s = time_s + deploy.streaming
+    denominator = busy_s + stall_s
+    utilization = np.divide(
+        busy_s, denominator, out=np.zeros_like(busy_s), where=denominator > 0
+    )
+    power = deploy.idle_watts + span_active * (0.4 + 0.6 * utilization)
+    return time_s, busy_s, stall_s, utilization, power, power * time_s
 
 
 @dataclass(frozen=True)
 class ConfigTable:
-    """A set of machine configurations in structure-of-arrays form.
+    """A set of machine configurations for one spec, as pass columns.
 
-    One row per configuration (lattice order when built from the lattice),
-    one column per knob the cost model reads.  All configs are clamped by
-    the ceiling rule on construction, exactly as :func:`simulate` does.
+    One entry per configuration (lattice order when built from the
+    lattice), clamped by the ceiling rule exactly as :func:`simulate`
+    does; the cached :func:`lattice_table` takes their terms once.
     """
 
     spec: AcceleratorSpec
     configs: tuple[MachineConfig, ...]
-    cores: np.ndarray  # M2 (int)
-    threads_per_core: np.ndarray  # M3 (int)
-    simd_width: np.ndarray  # M10 (int)
-    schedule: np.ndarray  # M11 code: 0 static, 1 guided, 2 dynamic/auto
-    omp_chunk: np.ndarray  # M12 (int)
-    placement: np.ndarray  # M5-M7 looseness (float)
-    affinity: np.ndarray  # M8 (float)
-    blocktime_ms: np.ndarray  # M4 (float)
-    gpu_global_threads: np.ndarray  # M19 (int)
-    gpu_local_threads: np.ndarray  # M20 (int)
-    threads: np.ndarray  # deployed worker threads (float)
+    #: ``_Config`` terms, one column per configuration.
+    matrix: np.ndarray
+    #: (first index, inverse) of each distinct thread count.
+    levels: tuple[np.ndarray, np.ndarray]
+    _tiled: dict[int, _Config] = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.configs)
+
+    def columns(self, phases: int = 1) -> _Config:
+        """The config terms repeated once per phase, the row layout of a
+        block of ``phases`` phases; cached per phase count."""
+        columns = self._tiled.get(phases)
+        if columns is None:
+            columns = self._tiled[phases] = _Config(*np.tile(self.matrix, phases))
+        return columns
 
     @classmethod
     def from_configs(
@@ -111,40 +375,9 @@ class ConfigTable:
         clamped = tuple(clamp_config(config, spec) for config in configs)
         if not clamped:
             raise SimulationError("a ConfigTable needs at least one config")
-        cores = np.array([c.cores for c in clamped], dtype=np.int64)
-        tpc = np.array([c.threads_per_core for c in clamped], dtype=np.int64)
-        if spec.is_gpu:
-            threads = np.minimum(
-                np.array([c.gpu_global_threads for c in clamped], dtype=np.int64),
-                spec.max_threads,
-            )
-        else:
-            threads = np.minimum(cores * tpc, spec.max_threads)
-        return cls(
-            spec=spec,
-            configs=clamped,
-            cores=cores,
-            threads_per_core=tpc,
-            simd_width=np.array([c.simd_width for c in clamped], dtype=np.int64),
-            schedule=np.array(
-                [_SCHEDULE_CODES[c.omp_schedule] for c in clamped], dtype=np.int64
-            ),
-            omp_chunk=np.array([c.omp_chunk for c in clamped], dtype=np.int64),
-            placement=np.array(
-                [c.placement_looseness for c in clamped], dtype=np.float64
-            ),
-            affinity=np.array([c.affinity for c in clamped], dtype=np.float64),
-            blocktime_ms=np.array(
-                [c.blocktime_ms for c in clamped], dtype=np.float64
-            ),
-            gpu_global_threads=np.array(
-                [c.gpu_global_threads for c in clamped], dtype=np.int64
-            ),
-            gpu_local_threads=np.array(
-                [c.gpu_local_threads for c in clamped], dtype=np.int64
-            ),
-            threads=threads.astype(np.float64),
-        )
+        matrix = _matrix([_config_row(spec, config) for config in clamped])
+        _, first, inverse = np.unique(matrix[0], return_index=True, return_inverse=True)
+        return cls(spec=spec, configs=clamped, matrix=matrix, levels=(first, inverse))
 
 
 _lattice_tables: dict[AcceleratorSpec, ConfigTable] = {}
@@ -251,226 +484,10 @@ class BatchResult:
         return self.materialize(self.argbest(metric))
 
 
-def _schedule_factor_array(
-    table: ConfigTable, phase: PhaseProfile
-) -> np.ndarray:
-    """Vectorized ``_schedule_factor``: per-config imbalance multiplier."""
-    skew = phase.work_skew
-    chunk_penalty = _SCHED_DYNAMIC_OVERHEAD * np.sqrt(
-        64.0 / np.maximum(table.omp_chunk, 1)
-    )
-    factor = np.where(
-        table.schedule == 0,
-        1.0 + 0.5 * skew,
-        np.where(
-            table.schedule == 1,
-            1.0 + 0.2 * skew + _SCHED_GUIDED_OVERHEAD,
-            1.0 + 0.1 * skew + chunk_penalty,
-        ),
-    )
-    return factor
-
-
-def _simd_efficiency_array(
-    table: ConfigTable, phase: PhaseProfile
-) -> np.ndarray:
-    """Vectorized ``_simd_efficiency`` over the config axis."""
-    spec = table.spec
-    width = np.minimum(table.simd_width, spec.simd_width).astype(np.float64)
-    if not phase.kind.is_data_parallel:
-        return np.ones(len(table))
-    edges_per_item = phase.edges / phase.items if phase.items else 0.0
-    density_fill = np.minimum(1.0, edges_per_item / np.maximum(width, 1.0))
-    addressable = (
-        phase.seq_bytes / phase.total_bytes if phase.total_bytes else 0.0
-    )
-    fill = _SIMD_MAX_FILL * density_fill * addressable * (1.0 - 0.5 * phase.work_skew)
-    return np.where(width <= 1.0, 1.0, 1.0 + (width - 1.0) * fill)
-
-
-def _phase_cost_arrays(
-    table: ConfigTable,
-    profile: WorkloadProfile,
-    phase: PhaseProfile,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized ``_phase_cost``: (compute, memory, sync, overhead, busy, stall).
-
-    Mirrors the scalar implementation expression by expression; every
-    config-independent quantity is computed once as a Python float and the
-    config-dependent terms are NumPy arrays over the table's rows.
-    """
-    spec = table.spec
-    threads = table.threads  # float array
-    max_par = phase.max_parallelism
-    if spec.is_gpu and phase.kind.is_data_parallel:
-        edges_per_item = phase.edges / phase.items if phase.items else 0.0
-        max_par = max_par * max(1.0, 0.5 * edges_per_item)
-    useful = np.maximum(1.0, np.minimum(threads, max_par))
-    iterations = max(1, profile.num_iterations)
-    items_per_iteration = max(1.0, phase.items / iterations)
-
-    # ---- compute ------------------------------------------------------
-    granularity = items_per_iteration / useful
-    grain_eff = granularity / (granularity + _GRAIN_ITEMS)
-    divisor = _divergence_divisor(spec, phase)
-    if spec.is_gpu:
-        raw_occupancy = np.minimum(
-            1.0, useful / (spec.cores * spec.latency_hiding)
-        )
-        occupancy = np.maximum(raw_occupancy, useful / spec.max_threads)
-        int_rate = spec.cores * spec.clock_ghz * 1e9 * spec.ipc * occupancy
-        fp_rate = np.maximum(
-            (spec.dp_tflops + 0.03 * spec.sp_tflops) * 1e12 * occupancy, 1e8
-        )
-        int_rate = int_rate / divisor
-        fp_rate = fp_rate / divisor
-        skew_waste = 1.0 + 0.8 * phase.work_skew
-        compute_s = (
-            (phase.int_ops / int_rate + phase.fp_ops / fp_rate)
-            * skew_waste / np.maximum(grain_eff, 1e-3)
-        )
-    else:
-        cores_used = np.minimum(table.cores, spec.cores).astype(np.float64)
-        tpc = np.minimum(table.threads_per_core, spec.threads_per_core)
-        smt_boost = 1.0 + 0.3 * (tpc - 1)
-        simd_eff = _simd_efficiency_array(table, phase)
-        parallel_cap = np.minimum(1.0, useful / np.maximum(threads, 1.0))
-        core_scale = cores_used ** 0.8 / spec.cores ** 0.8 * spec.cores
-        scalar_rate = (
-            core_scale * spec.clock_ghz * 1e9 * spec.ipc * smt_boost * parallel_cap
-        )
-        int_rate = scalar_rate * simd_eff
-        fp_scalar = (
-            spec.dp_tflops * 1e12 / spec.simd_width * (core_scale / spec.cores)
-        )
-        fp_rate = np.maximum(fp_scalar * simd_eff, 1e8)
-        int_rate = int_rate / divisor
-        fp_rate = fp_rate / divisor
-        compute_s = (
-            (phase.int_ops / int_rate + phase.fp_ops / fp_rate)
-            * _schedule_factor_array(table, phase)
-            / np.maximum(grain_eff, 1e-3)
-        )
-
-    # ---- memory -------------------------------------------------------
-    cache_hit = min(0.95, spec.cache_bytes / max(profile.footprint_bytes, 1.0))
-    if not spec.is_gpu and spec.coherent:
-        state_working_set = 24.0 * items_per_iteration
-        resident = min(1.0, spec.cache_bytes / max(state_working_set, 1.0))
-        rw_share = (
-            phase.shared_rw_bytes / phase.total_bytes if phase.total_bytes else 0.0
-        )
-        bytes_per_pass = phase.total_bytes / max(1, profile.num_iterations)
-        reuse = max(
-            0.0, 1.0 - profile.footprint_bytes / max(bytes_per_pass, 1.0)
-        )
-        ro_share = (
-            phase.shared_ro_bytes / phase.total_bytes if phase.total_bytes else 0.0
-        )
-        cache_hit = min(
-            0.97,
-            cache_hit + 0.45 * rw_share * resident + _REUSE_BONUS * reuse * ro_share,
-        )
-    seq_traffic = phase.seq_bytes * _SEQ_MISS
-    rand_traffic = phase.rand_bytes * (1.0 - cache_hit)
-    indirect_traffic = (
-        phase.indirect_bytes * (1.0 - cache_hit) * spec.indirect_penalty
-    )
-
-    irregular_share = (
-        (phase.rand_bytes + phase.indirect_bytes) / phase.total_bytes
-        if phase.total_bytes
-        else 0.0
-    )
-    bytes_per_item = phase.total_bytes / phase.items if phase.items else 0.0
-    congestion_gain = _CONGESTION_GAIN_GPU if spec.is_gpu else _CONGESTION_GAIN_MC
-    thread_pressure = useful / spec.max_threads
-    footprint_pressure = min(
-        4.0, profile.footprint_bytes / max(spec.cache_bytes, 1.0)
-    ) / 4.0
-    congestion = (
-        congestion_gain
-        * thread_pressure
-        * irregular_share
-        * min(1.0, bytes_per_item / 256.0)
-        * footprint_pressure
-    )
-    if spec.is_gpu:
-        congestion = congestion * (0.5 + table.gpu_local_threads / 1024.0)
-
-    if spec.is_gpu:
-        saturation_threads = spec.cores * min(spec.latency_hiding, 2.0)
-    else:
-        saturation_threads = spec.cores * 0.5
-    bw_ramp = np.minimum(1.0, np.sqrt(useful / saturation_threads))
-    effective_bw = (
-        spec.mem_bw_gbps * 1e9 * spec.mem_efficiency
-        * np.maximum(bw_ramp, 0.05) / (1.0 + congestion)
-    )
-    if spec.is_gpu:
-        outstanding = useful
-    else:
-        outstanding = 8.0 * np.minimum(table.cores, spec.cores)
-    random_bw_cap = outstanding * 64.0 / (spec.mem_latency_ns * 1e-9)
-    random_bw = np.minimum(effective_bw, random_bw_cap)
-    memory_s = (
-        seq_traffic / effective_bw
-        + (rand_traffic + indirect_traffic) / np.maximum(random_bw, 1.0)
-    )
-    if spec.is_gpu and phase.kind is PhaseKind.PUSH_POP:
-        memory_s = memory_s * (1.0 + 3.0 * profile.contention)
-    if not spec.is_gpu:
-        if phase.total_bytes <= 0:
-            placement_factor = np.ones(len(table))
-        else:
-            rw_share_p = phase.shared_rw_bytes / phase.total_bytes
-            preferred = min(1.0, 0.6 * phase.work_skew + 0.6 * rw_share_p)
-            placement_factor = 1.0 + 0.35 * np.abs(table.placement - preferred)
-        memory_s = memory_s * placement_factor
-
-    # ---- synchronization ----------------------------------------------
-    contention = profile.contention
-    conflicted = phase.atomics * contention
-    addresses = items_per_iteration
-    collision = np.minimum(1.0, useful / addresses)
-    drain_width = np.maximum(1.0, np.minimum(useful, addresses))
-    serialized = conflicted * collision / drain_width
-    streamed = (phase.atomics - conflicted * collision) * _ATOMIC_BYTES
-    if spec.coherent:
-        streamed = streamed * _MC_ATOMIC_CACHE_FACTOR
-    atomic_bw = spec.mem_bw_gbps * 1e9 * spec.mem_efficiency
-    sync_s = serialized * spec.atomic_cost_ns * 1e-9 + streamed / atomic_bw
-    sync_s = sync_s + phase.barriers * spec.barrier_cost_us * 1e-6 * (
-        0.25 + 0.75 * threads / spec.max_threads
-    )
-    if not spec.is_gpu:
-        normalized = np.log10(np.maximum(table.blocktime_ms, 1.0)) / 3.0
-        blocktime_factor = 1.0 + 0.4 * np.abs(normalized - contention)
-        sync_s = sync_s * blocktime_factor
-        if phase.total_bytes <= 0:
-            affinity_factor = np.ones(len(table))
-        else:
-            rw_share_a = phase.shared_rw_bytes / phase.total_bytes
-            affinity_factor = 1.0 + 0.3 * np.abs(table.affinity - rw_share_a)
-        sync_s = sync_s * affinity_factor
-
-    # ---- fixed overheads ----------------------------------------------
-    if spec.is_gpu:
-        overhead_s = iterations * _GPU_LAUNCH_US * 1e-6 + iterations * (
-            useful / np.maximum(table.gpu_local_threads, 1)
-        ) * _GPU_GROUP_DISPATCH_US * 1e-6
-    else:
-        overhead_s = np.full(len(table), iterations * _MC_LAUNCH_US * 1e-6)
-
-    # ---- utilization accounting ---------------------------------------
-    if spec.is_gpu:
-        hide = np.minimum(1.0, useful / (spec.cores * spec.latency_hiding))
-    else:
-        tpc = np.minimum(table.threads_per_core, spec.threads_per_core)
-        hide = np.minimum(1.0, 0.25 + 0.12 * tpc)
-    busy = compute_s + hide * np.minimum(memory_s, compute_s)
-    stall = np.maximum(memory_s - compute_s, 0.0) * (1.0 - hide) + sync_s
-    return compute_s, memory_s, sync_s, overhead_s, busy, stall
+def _count_pass(rows: int) -> None:
+    if obs.enabled():  # vs cost_model.evals{path="scalar"}
+        obs.counter("cost_model.evals", path="batch")
+        obs.counter("cost_model.configs", rows, path="batch")
 
 
 def batch_evaluate(
@@ -501,100 +518,108 @@ def batch_evaluate(
             f"ConfigTable built for {table.spec.name!r} cannot be evaluated "
             f"on {spec.name!r}"
         )
-
-    num_phases = len(profile.phases)
-    n = len(table)
-    compute = np.empty((num_phases, n))
-    memory = np.empty((num_phases, n))
-    sync = np.empty((num_phases, n))
-    overhead = np.empty((num_phases, n))
-    busy = np.zeros(n)
-    stall = np.zeros(n)
-    for p, phase in enumerate(profile.phases):
-        c, m, s, o, phase_busy, phase_stall = _phase_cost_arrays(
-            table, profile, phase
-        )
-        compute[p] = c
-        memory[p] = m
-        sync[p] = s
-        overhead[p] = o
-        busy = busy + phase_busy
-        stall = stall + phase_stall
-
-    if obs.enabled():
-        # One bump per batch pass: the "batch path taken" signal, plus the
-        # config volume it covered (vs cost_model.evals{path="scalar"}).
-        obs.counter("cost_model.evals", path="batch")
-        obs.counter("cost_model.configs", n, path="batch")
-
-    streaming_s = _streaming_cost(spec, profile)
-    totals = np.maximum(compute, memory) + sync + overhead
-    time_s = totals.sum(axis=0) + streaming_s
-
-    denominator = busy + stall
-    with np.errstate(divide="ignore", invalid="ignore"):
-        utilization = np.where(denominator > 0, busy / denominator, 0.0)
-
-    # Energy (mirrors evaluate_energy + active_core_fraction).
-    if spec.is_gpu:
-        active = np.minimum(1.0, table.threads / spec.max_threads)
-    else:
-        active = np.minimum(1.0, table.cores / spec.cores)
-    dynamic_span = spec.tdp_watts - spec.idle_watts
-    avg_power = spec.idle_watts + dynamic_span * active * (
-        0.4 + 0.6 * utilization
+    # Rows are phases × configs, passed in blocks of whole phases small
+    # enough for the cache; a one-phase block keeps its terms scalar.
+    phases, n = len(profile.phases), len(table)
+    statics = [_row(spec.is_gpu, phase, profile, spec) for phase in profile.phases]
+    deploy = _Deploy(*_deploy_row(spec, profile))
+    step, blocks = max(1, _BLOCK_ROWS // n), []
+    for start in range(0, phases, step):
+        block = statics[start : start + step]
+        terms = block[0] if len(block) == 1 else np.repeat(_matrix(block), n, 1)
+        columns = table.columns(len(block))
+        blocks.append(_pass(spec.is_gpu, _Rows(*terms), deploy, columns, table.levels))
+    grid = [
+        (np.concatenate(part) if len(part) > 1 else part[0]).reshape(phases, n)
+        for part in zip(*blocks)
+    ]
+    time_s, busy_s, stall_s, utilization, power, energy = _fold(
+        grid, deploy, table.columns().span_active
     )
-    energy_j = avg_power * time_s
-
+    _count_pass(n)
     return BatchResult(
         table=table,
         phase_kinds=tuple(phase.kind.value for phase in profile.phases),
-        compute_s=compute,
-        memory_s=memory,
-        sync_s=sync,
-        overhead_s=overhead,
-        streaming_s=streaming_s,
+        compute_s=grid[0],
+        memory_s=grid[1],
+        sync_s=grid[2],
+        overhead_s=grid[3],
+        streaming_s=deploy.streaming,
         time_s=time_s,
-        busy_s=busy,
-        stall_s=stall,
+        busy_s=busy_s,
+        stall_s=stall_s,
         utilization=utilization,
-        avg_power_w=avg_power,
-        energy_j=energy_j,
+        avg_power_w=power,
+        energy_j=energy,
     )
 
 
-def fleet_evaluate(
-    profile: WorkloadProfile,
-    deployments: Sequence[tuple[AcceleratorSpec, MachineConfig]],
-) -> list[SimulationResult]:
-    """Cost one workload on many ``(spec, config)`` deployments at once.
+Deployment = tuple[WorkloadProfile, AcceleratorSpec, MachineConfig]
 
-    The fleet path: each device in a fleet proposes its own decoded
-    configuration for a workload, and the decision layer needs all of
-    their costs.  Rows are grouped by spec so every device pays exactly
-    one :func:`batch_evaluate` pass regardless of how many rows it owns,
-    then materialized back in input order.
+
+def _evaluate_kind(gpu: bool, rows: Sequence[Deployment]) -> list[SimulationResult]:
+    """One pass over every phase of deployments that share an M1 kind."""
+    configs = [clamp_config(config, spec) for _, spec, config in rows]
+    lengths = [len(profile.phases) for profile, _, _ in rows]
+    # Rows are phase-major: row r is phase p of deployment d.
+    depth = max(lengths)
+    index = [(p, d) for p in range(depth) for d, n in enumerate(lengths) if n > p]
+    phase_of, deployment_of = np.array(index).T
+    statics = [_row(gpu, rows[d][0].phases[p], *rows[d][:2]) for p, d in index]
+    deploy = _matrix([_deploy_row(spec, profile) for profile, spec, _ in rows])
+    terms = _matrix([_config_row(row[1], c) for row, c in zip(rows, configs)])
+    # Missing phases stay exact zeros in the (6, phases, deployments) grid.
+    grid = np.zeros((6, depth, len(rows)))
+    grid[:, phase_of, deployment_of] = np.stack(
+        _pass(
+            gpu,
+            _Rows(*_matrix(statics)),
+            _Deploy(*deploy[:, deployment_of]),
+            _Config(*terms[:, deployment_of]),
+        )
+    )
+    totals = _fold(grid, _Deploy(*deploy), _Config(*terms).span_active)
+    _count_pass(len(rows))
+    results = []
+    columns = (t.tolist() for t in (_Deploy(*deploy).streaming, *totals))
+    per_row = zip(rows, configs, grid[:4].T.tolist(), *columns)
+    for (profile, spec, _), config, parts, stream_s, *sums in per_row:
+        time_s, busy_s, stall_s, _, power, energy = sums
+        phase_costs = tuple(
+            PhaseCost(phase.kind.value, *costs)
+            for phase, costs in zip(profile.phases, parts)
+        )
+        cost = WorkloadCost(spec.name, phase_costs, stream_s, time_s, busy_s, stall_s)
+        energy_result = EnergyResult(spec.name, power, energy)
+        results.append(SimulationResult(spec.name, config, cost, energy_result))
+    return results
+
+
+def by_kind(rows: Sequence[Deployment], cost) -> list[SimulationResult]:
+    """``cost(gpu, kind_rows)`` once per accelerator kind present, with the
+    results put back in input order."""
+    results: list[SimulationResult | None] = [None] * len(rows)
+    for gpu in (True, False):
+        picks = [i for i, row in enumerate(rows) if row[1].is_gpu is gpu]
+        if picks:
+            for i, result in zip(picks, cost(gpu, [rows[i] for i in picks])):
+                results[i] = result
+    return results  # type: ignore[return-value]
+
+
+def fleet_evaluate(rows: Sequence[Deployment]) -> list[SimulationResult]:
+    """Cost many ``(profile, spec, config)`` deployments at once.
+
+    The fleet path: the decision layer needs the cost of every
+    (workload × device) pair of a batch, each device with its own decoded
+    configuration.  Each accelerator kind is costed in one :func:`_pass`
+    over all its phases, whatever the mix of workloads and specs, and
+    every result equals :func:`simulate`.
 
     Returns:
         One :class:`SimulationResult` per deployment, input order.
     """
-    if not deployments:
-        return []
-    groups: dict[str, tuple[AcceleratorSpec, list[int]]] = {}
-    for index, (spec, _config) in enumerate(deployments):
-        entry = groups.get(spec.name)
-        if entry is None:
-            groups[spec.name] = (spec, [index])
-        else:
-            entry[1].append(index)
-    results: list[SimulationResult | None] = [None] * len(deployments)
-    for spec, rows in groups.values():
-        batch = batch_evaluate(
-            profile, spec, [deployments[row][1] for row in rows]
-        )
-        for position, row in enumerate(rows):
-            results[row] = batch.materialize(position)
-    return results  # type: ignore[return-value]
+    return by_kind(rows, _evaluate_kind)
 
 
 def fleet_argbest(
@@ -602,7 +627,7 @@ def fleet_argbest(
     deployments: Sequence[tuple[AcceleratorSpec, MachineConfig]],
     metric: str = "time",
 ) -> tuple[int, list[SimulationResult]]:
-    """Vectorized per-device argmin over a fleet's candidate deployments.
+    """Vectorized argmin over one workload's candidate deployments.
 
     Returns the index of the deployment with the lowest objective (first
     minimum, matching the scalar scan) plus every materialized result.
@@ -612,7 +637,7 @@ def fleet_argbest(
     Raises:
         SimulationError: for an empty deployment list or unknown metric.
     """
-    results = fleet_evaluate(profile, deployments)
+    results = fleet_evaluate([(profile, spec, config) for spec, config in deployments])
     if not results:
         raise SimulationError("fleet_argbest needs at least one deployment")
     objectives = [result.objective(metric) for result in results]

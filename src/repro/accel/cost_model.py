@@ -177,6 +177,41 @@ def _blocktime_factor(config: MachineConfig, contention: float) -> float:
     return 1.0 + 0.4 * abs(normalized - contention)
 
 
+def _cache_hit(
+    spec: AcceleratorSpec,
+    profile: WorkloadProfile,
+    phase: PhaseProfile,
+    items_per_iteration: float,
+) -> float:
+    """Share of a phase's random and indirect bytes the cache serves."""
+    cache_hit = min(0.95, spec.cache_bytes / max(profile.footprint_bytes, 1.0))
+    if not spec.is_gpu and spec.coherent:
+        # Coherent caches retain RW-shared state across cores — but only
+        # while the live per-iteration state working set actually fits
+        # (delta-stepping's bucket state does; a 65M-vertex rank array
+        # does not).
+        state_working_set = 24.0 * items_per_iteration
+        resident = min(1.0, spec.cache_bytes / max(state_working_set, 1.0))
+        rw_share = (
+            phase.shared_rw_bytes / phase.total_bytes if phase.total_bytes else 0.0
+        )
+        # Cache blocking pays off when a single pass re-scans its data
+        # many times over (triangle counting's wedge intersections);
+        # iteration-to-iteration streams larger than cache get nothing.
+        bytes_per_pass = phase.total_bytes / max(1, profile.num_iterations)
+        reuse = max(
+            0.0, 1.0 - profile.footprint_bytes / max(bytes_per_pass, 1.0)
+        )
+        ro_share = (
+            phase.shared_ro_bytes / phase.total_bytes if phase.total_bytes else 0.0
+        )
+        cache_hit = min(
+            0.97,
+            cache_hit + 0.45 * rw_share * resident + _REUSE_BONUS * reuse * ro_share,
+        )
+    return cache_hit
+
+
 def _phase_cost(
     spec: AcceleratorSpec,
     config: MachineConfig,
@@ -247,31 +282,7 @@ def _phase_cost(
         )
 
     # ---- memory -------------------------------------------------------
-    cache_hit = min(0.95, spec.cache_bytes / max(profile.footprint_bytes, 1.0))
-    if not spec.is_gpu and spec.coherent:
-        # Coherent caches retain RW-shared state across cores — but only
-        # while the live per-iteration state working set actually fits
-        # (delta-stepping's bucket state does; a 65M-vertex rank array
-        # does not).
-        state_working_set = 24.0 * items_per_iteration
-        resident = min(1.0, spec.cache_bytes / max(state_working_set, 1.0))
-        rw_share = (
-            phase.shared_rw_bytes / phase.total_bytes if phase.total_bytes else 0.0
-        )
-        # Cache blocking pays off when a single pass re-scans its data
-        # many times over (triangle counting's wedge intersections);
-        # iteration-to-iteration streams larger than cache get nothing.
-        bytes_per_pass = phase.total_bytes / max(1, profile.num_iterations)
-        reuse = max(
-            0.0, 1.0 - profile.footprint_bytes / max(bytes_per_pass, 1.0)
-        )
-        ro_share = (
-            phase.shared_ro_bytes / phase.total_bytes if phase.total_bytes else 0.0
-        )
-        cache_hit = min(
-            0.97,
-            cache_hit + 0.45 * rw_share * resident + _REUSE_BONUS * reuse * ro_share,
-        )
+    cache_hit = _cache_hit(spec, profile, phase, items_per_iteration)
     seq_traffic = phase.seq_bytes * _SEQ_MISS
     rand_traffic = phase.rand_bytes * (1.0 - cache_hit)
     indirect_traffic = (
@@ -408,15 +419,15 @@ def evaluate_cost(
     with streaming reloads counted when the graph exceeds device memory).
     """
     phase_costs = []
-    busy = 0.0
-    stall = 0.0
+    busy = stall = time_s = 0.0
     for phase in profile.phases:
         cost, phase_busy, phase_stall = _phase_cost(spec, config, profile, phase)
         phase_costs.append(cost)
         busy += phase_busy
         stall += phase_stall
+        time_s += cost.total_s  # not sum(): 3.12's float sum is compensated
     streaming_s = _streaming_cost(spec, profile)
-    time_s = sum(cost.total_s for cost in phase_costs) + streaming_s
+    time_s += streaming_s
     # Utilization mirrors nvprof/PAPI core-busy accounting: host-link
     # streaming is a DMA wait, not a core stall (the paper's methodology
     # excludes memory-transfer variations from its on-chip analysis).

@@ -439,10 +439,10 @@ def bench_fleet_scaling(
     (CART predictor, so the decision cache is bypassed and every timed
     pass re-decides), times ``decide_batch`` over the scheduler batch in
     decisions/sec, and records the load-aware makespan speedup over the
-    solo baseline.  Per-device estimation work grows linearly in N, so
-    decisions/sec is expected to fall as the fleet grows — the bench
-    records the curve so that regression stands out from constant-factor
-    slowdowns.
+    solo baseline.  Every (workload × device) row is costed, but in one
+    array pass per accelerator kind once a kind has enough rows, so
+    decisions/sec falls far slower than 1/N; the curve makes regressions
+    stand out from constant-factor slowdowns.
     """
     from repro.core.heteromap import HeteroMap
     from repro.machine.fleet import synthetic_fleet

@@ -191,7 +191,17 @@ def default_config(spec: AcceleratorSpec) -> MachineConfig:
 
 def clamp_config(config: MachineConfig, spec: AcceleratorSpec) -> MachineConfig:
     """Apply the paper's ceiling rule: any M value resolving beyond the
-    machine's maximum is clamped to that maximum."""
+    machine's maximum is clamped to that maximum.  A config within every
+    ceiling is returned as is, skipping ``replace``'s re-validation."""
+    if (
+        config.accelerator == spec.name
+        and config.cores <= spec.cores
+        and config.threads_per_core <= max(1, spec.threads_per_core)
+        and config.simd_width <= max(1, spec.simd_width)
+        and config.gpu_global_threads <= spec.max_threads
+        and config.gpu_local_threads <= 1024
+    ):
+        return config
     return replace(
         config,
         accelerator=spec.name,

@@ -22,10 +22,11 @@ invariant under permutation of the fleet's device list).  On a
 two-device fleet the kind has exactly one member, which makes the fleet
 path bit-identical to the historical pair path — decoding the predicted
 vector onto the opposite device with its own parameters is exactly what
-the old "flip the M1 bit and re-decode" produced.  The per-device
-estimates use the scalar :func:`~repro.accel.simulator.simulate`
-reference model (not the vectorized batch path, which is only
-1e-9-equivalent) so estimates stay bit-exact against direct simulation.
+the old "flip the M1 bit and re-decode" produced.  A batch's (workload ×
+device) rows are costed by :func:`estimate_rows`: one array pass per
+accelerator kind with enough rows, the scalar :func:`simulate` below
+that; both equal direct simulation exactly, so which one ran never
+shows in a decision.
 
 Cache entries hold only the feature-keyed (spec, config, vector) triple;
 estimates depend on the workload *profile* (two datasets can share a
@@ -41,6 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
+from repro.accel.batch import Deployment, by_kind, fleet_evaluate
 from repro.accel.simulator import SimulationResult, simulate
 from repro.core.encoding import (
     decode_config_batch,
@@ -60,13 +62,37 @@ from repro.runtime.serving import (
     feature_keys_batch,
 )
 
-__all__ = ["DecisionService", "select_chosen", "select_runner_up"]
+__all__ = [
+    "ARRAY_PASS_MIN_ROWS", "DecisionService", "estimate_rows",
+    "select_chosen", "select_runner_up",
+]
 
 #: Decimal places shape-dependent predictions are rounded to before
 #: decoding.  Targets are clipped to [0, 1], so their ULP is ≤ 2e-16;
 #: a 1e-9 grid sits ~1e6 ULPs above the BLAS batch-shape noise while
 #: staying far below any knob's meaningful resolution.
 _CANONICAL_DECIMALS = 9
+
+
+#: Rows of one accelerator kind from which one array pass costs no more
+#: than a loop of scalar :func:`simulate` calls (DESIGN §5 has the timings).
+ARRAY_PASS_MIN_ROWS = 16
+
+
+def estimate_rows(rows: Sequence[Deployment]) -> list[SimulationResult]:
+    """Cost ``(profile, spec, config)`` rows, each equal to :func:`simulate`.
+
+    A kind with at least :data:`ARRAY_PASS_MIN_ROWS` rows takes one
+    :func:`~repro.accel.batch.fleet_evaluate` pass; a smaller kind loops
+    over this module's :func:`simulate`, which is faster for it.
+    """
+
+    def cost(gpu: bool, kind_rows: list) -> list[SimulationResult]:
+        if len(kind_rows) >= ARRAY_PASS_MIN_ROWS:
+            return fleet_evaluate(kind_rows)
+        return [simulate(*row) for row in kind_rows]
+
+    return by_kind(rows, cost)
 
 
 def select_chosen(
@@ -247,18 +273,14 @@ class DecisionService:
         ]
         if not probe_rows:
             return
-        probe_entries = [entries[index] for index in probe_rows]
-        configs = self._decode_fleet(probe_entries)
-        for index in probe_rows:
-            entry = entries[index]
-            decision = self._with_estimates(
-                workloads[index],
-                entry,
-                features[index],
-                configs[id(entry)],
-                explored=True,
-            )
-            if obs.enabled():
+        decisions = self._estimate(
+            [workloads[index] for index in probe_rows],
+            [entries[index] for index in probe_rows],
+            features[probe_rows],
+            explored=True,
+        )
+        if obs.enabled():
+            for decision in decisions:
                 # Probes never execute: no observed time, and the
                 # explored flag keeps them out of the placement fold.
                 chosen = decision.chosen
@@ -406,11 +428,7 @@ class DecisionService:
     def decide_batch(self, workloads: Sequence[Workload]) -> list[Decision]:
         """Choose deployments and cost every fleet device for a batch."""
         entries, features = self._choose_batch(workloads)
-        configs = self._decode_fleet(entries)
-        decisions = [
-            self._with_estimates(workload, entry, row, configs[id(entry)])
-            for workload, entry, row in zip(workloads, entries, features)
-        ]
+        decisions = self._estimate(workloads, entries, features)
         if decisions and obs.enabled():
             # One cost-model evaluation per decision per fleet device.
             obs.counter("engine.estimates", len(self.fleet) * len(decisions))
@@ -442,39 +460,46 @@ class DecisionService:
             for entry_id, row in unique_rows.items()
         }
 
-    def _with_estimates(
+    def _estimate(
         self,
-        workload: Workload,
-        entry: CachedDecision,
+        workloads: Sequence[Workload],
+        entries: Sequence[CachedDecision],
         features: np.ndarray,
-        configs: tuple[MachineConfig, ...],
         *,
         explored: bool = False,
-    ) -> Decision:
-        estimates = tuple(
-            DeviceEstimate(
-                spec=spec,
-                config=config,
-                result=simulate(workload.profile, spec, config),
+    ) -> list[Decision]:
+        """One :class:`Decision` per workload, with every (workload ×
+        device) row costed in a single :func:`estimate_rows` call."""
+        devices = self.fleet.devices
+        configs = self._decode_fleet(entries)
+        rows = [
+            (workload.profile, spec, config)
+            for workload, entry in zip(workloads, entries)
+            for spec, config in zip(devices, configs[id(entry)])
+        ]
+        results = iter(estimate_rows(rows))
+        decisions = []
+        for workload, entry, row in zip(workloads, entries, features):
+            estimates = tuple(
+                DeviceEstimate(spec=spec, config=config, result=next(results))
+                for spec, config in zip(devices, configs[id(entry)])
             )
-            for spec, config in zip(self.fleet.devices, configs)
-        )
-        chosen_index = select_chosen(
-            estimates,
-            prefer_multicore=not entry.spec.is_gpu,
-            metric=self.metric,
-        )
-        runner_up_index = select_runner_up(estimates, chosen_index, self.metric)
-        return Decision(
-            workload=workload,
-            estimates=estimates,
-            chosen_index=chosen_index,
-            runner_up_index=runner_up_index,
-            vector=entry.vector,
-            features=tuple(float(f) for f in features),
-            confidence=entry.confidence,
-            explored=explored,
-        )
+            chosen = select_chosen(
+                estimates, prefer_multicore=not entry.spec.is_gpu, metric=self.metric
+            )
+            decisions.append(
+                Decision(
+                    workload=workload,
+                    estimates=estimates,
+                    chosen_index=chosen,
+                    runner_up_index=select_runner_up(estimates, chosen, self.metric),
+                    vector=entry.vector,
+                    features=tuple(float(f) for f in row),
+                    confidence=entry.confidence,
+                    explored=explored,
+                )
+            )
+        return decisions
 
     # -- auditing -----------------------------------------------------------
 

@@ -8,9 +8,10 @@ The correctness-tooling layer the perf roadmap stands on.  Three parts:
 * :mod:`repro.validation.oracle` — a differential oracle pinning the
   vectorized batch cost model to the scalar ``simulate`` reference and
   the tuning layer's argmin to scalar brute force.
-* :mod:`repro.validation.fleet` — the fleet component: differential
-  per-device argmin vs an exhaustive scalar loop, decode bit-identity,
-  and permutation-invariant fleet identities.
+* :mod:`repro.validation.fleet` — the fleet component: multi-workload
+  row sets costed by the array pass equal to a scalar loop, argmin vs an
+  exhaustive scalar loop, decode bit-identity, and permutation-invariant
+  fleet identities.
 * :mod:`repro.validation.fuzz` — the seeded driver
   (``python -m repro.validation.fuzz`` / ``make fuzz``); every failure
   message embeds a ``REPRO_FUZZ_SEED=... --cases 1`` replay one-liner.
@@ -39,12 +40,12 @@ from repro.validation.invariants import (
 from repro.validation.fleet import (
     check_decode_agreement,
     check_fleet_argmin,
+    check_fleet_rows,
     check_permutation_identity,
     random_fleet,
     run_fleet_case,
 )
 from repro.validation.oracle import (
-    REL_TOL,
     check_argmin_equivalence,
     check_batch_equivalence,
     check_exhaustive_against_scalar,
@@ -71,13 +72,13 @@ __all__ = [
     "INVARIANTS",
     "Invariant",
     "KernelCase",
-    "REL_TOL",
     "SEED_ENV_VAR",
     "check_argmin_equivalence",
     "check_batch_equivalence",
     "check_decode_agreement",
     "check_exhaustive_against_scalar",
     "check_fleet_argmin",
+    "check_fleet_rows",
     "check_kernel_case",
     "check_permutation_identity",
     "derive_seed",

@@ -1,15 +1,14 @@
-"""Fleet fuzz component: differential argmin + fleet identity properties.
+"""Fleet fuzz component: exact fleet costing + fleet identity properties.
 
-The fleet runtime rests on three mechanical facts this component fuzzes
-under the seeded-replay contract of :mod:`repro.validation.fuzz`:
+The fleet runtime rests on mechanical facts this component fuzzes under
+the seeded-replay contract of :mod:`repro.validation.fuzz`:
 
-* **differential argmin** — for random workloads and random fleets of
-  size 2–6, the vectorized per-device argmin
-  (:func:`repro.accel.batch.fleet_argbest`, one grouped batch evaluation
-  per device) agrees with an exhaustive scalar
-  :func:`~repro.accel.simulator.simulate` loop over every candidate
-  deployment, under the same 1e-9 tolerance contract as the batch/scalar
-  cost-model oracle;
+* **exact costing** — 1–64 ``(profile, spec, config)`` rows over several
+  workloads on a random 2–6 device fleet, costed by
+  :func:`repro.accel.batch.fleet_evaluate` and by the decision layer's
+  ``estimate_rows`` (so both sides of its array-pass crossover), equal a
+  scalar :func:`~repro.accel.simulator.simulate` loop, and
+  :func:`~repro.accel.batch.fleet_argbest` picks what the loop picks;
 * **decode agreement** — :func:`repro.core.encoding.decode_config_for`
   (decode a predicted knob vector onto *one* named device) is
   bit-identical to the matching kind-branch of
@@ -26,19 +25,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accel.batch import fleet_argbest
+from repro.accel.batch import Deployment, fleet_argbest, fleet_evaluate
 from repro.accel.simulator import simulate
 from repro.core.encoding import NUM_TARGETS, decode_config_batch, decode_config_for
 from repro.errors import OracleMismatchError
 from repro.machine.fleet import Fleet, synthetic_fleet
 from repro.machine.mvars import MachineConfig
 from repro.machine.specs import AcceleratorSpec
-from repro.validation.oracle import REL_TOL, random_config, random_profile
+from repro.runtime.engine.decision import estimate_rows
+from repro.validation.oracle import random_config, random_profile
 from repro.workload.profile import WorkloadProfile
 
 __all__ = [
     "MAX_FLEET_SIZE",
+    "MAX_ROWS",
     "random_fleet",
+    "check_fleet_rows",
     "check_fleet_argmin",
     "check_decode_agreement",
     "check_permutation_identity",
@@ -49,6 +51,9 @@ _METRICS = ("time", "energy", "edp")
 
 #: Largest fleet a fuzz case draws (the oracle satellite's 2–6 band).
 MAX_FLEET_SIZE = 6
+
+#: Largest row set a fuzz case costs.
+MAX_ROWS = 64
 
 #: Device pool the fuzzer samples fleets from: the four modelled machines
 #: plus derated previous-generation variants of each.
@@ -78,48 +83,45 @@ def random_fleet(
     return Fleet(tuple(picks[int(i)] for i in order))
 
 
+def check_fleet_rows(rows: "list[Deployment]") -> None:
+    """Array-path costing of ``rows`` (``fleet_evaluate`` and the decision
+    layer's ``estimate_rows``) vs a scalar simulate loop, by ``==``.
+
+    Raises:
+        OracleMismatchError: on the first row whose results differ.
+    """
+    scalar = [simulate(*row) for row in rows]
+    for costed in (fleet_evaluate(rows), estimate_rows(rows)):
+        for index, (got, want) in enumerate(zip(costed, scalar)):
+            if got != want:
+                raise OracleMismatchError(
+                    f"fleet/scalar divergence on {rows[index][1].name} row "
+                    f"#{index} of {len(rows)}: time_s {got.time_s!r} vs "
+                    f"{want.time_s!r}"
+                )
+
+
 def check_fleet_argmin(
     profile: WorkloadProfile,
     deployments: "list[tuple[AcceleratorSpec, MachineConfig]]",
     metric: str,
-    rel_tol: float = REL_TOL,
 ) -> None:
-    """Vectorized fleet argmin vs an exhaustive scalar simulate loop.
-
-    Per-deployment results must match the scalar reference to within the
-    oracle tolerance, and the winning objective values must agree (near
-    ties may legally resolve to different indices within the band).
+    """Vectorized fleet argmin vs an exhaustive scalar simulate loop: every
+    result must equal the scalar one and the pick must be the scan's.
 
     Raises:
-        OracleMismatchError: on any divergence beyond ``rel_tol``.
+        OracleMismatchError: on any difference.
     """
-    best_index, results = fleet_argbest(profile, deployments, metric)
+    check_fleet_rows([(profile, spec, config) for spec, config in deployments])
+    best_index, _ = fleet_argbest(profile, deployments, metric)
     scalar = [simulate(profile, spec, config) for spec, config in deployments]
-    for index, (vectorized, reference) in enumerate(zip(results, scalar)):
-        pairs = (
-            ("time_s", vectorized.time_s, reference.time_s),
-            ("energy_j", vectorized.energy_j, reference.energy_j),
-            ("utilization", vectorized.utilization, reference.utilization),
-        )
-        for quantity, got, want in pairs:
-            tolerance = rel_tol * abs(want) + 1e-12
-            if abs(got - want) > tolerance:
-                spec = deployments[index][0]
-                raise OracleMismatchError(
-                    f"fleet/scalar divergence on {spec.name} deployment "
-                    f"#{index}: {quantity} fleet={got!r} scalar={want!r}"
-                )
     scalar_best = min(
         range(len(scalar)), key=lambda i: (scalar[i].objective(metric), i)
     )
-    got = results[best_index].objective(metric)
-    want = scalar[scalar_best].objective(metric)
-    tolerance = rel_tol * abs(want) + 1e-12
-    if abs(got - want) > tolerance:
+    if best_index != scalar_best:
         raise OracleMismatchError(
             f"fleet argmin divergence (metric {metric!r}): vectorized best "
-            f"{got!r} on #{best_index} vs scalar best {want!r} on "
-            f"#{scalar_best}"
+            f"#{best_index} vs scalar best #{scalar_best}"
         )
 
 
@@ -174,25 +176,32 @@ def check_permutation_identity(
 
 
 def run_fleet_case(seed: int) -> str:
-    """One fleet fuzz case: argmin oracle + decode + identity properties.
+    """One fleet fuzz case: exact row costing, argmin, decode and identity.
 
     Raises:
         OracleMismatchError: on any violation.
     """
     rng = np.random.default_rng(seed)
-    profile = random_profile(rng)
+    profiles = [random_profile(rng) for _ in range(int(rng.integers(1, 4)))]
     fleet = random_fleet(rng)
     metric = _METRICS[int(rng.integers(0, len(_METRICS)))]
+    rows = []
+    for _ in range(int(rng.integers(1, MAX_ROWS + 1))):
+        spec = fleet.devices[int(rng.integers(0, len(fleet)))]
+        profile = profiles[int(rng.integers(0, len(profiles)))]
+        rows.append((profile, spec, random_config(spec, rng)))
+    check_fleet_rows(rows)
     deployments = [
         (spec, random_config(spec, rng))
         for spec in fleet.devices
         for _ in range(int(rng.integers(1, 3)))
     ]
-    check_fleet_argmin(profile, deployments, metric)
+    check_fleet_argmin(profiles[0], deployments, metric)
     vectors = rng.uniform(0.0, 1.0, size=(5, NUM_TARGETS))
     check_decode_agreement(vectors, fleet)
     check_permutation_identity(fleet, rng)
     return (
-        f"{profile.benchmark} on {len(fleet)}-device fleet "
-        f"({len(deployments)} deployments, metric={metric})"
+        f"{len(rows)} rows over {len(profiles)} workloads on a "
+        f"{len(fleet)}-device fleet ({len(deployments)} deployments, "
+        f"metric={metric})"
     )

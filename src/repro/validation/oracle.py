@@ -8,10 +8,11 @@ spec, and a randomized set of M configurations (deliberately sampled
 *off* the tuning lattice as well as on it, so the ceiling-rule clamping
 is exercised), then asserts
 
-* ``batch_evaluate`` matches ``simulate`` to 1e-9 relative error for
-  time, energy, and utilization on every configuration, and
-* the batch argmin (used by :mod:`repro.tuning.exhaustive`) agrees with
-  a brute-force scalar scan for a randomly chosen objective metric.
+* ``batch_evaluate`` equals ``simulate`` exactly (``==``) for time,
+  energy, and utilization on every configuration, and
+* the batch argmin (used by :mod:`repro.tuning.exhaustive`) is the
+  configuration a brute-force scalar scan picks, for a randomly chosen
+  objective metric.
 
 Mismatches raise :class:`OracleMismatchError` naming the profile seed,
 spec, config index, and the offending quantity.
@@ -32,7 +33,6 @@ from repro.workload.profile import WorkloadProfile, build_profile
 from repro.workload.synthetic import generate_samples
 
 __all__ = [
-    "REL_TOL",
     "random_config",
     "random_config_table",
     "random_profile",
@@ -42,7 +42,6 @@ __all__ = [
     "run_oracle_case",
 ]
 
-REL_TOL = 1e-9
 _METRICS = ("time", "energy", "edp")
 _SCHEDULE_CHOICES = tuple(OmpSchedule)
 
@@ -103,31 +102,13 @@ def random_config_table(
     return ConfigTable.from_configs(spec, configs)
 
 
-def _mismatch(
-    spec: AcceleratorSpec,
-    index: int,
-    quantity: str,
-    batch_value: float,
-    scalar_value: float,
-) -> OracleMismatchError:
-    return OracleMismatchError(
-        f"batch/scalar divergence on {spec.name} config #{index}: "
-        f"{quantity} batch={batch_value!r} scalar={scalar_value!r} "
-        f"(rel err {abs(batch_value - scalar_value) / max(abs(scalar_value), 1e-300):.3e}, "
-        f"tolerance {REL_TOL:g})"
-    )
-
-
 def check_batch_equivalence(
-    profile: WorkloadProfile,
-    spec: AcceleratorSpec,
-    table: ConfigTable,
-    rel_tol: float = REL_TOL,
+    profile: WorkloadProfile, spec: AcceleratorSpec, table: ConfigTable
 ) -> None:
-    """Assert batch == scalar for every config in ``table``.
+    """Assert batch == scalar, exactly, for every config in ``table``.
 
     Raises:
-        OracleMismatchError: on any divergence beyond ``rel_tol``.
+        OracleMismatchError: on any difference.
     """
     result = batch_evaluate(profile, spec, table)
     for index, config in enumerate(result.configs):
@@ -135,16 +116,14 @@ def check_batch_equivalence(
         pairs = (
             ("time_s", float(result.time_s[index]), reference.time_s),
             ("energy_j", float(result.energy_j[index]), reference.energy_j),
-            (
-                "utilization",
-                float(result.utilization[index]),
-                reference.utilization,
-            ),
+            ("utilization", float(result.utilization[index]), reference.utilization),
         )
         for quantity, batch_value, scalar_value in pairs:
-            tolerance = rel_tol * abs(scalar_value) + 1e-12
-            if abs(batch_value - scalar_value) > tolerance:
-                raise _mismatch(spec, index, quantity, batch_value, scalar_value)
+            if batch_value != scalar_value:
+                raise OracleMismatchError(
+                    f"batch/scalar divergence on {spec.name} config #{index}: "
+                    f"{quantity} batch={batch_value!r} scalar={scalar_value!r}"
+                )
 
 
 def _scalar_argmin(
@@ -169,26 +148,19 @@ def check_argmin_equivalence(
     spec: AcceleratorSpec,
     table: ConfigTable,
     metric: str,
-    rel_tol: float = REL_TOL,
 ) -> None:
-    """Assert the batch argmin matches a brute-force scalar scan.
-
-    The comparison is on objective *values* (near-ties may legally resolve
-    to different indices within the 1e-9 equivalence band).
+    """Assert the batch argmin is the brute-force scalar scan's pick.
 
     Raises:
-        OracleMismatchError: when the winning objectives disagree.
+        OracleMismatchError: when the two pick different configs.
     """
     result = batch_evaluate(profile, spec, table)
-    batch_best = result.materialize(result.argbest(metric))
-    _, scalar_best = _scalar_argmin(profile, spec, table.configs, metric)
-    batch_value = batch_best.objective(metric)
-    scalar_value = scalar_best.objective(metric)
-    tolerance = rel_tol * abs(scalar_value) + 1e-12
-    if abs(batch_value - scalar_value) > tolerance:
+    batch_index = result.argbest(metric)
+    scalar_index, _ = _scalar_argmin(profile, spec, table.configs, metric)
+    if batch_index != scalar_index:
         raise OracleMismatchError(
-            f"argmin divergence on {spec.name} metric {metric!r}: batch best "
-            f"{batch_value!r} vs brute-force scalar best {scalar_value!r}"
+            f"argmin divergence on {spec.name} metric {metric!r}: batch picks "
+            f"config #{batch_index}, brute-force scalar scan #{scalar_index}"
         )
 
 
@@ -196,27 +168,23 @@ def check_exhaustive_against_scalar(
     profile: WorkloadProfile,
     spec: AcceleratorSpec,
     metric: str = "time",
-    rel_tol: float = REL_TOL,
 ) -> None:
     """Cross-check :func:`repro.tuning.exhaustive.best_on_accelerator`
     against a full scalar sweep of the spec's lattice.
 
     Raises:
-        OracleMismatchError: when the tuning-layer optimum drifts from the
-            scalar brute force.
+        OracleMismatchError: when the tuning-layer optimum differs from
+            the scalar brute force.
     """
     tuned = best_on_accelerator(profile, spec, metric=metric)
     _, scalar_best = _scalar_argmin(
         profile, spec, tuple(iter_configs(spec)), metric
     )
-    tuned_value = tuned.objective(metric)
-    scalar_value = scalar_best.objective(metric)
-    tolerance = rel_tol * abs(scalar_value) + 1e-12
-    if abs(tuned_value - scalar_value) > tolerance:
+    if tuned != scalar_best:
         raise OracleMismatchError(
             f"tuning.exhaustive optimum on {spec.name} ({metric}) = "
-            f"{tuned_value!r} disagrees with scalar brute force "
-            f"{scalar_value!r}"
+            f"{tuned.objective(metric)!r} differs from scalar brute force "
+            f"{scalar_best.objective(metric)!r}"
         )
 
 

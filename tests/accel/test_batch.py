@@ -1,11 +1,11 @@
 """Equivalence suite: the vectorized batch evaluator vs the scalar model.
 
 The batch path reimplements the cost/energy math as array expressions;
-these tests pin it to the scalar reference (`simulate`) to within 1e-9
-relative error for time, energy, and utilization — across the full
-lattice of every accelerator spec, on randomized profiles, and on
-explicit config lists — so the vectorization can never silently drift
-from the model the figures validate.
+these tests pin it to the scalar reference (`simulate`) exactly (``==``)
+for time, energy, and utilization — across the full lattice of every
+accelerator spec, on randomized profiles, and on explicit config lists —
+so the vectorization can never silently drift from the model the
+figures validate.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from repro.workload.profile import build_profile
 from repro.workload.synthetic import generate_samples
 
 from tests.accel.test_cost_model import make_profile
-
-REL_TOL = 1e-9
 
 ALL_SPECS = tuple(ACCELERATORS.values())
 
@@ -48,16 +46,13 @@ def _random_profiles(num: int, seed: int):
 
 
 def _assert_matches_scalar(profile, spec, result):
-    """Every lattice point of ``result`` matches simulate() to 1e-9."""
+    """Every lattice point of ``result`` equals simulate() exactly."""
     for i, config in enumerate(result.configs):
         ref = simulate(profile, spec, config)
-        np.testing.assert_allclose(result.time_s[i], ref.time_s, rtol=REL_TOL)
-        np.testing.assert_allclose(
-            result.energy_j[i], ref.energy_j, rtol=REL_TOL
-        )
-        np.testing.assert_allclose(
-            result.utilization[i], ref.utilization, rtol=REL_TOL, atol=1e-12
-        )
+        assert result.time_s[i] == ref.time_s
+        assert result.energy_j[i] == ref.energy_j
+        assert result.utilization[i] == ref.utilization
+        assert result.materialize(i) == ref
 
 
 class TestFullLatticeEquivalence:
@@ -122,7 +117,7 @@ class TestBatchResultHelpers:
         sim = result.materialize(index)
         assert sim.time_s == result.time_s[index]
         assert sim.energy_j == result.energy_j[index]
-        assert sim.utilization == pytest.approx(result.utilization[index])
+        assert sim.utilization == result.utilization[index]
         assert sim.config == result.configs[index]
         assert len(sim.cost.phase_costs) == len(result.phase_kinds)
 
@@ -141,7 +136,7 @@ class TestBatchResultHelpers:
     def test_objective_metrics(self):
         spec = get_accelerator("gtx750ti")
         result = batch_evaluate(make_profile(), spec)
-        np.testing.assert_allclose(
+        assert np.array_equal(
             result.objective("edp"), result.time_s * result.energy_j
         )
         with pytest.raises(SimulationError):

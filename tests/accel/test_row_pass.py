@@ -1,0 +1,259 @@
+"""Exactness suite for the row-axis array pass (``fleet_evaluate``).
+
+The fleet path costs arbitrary ``(profile, spec, config)`` rows in one
+array pass per accelerator kind.  These tests compare it with scalar
+``simulate`` by ``==`` (no tolerance) on mixed-spec fleets, on the
+inputs where NumPy and libm would round differently, and on the edge
+cases of the model; they also pin the decision layer's crossover between
+the scalar loop and the array pass, and the ceiling rule's no-copy path.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.accel.batch import fleet_evaluate
+from repro.accel.simulator import simulate
+from repro.core.heteromap import HeteroMap
+from repro.machine.fleet import synthetic_fleet
+from repro.machine.mvars import MachineConfig, clamp_config
+from repro.machine.specs import get_accelerator
+from repro.runtime.deploy import prepare_workload
+from repro.runtime.engine.decision import ARRAY_PASS_MIN_ROWS
+from repro.validation.oracle import random_config, random_profile
+from repro.workload.phases import PhaseKind
+from repro.workload.profile import PhaseProfile, WorkloadProfile
+
+from tests.accel.test_cost_model import make_profile
+
+FLEET8 = synthetic_fleet(8).devices
+
+
+def _continuous_config(spec, rng):
+    """A config off every lattice: continuous blocktime and placement,
+    arbitrary chunk and thread counts, often beyond the spec's maxima."""
+    return replace(
+        random_config(spec, rng),
+        omp_chunk=int(rng.integers(1, 5000)),
+        gpu_local_threads=int(rng.integers(1, 2049)),
+    )
+
+
+def _edge_profile(items: float, total_bytes: float) -> WorkloadProfile:
+    """Two phases, one of them possibly item-less or byte-less."""
+    phases = []
+    for kind in (PhaseKind.PARETO, PhaseKind.PUSH_POP):
+        phases.append(
+            PhaseProfile(
+                kind=kind,
+                items=items,
+                edges=3.0 * items,
+                max_parallelism=max(items, 1.0),
+                work_skew=0.3,
+                int_ops=1e6,
+                fp_ops=2e5,
+                seq_bytes=0.5 * total_bytes,
+                rand_bytes=0.3 * total_bytes,
+                indirect_bytes=0.2 * total_bytes,
+                shared_ro_bytes=0.4 * total_bytes,
+                shared_rw_bytes=0.1 * total_bytes,
+                local_bytes=0.0,
+                atomics=1e3,
+                barriers=4.0,
+            )
+        )
+    return WorkloadProfile(
+        benchmark="edge",
+        graph_name="edge",
+        phases=tuple(phases),
+        num_iterations=3,
+        footprint_bytes=1e8,
+        contention=0.4,
+    )
+
+
+def _assert_rows_exact(rows):
+    results = fleet_evaluate(rows)
+    assert len(results) == len(rows)
+    for row, result in zip(rows, results):
+        assert result == simulate(*row), row[1].name
+
+
+def test_ten_thousand_mixed_spec_rows():
+    """synthetic_fleet(8): four real specs plus their derated -g2
+    variants, coherent multicores and non-coherent GPUs."""
+    rng = np.random.default_rng(2024)
+    assert {spec.coherent for spec in FLEET8} == {True, False}
+    profiles = [random_profile(rng) for _ in range(24)]
+    profiles += [make_profile(kind=kind) for kind in PhaseKind]
+    rows = []
+    for _ in range(10_000):
+        spec = FLEET8[int(rng.integers(len(FLEET8)))]
+        profile = profiles[int(rng.integers(len(profiles)))]
+        rows.append((profile, spec, _continuous_config(spec, rng)))
+    for start in range(0, len(rows), 500):
+        _assert_rows_exact(rows[start : start + 500])
+
+
+def test_phase_counts_fold_through_padding():
+    """Rows of one-, two- and many-phase workloads in one pass."""
+    rng = np.random.default_rng(7)
+    one = make_profile()
+    many = WorkloadProfile(
+        benchmark="many",
+        graph_name="g",
+        phases=one.phases * 3 + _edge_profile(1e5, 1e7).phases,
+        num_iterations=4,
+        footprint_bytes=one.footprint_bytes,
+        contention=0.3,
+    )
+    rows = [
+        (profile, spec, _continuous_config(spec, rng))
+        for profile in (one, many, _edge_profile(1e5, 1e7))
+        for spec in FLEET8
+    ]
+    _assert_rows_exact(rows)
+
+
+@pytest.mark.parametrize(
+    "items,total_bytes", [(0.0, 1e7), (1e5, 0.0), (0.0, 0.0)]
+)
+def test_zero_item_and_zero_byte_phases(items, total_bytes):
+    rng = np.random.default_rng(11)
+    profile = _edge_profile(items, total_bytes)
+    rows = [
+        (profile, spec, _continuous_config(spec, rng))
+        for spec in FLEET8
+        for _ in range(3)
+    ]
+    _assert_rows_exact(rows)
+
+
+def test_streaming_overflow_footprints():
+    rng = np.random.default_rng(13)
+    profile = make_profile(vertices=5e8, edges=5e9, b12=0.1)
+    assert all(profile.footprint_bytes > spec.mem_bytes for spec in FLEET8)
+    rows = [(profile, spec, _continuous_config(spec, rng)) for spec in FLEET8]
+    _assert_rows_exact(rows)
+    assert all(result.cost.streaming_s > 0 for result in fleet_evaluate(rows))
+
+
+def test_libm_sensitive_continuous_values():
+    """Dense blocktime, chunk and useful/saturation sweeps: the inputs on
+    which NumPy's SIMD power and log10 round differently from libm."""
+    rng = np.random.default_rng(17)
+    profile = random_profile(rng)
+    rows = []
+    for spec in FLEET8:
+        for blocktime in np.linspace(1.0, 1000.0, 37):
+            config = _continuous_config(spec, rng)
+            rows.append((profile, spec, replace(config, blocktime_ms=float(blocktime))))
+        step = max(1, spec.max_threads // 40)
+        for threads in range(1, 2 * spec.max_threads, step):
+            config = replace(
+                _continuous_config(spec, rng),
+                gpu_global_threads=threads,
+                cores=min(spec.cores, 1 + threads // 4),
+            )
+            rows.append((profile, spec, config))
+    _assert_rows_exact(rows)
+
+
+def test_single_row_and_empty_inputs():
+    rng = np.random.default_rng(19)
+    spec = FLEET8[0]
+    _assert_rows_exact([(make_profile(), spec, _continuous_config(spec, rng))])
+    assert fleet_evaluate([]) == []
+
+
+# -- the decision layer's crossover ---------------------------------------
+
+
+def _same_decision(a, b):
+    assert a.workload is b.workload
+    assert a.estimates == b.estimates
+    assert a.chosen_index == b.chosen_index
+    assert a.runner_up_index == b.runner_up_index
+    assert np.array_equal(a.vector, b.vector)
+    assert (a.features, a.confidence) == (b.features, b.confidence)
+
+
+@pytest.fixture(scope="module")
+def fleet_map():
+    """A trained CART map on a 4-device fleet: two devices per kind."""
+    hetero = HeteroMap(synthetic_fleet(4), predictor="cart", seed=5)
+    hetero.train(num_samples=40, seed=5)
+    return hetero
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """Enough distinct real workloads for a batch above the crossover."""
+    pairs = [
+        (benchmark, dataset)
+        for benchmark in ("pagerank", "bfs", "sssp_bf", "connected_components")
+        for dataset in ("facebook", "cage14", "usa-cal")
+    ]
+    return [prepare_workload(b, d) for b, d in pairs]
+
+
+def test_decisions_equal_across_the_crossover(fleet_map, workloads):
+    """Batches just below and just above the crossover (two devices per
+    kind, so a workload adds two rows to each kind) decide alike, and
+    alike with one-workload decides."""
+    per_kind = len(fleet_map.fleet.gpus)
+    below = -(-ARRAY_PASS_MIN_ROWS // per_kind) - 1
+    above = below + 1
+    assert below * per_kind < ARRAY_PASS_MIN_ROWS <= above * per_kind
+    assert len(workloads) > above
+    decisions = fleet_map.decisions
+    scalar = decisions.decide_batch(workloads[:below])
+    array = decisions.decide_batch(workloads[:above])
+    for a, b in zip(scalar, array):
+        _same_decision(a, b)
+    whole = decisions.decide_batch(workloads)
+    for workload, decision in zip(workloads, whole):
+        _same_decision(decisions.decide(workload), decision)
+
+
+# -- the ceiling rule --------------------------------------------------------
+
+
+def test_clamp_returns_config_within_ceilings_unchanged():
+    spec = get_accelerator("xeonphi7120p")
+    config = MachineConfig(
+        accelerator=spec.name, cores=8, threads_per_core=2, simd_width=4
+    )
+    assert clamp_config(config, spec) is config
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"cores": 10_000},
+        {"threads_per_core": 64},
+        {"simd_width": 512},
+        {"gpu_global_threads": 10**9},
+        {"gpu_local_threads": 4096},
+        {"accelerator": "elsewhere"},
+    ],
+)
+def test_clamp_copies_when_a_ceiling_binds(changes):
+    spec = get_accelerator("xeonphi7120p")
+    config = replace(
+        MachineConfig(accelerator=spec.name, cores=8, threads_per_core=2), **changes
+    )
+    clamped = clamp_config(config, spec)
+    assert clamped is not config
+    assert clamped == replace(
+        config,
+        accelerator=spec.name,
+        cores=min(config.cores, spec.cores),
+        threads_per_core=min(config.threads_per_core, spec.threads_per_core),
+        simd_width=min(config.simd_width, spec.simd_width),
+        gpu_global_threads=min(config.gpu_global_threads, spec.max_threads),
+        gpu_local_threads=min(config.gpu_local_threads, 1024),
+    )

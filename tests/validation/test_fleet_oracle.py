@@ -41,31 +41,27 @@ class TestFleetEvaluate:
         rng = np.random.default_rng(7)
         profile = random_profile(rng)
         fleet = synthetic_fleet(4)
-        deployments = [
-            (spec, random_config(spec, rng)) for spec in fleet.devices
+        rows = [
+            (profile, spec, random_config(spec, rng)) for spec in fleet.devices
         ]
-        results = fleet_evaluate(profile, deployments)
-        assert len(results) == len(deployments)
-        for (spec, config), result in zip(deployments, results):
-            reference = simulate(profile, spec, config)
-            assert result.accelerator == spec.name
-            assert result.time_s == pytest.approx(reference.time_s, rel=1e-9)
-            assert result.energy_j == pytest.approx(
-                reference.energy_j, rel=1e-9
-            )
+        results = fleet_evaluate(rows)
+        assert len(results) == len(rows)
+        for row, result in zip(rows, results):
+            assert result.accelerator == row[1].name
+            assert result == simulate(*row)
 
     def test_groups_duplicate_specs_into_one_pass(self):
         rng = np.random.default_rng(9)
         profile = random_profile(rng)
         spec = synthetic_fleet(2).devices[0]
-        deployments = [(spec, random_config(spec, rng)) for _ in range(5)]
-        results = fleet_evaluate(profile, deployments)
+        rows = [(profile, spec, random_config(spec, rng)) for _ in range(5)]
+        results = fleet_evaluate(rows)
         assert len(results) == 5
         assert all(r.accelerator == spec.name for r in results)
 
     def test_empty_deployments(self):
         rng = np.random.default_rng(1)
-        assert fleet_evaluate(random_profile(rng), []) == []
+        assert fleet_evaluate([]) == []
         with pytest.raises(SimulationError, match="at least one"):
             fleet_argbest(random_profile(rng), [])
 
