@@ -27,8 +27,9 @@ Measures the hot paths the batch evaluator exists for and records them to
   enforced (the ≥2x shards=4 floor gates on hosts with enough CPUs),
 * adaptation loop — a drift-injected stream served by a frozen vs an
   online-adapting CART map: tail-window regret against the bench-known
-  ground truth, with the promotion requirement and the regret
-  improvement ratio enforced (≥1.5x floor, baseline or not).
+  ground truth, with the promotion requirement and the 1.5x floor on the
+  two tails enforced (baseline or not), plus the adaptive map's request
+  rate relative to the frozen one's (reported, not gated).
 
 The harness refuses to overwrite an existing baseline with a >25%
 regression on any tracked throughput metric unless ``--force`` is passed,
@@ -100,10 +101,10 @@ SHARD_SIZES = (2, 4)
 #: host has enough usable CPUs for the comparison to mean anything.
 SHARD_SPEEDUP_FLOOR = 2.0
 
-#: The adaptive path's tail-window regret must beat the frozen
-#: incumbent's by at least this factor under the injected drift —
-#: enforced baseline or not (the loop either recovers the regret or the
-#: section fails).
+#: The adaptive path's tail-window regret times this factor must not
+#: exceed the frozen incumbent's under the injected drift — enforced on
+#: the two recorded tails, baseline or not (the loop either recovers the
+#: regret or the section fails).
 ADAPT_REGRET_FLOOR = 1.5
 
 #: Workload mix the adaptation bench streams (kind-diverse, so a
@@ -130,7 +131,6 @@ _GATED_METRICS = (
     ("fleet_scaling", "n4_decisions_per_sec"),
     ("serving_async", "poisson_decisions_per_sec"),
     ("shard_scaling", "n4_decisions_per_sec"),
-    ("adaptation_loop", "regret_improvement_ratio"),
 )
 
 # Lower-is-better metrics the gate tracks (tail latency): refused when the
@@ -800,8 +800,10 @@ def bench_adaptation_loop(
     decision layer's simulate-only per-device estimates, scaled by the
     injected factor wherever the perturbation was active — exactly what
     the audit stream's counterfactual replays to.  The headline is the
-    tail-window (last third) regret ratio ``frozen / adaptive``: how
-    much of the drift-induced regret the closed loop recovered.
+    pair of tail-window (last third) regrets, which
+    :func:`check_regressions` holds to :data:`ADAPT_REGRET_FLOOR`; the
+    adaptive map's request rate over the frozen one's
+    (``adaptive_vs_frozen_rate``) is reported, not gated.
 
     Raises:
         RuntimeError: when the adaptive path never promotes, or when its
@@ -892,11 +894,6 @@ def bench_adaptation_loop(
             f"{adaptive['tail_regret_ms']:.1f}ms did not beat the frozen "
             f"incumbent's {frozen['tail_regret_ms']:.1f}ms"
         )
-    ratio = (
-        frozen["tail_regret_ms"] / adaptive["tail_regret_ms"]
-        if adaptive["tail_regret_ms"] > 0
-        else float(requests)  # adaptive tail is regret-free: cap the ratio
-    )
     return {
         "pair": list(pair),
         "predictor": "cart",
@@ -909,9 +906,11 @@ def bench_adaptation_loop(
         "adaptive_tail_regret_ms": adaptive["tail_regret_ms"],
         "frozen_total_regret_ms": frozen["total_regret_ms"],
         "adaptive_total_regret_ms": adaptive["total_regret_ms"],
-        "regret_improvement_ratio": ratio,
         "frozen_requests_per_sec": frozen["requests_per_sec"],
         "adaptive_requests_per_sec": adaptive["requests_per_sec"],
+        "adaptive_vs_frozen_rate": (
+            adaptive["requests_per_sec"] / frozen["requests_per_sec"]
+        ),
         "drift_alarms": summary["drift_alarms"],
         "retrains": summary["retrains"],
         "shadow_evaluations": summary["shadow_evaluations"],
@@ -995,7 +994,9 @@ def check_regressions(old: dict, new: dict) -> list[str]:
     must beat the single-process closed loop by
     :data:`SHARD_SPEEDUP_FLOOR` — enforced whenever the host has enough
     usable CPUs for multi-process speedup to be measurable
-    (``cpu_limited`` False), baseline or not.
+    (``cpu_limited`` False), baseline or not.  The adaptation section's
+    adaptive tail regret times :data:`ADAPT_REGRET_FLOOR` must not exceed
+    the frozen tail regret, baseline or not.
     """
     regressions = []
     for section, key in _GATED_METRICS:
@@ -1031,11 +1032,17 @@ def check_regressions(old: dict, new: dict) -> list[str]:
             f"< floor {SHARD_SPEEDUP_FLOOR:.1f}x over the single process"
         )
     adapt = new.get("adaptation_loop") or {}
-    ratio = adapt.get("regret_improvement_ratio")
-    if ratio is not None and ratio < ADAPT_REGRET_FLOOR:
+    adaptive = adapt.get("adaptive_tail_regret_ms")
+    frozen = adapt.get("frozen_tail_regret_ms")
+    if (
+        adaptive is not None
+        and frozen is not None
+        and adaptive * ADAPT_REGRET_FLOOR > frozen
+    ):
         regressions.append(
-            f"adaptation_loop.regret_improvement_ratio: {ratio:.2f} "
-            f"< floor {ADAPT_REGRET_FLOOR:.1f}x over the frozen incumbent"
+            f"adaptation_loop: adaptive tail regret {adaptive:.1f}ms x "
+            f"floor {ADAPT_REGRET_FLOOR:.1f} > frozen tail regret "
+            f"{frozen:.1f}ms"
         )
     return regressions
 
@@ -1230,7 +1237,7 @@ def main(argv: list[str] | None = None) -> int:
             drift_factor=adapt["drift_factor"],
             frozen_tail_regret_ms=round(adapt["frozen_tail_regret_ms"], 1),
             adaptive_tail_regret_ms=round(adapt["adaptive_tail_regret_ms"], 1),
-            improvement=round(adapt["regret_improvement_ratio"], 2),
+            adaptive_vs_frozen_rate=round(adapt["adaptive_vs_frozen_rate"], 2),
             promotions=adapt["promotions"],
             retrains=adapt["retrains"],
             generation=adapt["generation"],

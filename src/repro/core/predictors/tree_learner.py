@@ -6,6 +6,14 @@ module adds the natural follow-up the paper leaves as future work
 from the same training database, so the threshold-tuning question can be
 studied empirically (see the ablation benchmark).  Single-output-mean leaf
 model, variance-reduction splits, from scratch.
+
+Each node's split is chosen in two steps: :func:`screen_splits` scores
+every (feature, threshold) candidate at once from prefix sums and keeps
+the few within a rounding bound of the best, then
+:func:`best_split` scores those exactly, in the same order and with the
+same expression as a per-candidate loop over all of them.  Trees are
+therefore bit-identical to that loop (kept as the test reference in
+:mod:`repro.validation.cart`).
 """
 
 from __future__ import annotations
@@ -17,7 +25,123 @@ import numpy as np
 from repro.core.predictors.base import LearnedPredictor
 from repro.core.predictors.confidence import ConfidenceReport
 
-__all__ = ["CartPredictor"]
+__all__ = ["CartPredictor", "best_split", "screen_splits"]
+
+#: Safety factor on the first-order rounding bound derived in
+#: :func:`screen_splits`; it covers the second-order terms the derivation
+#: drops and the rounding of the bound's own arithmetic.
+_BOUND_SAFETY = 4.0
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def screen_splits(
+    features: np.ndarray, targets: np.ndarray, min_samples: int
+) -> list[tuple[int, float]]:
+    """The candidates that can win this node's split, in search order.
+
+    Candidates are the midpoints between consecutive distinct values of
+    each column rounded to 3 decimals; a candidate's left side is every
+    row whose *unrounded* value is at most its threshold, and both sides
+    need ``min_samples`` rows.  The returned list runs feature by
+    feature with thresholds rising, and holds every candidate whose
+    screened score is within the rounding bound of the screened minimum.
+
+    Sorting a column puts each candidate's left side first, so its sum of
+    squared deviations is ``Q - |S|**2 / m`` from running sums ``S`` of
+    the targets and ``Q`` of their squared norms; the right side's sums
+    are the running sums' totals minus the left's.  One array expression
+    scores every candidate of every column.
+
+    The bound.  Let ``u`` be the unit roundoff, ``n`` the node's rows,
+    ``K`` the outputs and ``Y`` the sum of the node's squared targets;
+    a side has ``m`` rows and squared sum ``Y_m``.  To first order in
+    ``u``:
+
+    * screened left side: ``Q`` is off by ``(m + K) u Y_m`` (row norms,
+      then a running sum); each ``S_k`` by ``m u sum|y_k|``, so
+      ``|S|**2 / m`` by ``(2m + K + 1) u Y_m`` using ``(sum|y_k|)**2 <=
+      m sum y_k**2``; the subtraction adds ``u Y_m``.
+    * screened right side: a total minus a left value of the same
+      running sum is off only by the roundings of the additions past the
+      left side, each ``u`` times a partial sum, so ``Q`` is off by
+      ``(m + K + 1) u Y`` and ``S_k`` by ``m u sum|y_k|`` over all rows;
+      with ``|S_k| <= sqrt(m sum_right y_k**2)`` and ``sum|y_k| <=
+      sqrt(n sum y_k**2)``, ``|S|**2 / m`` is off by ``(2n + K + 3) u Y``.
+      Both sides plus their sum: ``(6n + 4K + 8) u Y``.
+    * exact (``var(axis=0).sum() * m``, a two-pass variance): the sum of
+      squared deviations about the computed mean is off by
+      ``(m + K + 3) u Y_m``; the mean's own error ``e`` adds ``m e**2 <=
+      (m u)**2 Y_m``, below ``u Y_m`` for any ``n < 2**26``.  Both sides
+      plus their sum: ``(n + 2K + 9) u Y``.
+
+    So every candidate's screened and exact scores differ by at most
+    ``E = 7 (n + K + 3) u Y``.  The exact winner ``w`` then screens at
+    ``screen(w) <= exact(w) + E <= exact(s) + E <= screen(s) + 2E`` for
+    the screened minimum ``s``, so keeping every candidate within ``2E``
+    of the screened minimum keeps ``w``, and :func:`best_split`'s exact
+    pass over the shortlist picks what a pass over every candidate picks.
+    """
+    rows, outputs = targets.shape
+    order = np.argsort(features, axis=0)
+    values = np.take_along_axis(features, order, axis=0)
+    rounded = np.round(values, 3)  # monotone, so sorted like ``values``
+    feature, position = np.nonzero((rounded[1:] != rounded[:-1]).T)
+    thresholds = (rounded[position, feature] + rounded[position + 1, feature]) / 2.0
+    n_left = position + 1
+    # A value rounded at a half-way point can sit on the far side of its
+    # own midpoint; count those candidates' left sides from the column.
+    for stray in np.flatnonzero(
+        (values[position, feature] > thresholds)
+        | (values[position + 1, feature] <= thresholds)
+    ):
+        n_left[stray] = np.count_nonzero(
+            features[:, feature[stray]] <= thresholds[stray]
+        )
+    valid = (n_left >= min_samples) & (rows - n_left >= min_samples)
+    feature, thresholds, n_left = feature[valid], thresholds[valid], n_left[valid]
+    if not feature.size:
+        return []
+    norms = (targets * targets).sum(axis=1)
+    sums = targets[order]  # summed in place: the node's largest array
+    np.cumsum(sums, axis=0, out=sums)
+    left, right = sums[n_left - 1, feature], sums[-1, feature]
+    right -= left
+    sums = norms[order]
+    np.cumsum(sums, axis=0, out=sums)
+    left_norms, right_norms = sums[n_left - 1, feature], sums[-1, feature]
+    right_norms -= left_norms
+    screened = (left_norms - (left * left).sum(axis=1) / n_left) + (
+        right_norms - (right * right).sum(axis=1) / (rows - n_left)
+    )
+    bound = (
+        _BOUND_SAFETY * 14.0 * (rows + outputs + 3) * _UNIT_ROUNDOFF * norms.sum()
+    )
+    keep = np.flatnonzero(screened <= screened.min() + bound)
+    return [(int(feature[c]), float(thresholds[c])) for c in keep]
+
+
+def best_split(
+    features: np.ndarray,
+    targets: np.ndarray,
+    candidates: list[tuple[int, float]],
+) -> tuple[int, float] | None:
+    """The first candidate with the lowest exact score, if it beats the
+    node's own score by more than 1e-12; ``None`` makes the node a leaf."""
+    rows = features.shape[0]
+    parent_score = targets.var(axis=0).sum() * rows
+    best = (None, None, parent_score - 1e-12)
+    for feature, threshold in candidates:
+        mask = features[:, feature] <= threshold
+        n_left = int(mask.sum())
+        score = (
+            targets[mask].var(axis=0).sum() * n_left
+            + targets[~mask].var(axis=0).sum() * (rows - n_left)
+        )
+        if score < best[2]:
+            best = (feature, threshold, score)
+    feature, threshold, _ = best
+    return None if feature is None else (feature, threshold)
 
 
 @dataclass
@@ -78,34 +202,24 @@ class CartPredictor(LearnedPredictor):
     ) -> _Node:
         if depth >= self.max_depth or features.shape[0] < 2 * self.min_samples:
             return self._leaf(targets)
-        parent_score = targets.var(axis=0).sum() * targets.shape[0]
-        best = (None, None, parent_score - 1e-12)
-        for feature in range(features.shape[1]):
-            column = features[:, feature]
-            candidates = np.unique(np.round(column, 3))
-            if candidates.size < 2:
-                continue
-            thresholds = (candidates[:-1] + candidates[1:]) / 2.0
-            for threshold in thresholds:
-                mask = column <= threshold
-                n_left = int(mask.sum())
-                if n_left < self.min_samples or features.shape[0] - n_left < self.min_samples:
-                    continue
-                score = (
-                    targets[mask].var(axis=0).sum() * n_left
-                    + targets[~mask].var(axis=0).sum() * (features.shape[0] - n_left)
-                )
-                if score < best[2]:
-                    best = (feature, threshold, score)
-        feature, threshold, _ = best
-        if feature is None:
+        split = self._split(features, targets)
+        if split is None:
             return self._leaf(targets)
+        feature, threshold = split
         mask = features[:, feature] <= threshold
         return _Node(
             feature=feature,
             threshold=float(threshold),
             left=self._build(features[mask], targets[mask], depth + 1),
             right=self._build(features[~mask], targets[~mask], depth + 1),
+        )
+
+    def _split(
+        self, features: np.ndarray, targets: np.ndarray
+    ) -> tuple[int, float] | None:
+        """This node's split: the exact best of the screened shortlist."""
+        return best_split(
+            features, targets, screen_splits(features, targets, self.min_samples)
         )
 
     @staticmethod

@@ -27,6 +27,7 @@ from functools import lru_cache
 
 from repro.errors import UnknownDatasetError
 from repro.graph.csr import CSRGraph
+from repro.graph.diameter import approximate_diameter
 from repro.graph.generators import make_graph
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "dataset_codes",
     "get_dataset",
     "load_proxy_graph",
+    "proxy_diameter",
 ]
 
 
@@ -218,3 +220,11 @@ def load_proxy_graph(name: str) -> CSRGraph:
     return CSRGraph(
         graph.indptr, graph.indices, graph.weights, name=spec.name
     )
+
+
+@lru_cache(maxsize=None)
+def proxy_diameter(name: str) -> int:
+    """The proxy graph's approximate diameter (at least 1), computed once
+    per dataset: deployment scales iteration-bound work by it."""
+    graph = load_proxy_graph(name)
+    return max(1, approximate_diameter(graph, num_sweeps=2, seed=1))

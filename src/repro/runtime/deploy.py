@@ -22,9 +22,7 @@ from repro.accel.simulator import SimulationResult, simulate
 from repro.features.bvars import BVariables
 from repro.features.ivars import IVariables, ivars_from_meta
 from repro.features.profiles import get_profile
-from repro.graph.datasets import get_dataset, load_proxy_graph
-from repro.graph.diameter import approximate_diameter
-from repro.graph.properties import compute_stats
+from repro.graph.datasets import get_dataset, load_proxy_graph, proxy_diameter
 from repro.kernels.registry import get_kernel
 from repro.machine.mvars import MachineConfig
 from repro.machine.specs import AcceleratorSpec
@@ -100,11 +98,9 @@ def prepare_workload(benchmark: str, dataset: str) -> Workload:
 def _prepare_workload(benchmark: str, dataset: str) -> Workload:
     spec = get_dataset(dataset)
     graph = load_proxy_graph(spec.name)
-    stats = compute_stats(graph)
     trace = _proxy_trace(benchmark, spec.name)
 
-    proxy_diameter = max(1, approximate_diameter(graph, num_sweeps=2, seed=1))
-    depth_ratio = max(0.25, spec.paper.diameter / proxy_diameter)
+    depth_ratio = max(0.25, spec.paper.diameter / proxy_diameter(spec.name))
     kernel_key = trace.benchmark
     work_scale = depth_ratio if kernel_key in _WORK_SCALES_WITH_DEPTH else 1.0
     overhead_scale = (
@@ -117,8 +113,8 @@ def _prepare_workload(benchmark: str, dataset: str) -> Workload:
         bvars,
         target_vertices=float(spec.paper.num_vertices),
         target_edges=float(spec.paper.num_edges),
-        source_vertices=float(stats.num_vertices),
-        source_edges=float(max(stats.num_edges, 1)),
+        source_vertices=float(graph.num_vertices),
+        source_edges=float(max(graph.num_edges, 1)),
         work_iteration_scale=work_scale,
         overhead_iteration_scale=overhead_scale,
     )

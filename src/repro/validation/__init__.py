@@ -1,6 +1,6 @@
 """Property-based validation: kernel invariants + differential oracle.
 
-The correctness-tooling layer the perf roadmap stands on.  Three parts:
+The correctness-tooling layer the perf roadmap stands on.  Its parts:
 
 * :mod:`repro.validation.invariants` — a registry of metamorphic and
   algebraic checks per kernel, run against randomized generator graphs
@@ -12,6 +12,9 @@ The correctness-tooling layer the perf roadmap stands on.  Three parts:
   row sets costed by the array pass equal to a scalar loop, argmin vs an
   exhaustive scalar loop, decode bit-identity, and permutation-invariant
   fleet identities.
+* :mod:`repro.validation.cart` — the CART component: screened split
+  search bit-identical to the per-candidate reference loop, whose split
+  is always in the screen's shortlist.
 * :mod:`repro.validation.fuzz` — the seeded driver
   (``python -m repro.validation.fuzz`` / ``make fuzz``); every failure
   message embeds a ``REPRO_FUZZ_SEED=... --cases 1`` replay one-liner.
@@ -36,6 +39,13 @@ from repro.validation.invariants import (
     registered_benchmarks,
     run_kernel_case,
     sample_kernel_params,
+)
+from repro.validation.cart import (
+    ReferenceCart,
+    check_cart_fit,
+    random_cart_matrices,
+    reference_split,
+    run_cart_case,
 )
 from repro.validation.fleet import (
     check_decode_agreement,
@@ -72,9 +82,11 @@ __all__ = [
     "INVARIANTS",
     "Invariant",
     "KernelCase",
+    "ReferenceCart",
     "SEED_ENV_VAR",
     "check_argmin_equivalence",
     "check_batch_equivalence",
+    "check_cart_fit",
     "check_decode_agreement",
     "check_exhaustive_against_scalar",
     "check_fleet_argmin",
@@ -87,12 +99,15 @@ __all__ = [
     "iter_all_kernel_checks",
     "iterate_case_seeds",
     "master_seed_from_env",
+    "random_cart_matrices",
     "random_config",
     "random_config_table",
     "random_fleet",
     "random_profile",
+    "reference_split",
     "registered_benchmarks",
     "replay_command",
+    "run_cart_case",
     "run_fleet_case",
     "run_kernel_case",
     "run_oracle_case",

@@ -3,8 +3,9 @@
 Round-robins the fuzz components — ``kernels`` (invariant registry on
 randomized generator graphs), ``oracle`` (differential batch/scalar
 cost model), ``fleet`` (per-device argmin vs scalar loop + fleet
-identity properties), and ``calibration`` (confidence-report validity,
-coverage monotonicity, exploration-off bit-identity) — under a
+identity properties), ``calibration`` (confidence-report validity,
+coverage monotonicity, exploration-off bit-identity), and ``cart``
+(screened CART split search vs the per-candidate loop) — under a
 wall-clock budget and per-component case cap, with two tiers:
 
 * ``--tier quick``: the CI tier, bounded to finish well under a minute.
@@ -30,6 +31,7 @@ from collections.abc import Callable, Sequence
 from repro import obs
 from repro.errors import ValidationError
 from repro.validation.calibration import run_calibration_case
+from repro.validation.cart import run_cart_case
 from repro.validation.fleet import run_fleet_case
 from repro.validation.invariants import run_kernel_case
 from repro.validation.oracle import run_oracle_case
@@ -46,6 +48,7 @@ COMPONENTS: dict[str, Callable[[int], str]] = {
     "oracle": run_oracle_case,
     "fleet": run_fleet_case,
     "calibration": run_calibration_case,
+    "cart": run_cart_case,
 }
 
 # tier -> (wall-clock budget seconds, max cases per component)

@@ -1,0 +1,187 @@
+"""The screened CART split search against the per-candidate loop.
+
+Every fit goes through :func:`repro.validation.cart.check_cart_fit`: a
+screened :class:`CartPredictor` and a
+:class:`~repro.validation.cart.ReferenceCart` (the loop over every
+candidate) must agree by ``np.array_equal`` on each ``_node_*`` and
+``_leaf_*`` array, and at every node of the reference tree its split must
+be in the screen's shortlist; either failure raises.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.heteromap import HeteroMap
+from repro.core.online import AdaptationConfig, DriftInjectedBackend
+from repro.core.predictors.tree_learner import (
+    CartPredictor,
+    best_split,
+    screen_splits,
+)
+from repro.runtime.deploy import prepare_workload
+from repro.validation.cart import TREE_ARRAYS, check_cart_fit, reference_split
+
+
+def grid(rng, rows, columns):
+    """Features on the encoder's 0.1 grid."""
+    return rng.integers(0, 11, size=(rows, columns)) / 10.0
+
+
+@pytest.fixture(scope="module")
+def retrain_matrices():
+    """Base database plus replicated buffer, as a drift retrain sees them."""
+    hetero = HeteroMap.with_default_pair(predictor="cart", seed=0)
+    hetero.train(num_samples=80, seed=0)
+    backend = DriftInjectedBackend(
+        hetero.engine.backend, factor=8.0, start_after=40, kind="gpu"
+    )
+    hetero.engine.backend = backend
+    adapter = hetero.enable_adaptation(
+        AdaptationConfig(
+            cooldown=32, shadow_window=24, min_buffer=8, drift_min_samples=8
+        )
+    )
+    stream = [
+        prepare_workload(*item)
+        for item in (
+            ("pagerank", "twitter"),
+            ("bfs", "cage14"),
+            ("sssp_bf", "twitter"),
+            ("triangle_counting", "livejournal"),
+        )
+    ]
+    for index in range(120):
+        workload = stream[index % len(stream)]
+        decision = hetero.decisions.decide(workload)
+        result = backend.execute(workload, decision.spec, decision.config)
+        hetero.decisions.audit(decision, decision.spec, decision.config, result)
+    assert adapter.retrains >= 1
+    return adapter._training_matrices()
+
+
+class TestFittedArrays:
+    def test_compared_arrays_cover_every_fitted_array(self):
+        rng = np.random.default_rng(0)
+        predictor = CartPredictor()
+        predictor.fit(grid(rng, 40, 3), rng.random((40, 2)))
+        fitted = {
+            name
+            for name in vars(predictor)
+            if name.startswith(("_node_", "_leaf_"))
+        }
+        assert fitted == set(TREE_ARRAYS)
+
+
+class TestBitIdentity:
+    def test_retrain_matrices(self, retrain_matrices):
+        features, targets = retrain_matrices
+        assert features.shape[0] > 80  # base rows plus the replicated buffer
+        screened, reference = check_cart_fit(features, targets)
+        assert screened.depth() > 1
+        assert reference.searches > 1 and reference.missed == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grid_features(self, seed):
+        rng = np.random.default_rng(seed)
+        check_cart_fit(grid(rng, 200, 17), rng.random((200, 11)))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_continuous_features(self, seed):
+        rng = np.random.default_rng(seed)
+        check_cart_fit(rng.random((120, 4)), rng.random((120, 5)))
+
+    def test_half_thousandth_features(self):
+        """Half-thousandths round half-to-even, so some values sit past the
+        midpoint after their own rounded value: left counts must come from
+        the unrounded column, as the loop's mask takes them."""
+        rng = np.random.default_rng(3)
+        features = rng.integers(0, 80, size=(150, 3)) / 2000.0
+        column, rounded = features[:, 0], np.round(features[:, 0], 3)
+        distinct = np.unique(rounded)
+        assert any(
+            np.count_nonzero(column <= threshold)
+            != np.count_nonzero(rounded <= threshold)
+            for threshold in (distinct[:-1] + distinct[1:]) / 2.0
+        )
+        check_cart_fit(features, rng.random((150, 3)), min_samples=2)
+
+    def test_duplicate_columns_earlier_feature_wins(self):
+        rng = np.random.default_rng(4)
+        base = grid(rng, 150, 4)
+        features = np.column_stack([base, base[:, 1]])
+        screened, _ = check_cart_fit(features, rng.random((150, 6)))
+        assert 1 in screened._node_feature
+        assert 4 not in screened._node_feature
+
+    def test_mirrored_columns_earlier_feature_wins(self):
+        """``x`` and ``1 - x`` split the same rows, summed in opposite
+        orders: the screen scores them apart, the exact scores tie."""
+        rng = np.random.default_rng(5)
+        column = rng.integers(0, 11, size=160) / 10.0
+        features = np.column_stack([column, 1.0 - column])
+        targets = rng.random((160, 4))
+        assert {feature for feature, _ in screen_splits(features, targets, 8)} == {0, 1}
+        screened, _ = check_cart_fit(features, targets)
+        assert 0 in screened._node_feature
+        assert 1 not in screened._node_feature
+
+    def test_replicated_rows(self):
+        rng = np.random.default_rng(6)
+        features, targets = grid(rng, 100, 17), rng.random((100, 11))
+        check_cart_fit(
+            np.vstack([features] + [features[:24]] * 4),
+            np.vstack([targets] + [targets[:24]] * 4),
+        )
+
+    def test_large_target_offset_widens_the_shortlist(self):
+        rng = np.random.default_rng(7)
+        features, spread = grid(rng, 120, 6), rng.random((120, 3)) * 1e-3
+        offset = 1e4 + spread
+        assert len(screen_splits(features, offset, 8)) > len(
+            screen_splits(features, spread, 8)
+        )
+        check_cart_fit(features, offset)
+
+    def test_constant_column_never_splits(self):
+        rng = np.random.default_rng(8)
+        features = grid(rng, 120, 3)
+        features[:, 1] = 0.5
+        targets = rng.random((120, 4))
+        assert all(feature != 1 for feature, _ in screen_splits(features, targets, 1))
+        screened, _ = check_cart_fit(features, targets)
+        assert 1 not in screened._node_feature
+
+    def test_fewer_rows_than_two_leaves(self):
+        rng = np.random.default_rng(9)
+        screened, reference = check_cart_fit(grid(rng, 15, 5), rng.random((15, 3)))
+        assert screened.depth() == 0
+        assert reference.searches == 0
+
+    def test_every_candidate_fails_min_samples(self):
+        features = np.zeros((20, 2))
+        features[0, 0] = 1.0  # the only split leaves one row on the right
+        targets = np.random.default_rng(10).random((20, 2))
+        assert screen_splits(features, targets, 8) == []
+        assert reference_split(features, targets, 8) is None
+        screened, _ = check_cart_fit(features, targets)
+        assert screened.depth() == 0
+
+    def test_max_depth_one(self):
+        rng = np.random.default_rng(11)
+        screened, _ = check_cart_fit(grid(rng, 100, 8), rng.random((100, 4)), max_depth=1)
+        assert screened.depth() == 1
+
+
+class TestScreen:
+    def test_shortlist_runs_feature_then_threshold(self):
+        rng = np.random.default_rng(13)
+        features = np.column_stack([grid(rng, 200, 3)] * 2)
+        shortlist = screen_splits(features, rng.random((200, 2)), 4)
+        assert shortlist == sorted(shortlist)
+
+    def test_best_split_needs_a_gain_over_the_parent(self):
+        features = np.repeat(np.arange(4) / 10.0, 8).reshape(-1, 1)
+        flat = np.ones((32, 2))
+        assert best_split(features, flat, screen_splits(features, flat, 8)) is None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import UnknownBenchmarkError, UnknownDatasetError
+from repro.kernels.registry import kernel_names
 from repro.machine.mvars import default_config
 from repro.machine.specs import get_accelerator
 from repro.runtime.deploy import prepare_workload, run_workload
@@ -98,6 +99,36 @@ class TestTraceCacheVersioning:
 
         deploy._proxy_trace("dfs", "cage14")
         assert kernel_runs == ["dfs", "dfs"]  # new version now cached
+
+
+class TestProxyDiameterMemo:
+    def test_nine_benchmarks_on_one_dataset_run_the_diameter_once(
+        self, monkeypatch
+    ):
+        import repro.graph.datasets as datasets
+        import repro.runtime.deploy as deploy
+
+        calls = []
+        real_diameter = datasets.approximate_diameter
+
+        def counting_diameter(graph, **kwargs):
+            calls.append(graph.name)
+            return real_diameter(graph, **kwargs)
+
+        monkeypatch.setattr(datasets, "approximate_diameter", counting_diameter)
+        datasets.proxy_diameter.cache_clear()
+        benchmarks = kernel_names()
+        assert len(benchmarks) == 9
+        memoized = [prepare_workload(name, "cage14") for name in benchmarks]
+        assert calls == ["cage14"]
+
+        # Without the memo every call reruns the diameter, to equal effect.
+        monkeypatch.setattr(
+            deploy, "proxy_diameter", datasets.proxy_diameter.__wrapped__
+        )
+        unmemoized = [prepare_workload(name, "cage14") for name in benchmarks]
+        assert len(calls) == 1 + len(benchmarks)
+        assert unmemoized == memoized
 
 
 class TestRunWorkload:

@@ -128,6 +128,38 @@ class TestRegressionCheck:
         }
         assert check_regressions({}, above) == []
 
+    @staticmethod
+    def _adapt(frozen: float, adaptive: float, **extra) -> dict:
+        return {
+            "adaptation_loop": {
+                "frozen_tail_regret_ms": frozen,
+                "adaptive_tail_regret_ms": adaptive,
+                **extra,
+            }
+        }
+
+    def test_adapt_floor_applies_to_the_tails_without_baseline(self):
+        flagged = check_regressions({}, self._adapt(100.0, 70.0))
+        assert len(flagged) == 1
+        assert "floor" in flagged[0]
+        assert "70.0ms" in flagged[0] and "100.0ms" in flagged[0]
+
+    def test_adapt_floor_passes_a_regret_free_tail(self):
+        assert check_regressions({}, self._adapt(58527.4, 0.0)) == []
+
+    def test_adapt_floor_is_met_at_exactly_the_floor(self):
+        assert check_regressions({}, self._adapt(150.0, 100.0)) == []
+
+    def test_adapt_sentinel_baseline_does_not_gate_a_real_tail(self):
+        # The old payload recorded 240.0 (= requests) for a regret-free
+        # tail; a real 10x recovery must not read as a regression from it.
+        old = self._adapt(
+            58527.4, 0.0, regret_improvement_ratio=240.0,
+            adaptive_vs_frozen_rate=0.9,
+        )
+        new = self._adapt(1000.0, 100.0, adaptive_vs_frozen_rate=0.2)
+        assert check_regressions(old, new) == []
+
 
 class TestSectionSelection:
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -219,6 +251,21 @@ class TestSectionSelection:
                 section[f"n{size}_cache_misses_total"]
                 == section[f"n{size}_distinct_keys"]
             )
+
+    def test_adaptation_loop_payload(self, tmp_path):
+        rc, output = run_main(tmp_path, "--sections", "adaptation_loop")
+        assert rc == 0
+        section = json.loads(output.read_text())["adaptation_loop"]
+        assert "regret_improvement_ratio" not in section
+        assert section["promotions"] >= 1
+        assert (
+            section["adaptive_tail_regret_ms"] * bench_sweep.ADAPT_REGRET_FLOOR
+            <= section["frozen_tail_regret_ms"]
+        )
+        assert section["adaptive_vs_frozen_rate"] == pytest.approx(
+            section["adaptive_requests_per_sec"]
+            / section["frozen_requests_per_sec"]
+        )
 
     def test_serving_async_payload(self, tmp_path):
         rc, output = run_main(tmp_path, "--sections", "serving_async")

@@ -26,7 +26,9 @@ class TestFuzzLoop:
     def test_tiers_are_ordered(self):
         assert TIERS["quick"][0] < TIERS["deep"][0]
         assert TIERS["quick"][1] < TIERS["deep"][1]
-        assert set(COMPONENTS) == {"kernels", "oracle", "fleet", "calibration"}
+        assert set(COMPONENTS) == {
+            "kernels", "oracle", "fleet", "calibration", "cart"
+        }
 
 
 class TestCli:

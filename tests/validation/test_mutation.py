@@ -1,9 +1,10 @@
 """Mutation smoke-checks (the subsystem's acceptance criterion).
 
 A deliberate perturbation injected into the *batch* cost model must be
-caught by the differential oracle, and a deliberate perturbation of a
-kernel must be caught by the invariant registry — each with a failure
-message that reprints the exact ``REPRO_FUZZ_SEED`` replay one-liner.
+caught by the differential oracle, a deliberate perturbation of a
+kernel by the invariant registry, and a zero rounding bound in the CART
+split screen by the ``cart`` component — each with a failure message
+that reprints the exact ``REPRO_FUZZ_SEED`` replay one-liner.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.accel.batch as batch
+import repro.core.predictors.tree_learner as tree_learner
 from repro.errors import OracleMismatchError
 from repro.kernels.base import KernelResult
 from repro.kernels.pagerank import PageRank
@@ -66,6 +68,19 @@ def test_kernel_mutation_is_caught(monkeypatch):
     assert "mass-conservation" in message
     assert f"{SEED_ENV_VAR}={excinfo.value.case_seed}" in message
     assert "--component kernels --cases 1" in message
+
+
+def test_cart_zero_bound_mutation_is_caught(monkeypatch):
+    """Without the rounding bound, the screen keeps only its own minimum;
+    where a mirrored column ties the exact scores, the later feature can
+    win the screen and the tree diverges from the reference."""
+    monkeypatch.setattr(tree_learner, "_BOUND_SAFETY", 0.0)
+    with pytest.raises(FuzzFailure) as excinfo:
+        for seed in range(50):
+            run_case("cart", seed)
+    message = str(excinfo.value)
+    assert f"{SEED_ENV_VAR}={excinfo.value.case_seed}" in message
+    assert "--component cart --cases 1" in message
 
 
 def test_failing_seed_replays_identically(monkeypatch):
