@@ -1,8 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-force bench-serve bench-scheduler bench-fleet \
-	bench-serving bench-shard bench-adapt serve fuzz fuzz-deep obs-report
+.PHONY: test serve fuzz fuzz-deep obs-report
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -15,48 +14,6 @@ fuzz:
 fuzz-deep:
 	$(PYTHON) -m repro.validation.fuzz --tier deep
 	$(PYTHON) -m pytest -m fuzz -q
-
-# Run the lattice-sweep / DB-build perf harness and update BENCH_sweep.json.
-# Refuses to record a >25% throughput regression; use bench-force to override.
-bench:
-	$(PYTHON) benchmarks/bench_sweep.py
-
-bench-force:
-	$(PYTHON) benchmarks/bench_sweep.py --force
-
-# Only the prediction-serving section (scalar vs batched vs cached
-# predictions/sec); other sections keep their existing baseline numbers.
-bench-serve:
-	$(PYTHON) benchmarks/bench_sweep.py --sections predict_throughput
-
-# Only the fleet-scheduler section: per-policy batch makespans (solo vs
-# load-aware vs makespan) plus end-to-end run_fleet throughput.
-bench-scheduler:
-	$(PYTHON) benchmarks/bench_sweep.py --sections scheduler
-
-# Only the fleet-scaling section: decisions/sec and load-aware makespan
-# speedup over solo at synthetic fleet sizes N=2/4/8.
-bench-fleet:
-	$(PYTHON) benchmarks/bench_sweep.py --sections fleet_scaling
-
-# Only the async-serving section: closed-loop capacity probe, then
-# calibrated open-loop Poisson + bursty ON/OFF traces through the
-# dynamic-batching server (sustained decisions/sec, p50/p99 latency).
-bench-serving:
-	$(PYTHON) benchmarks/bench_sweep.py --sections serving_async
-
-# Only the shard-scaling section: the consistent-hash shard router at
-# shards=2/4 vs the single-process closed loop, with the bit-identity /
-# zero-drop / shard-local invariants enforced.  On hosts with enough
-# CPUs the shards=4 headline must clear the 2x floor to record.
-bench-shard:
-	$(PYTHON) benchmarks/bench_sweep.py --sections shard_scaling
-
-# Only the adaptation-loop section: a drift-injected stream served by a
-# frozen vs an online-adapting map; the adaptive path must promote a
-# retrained candidate and beat the frozen tail regret by the 1.5x floor.
-bench-adapt:
-	$(PYTHON) benchmarks/bench_sweep.py --sections adaptation_loop
 
 # Drive the async serving front end directly (see repro-serve --help for
 # trace shape, batching knobs, gates, and the JSONL artifact).

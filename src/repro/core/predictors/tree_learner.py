@@ -166,9 +166,8 @@ class CartPredictor(LearnedPredictor):
     name = "cart"
 
     # The flattened-array lockstep descent predicts a batch row in well
-    # under the cost of an LRU key build + lookup (BENCH_sweep.json's
-    # cart_cache_speedup sat at ~0.67), so the decision layer bypasses
-    # the cache and always takes the batched forward.
+    # under the cost of an LRU key build + lookup, so the decision layer
+    # bypasses the cache and always takes the batched forward.
     prefer_decision_cache = False
 
     # The lockstep descent compares and gathers — no reductions — so a

@@ -95,10 +95,7 @@ def effective_workers(workers: int, num_samples: int) -> int:
     Clamps to the CPUs the process can run on — extra workers on a
     saturated host only add IPC and scheduling overhead — and falls back
     to serial when the build is too small to amortize pool startup
-    (fewer than ``workers × 64`` samples).  Public so the bench harness
-    can tell a genuinely parallel run from a silent serial fallback and
-    size its sample count (or skip the parallel leg) accordingly,
-    instead of publishing a "speedup" that timed serial against serial.
+    (fewer than ``workers × 64`` samples).
     """
     workers = min(int(workers), available_cpus())
     if workers <= 1:
@@ -106,10 +103,6 @@ def effective_workers(workers: int, num_samples: int) -> int:
     if num_samples < workers * _MIN_SAMPLES_PER_WORKER:
         return 1
     return workers
-
-
-# Backwards-compatible private alias (forced-pool tests monkeypatch here).
-_effective_workers = effective_workers
 
 
 def _init_worker(
@@ -173,7 +166,7 @@ def build_training_database(
     ):
         database = TrainingDatabase(pair=(gpu.name, multicore.name), metric=metric)
         samples = generate_samples(num_samples, seed=seed)
-        effective = _effective_workers(workers, len(samples))
+        effective = effective_workers(workers, len(samples))
         if effective > 1:
             chunk_size = -(-len(samples) // (effective * _CHUNKS_PER_WORKER))
             chunks = [

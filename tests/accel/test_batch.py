@@ -10,16 +10,19 @@ figures validate.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.accel.batch import ConfigTable, batch_evaluate, lattice_table
 from repro.accel.simulator import simulate
 from repro.errors import SimulationError
+from repro.features.bvars import BVariables
 from repro.machine.space import iter_configs, lattice_size, thread_sweep_configs
 from repro.machine.specs import ACCELERATORS, get_accelerator
 from repro.workload.phases import PhaseKind
-from repro.workload.profile import build_profile
+from repro.workload.profile import KernelTrace, PhaseTrace, build_profile
 from repro.workload.synthetic import generate_samples
 
 from tests.accel.test_cost_model import make_profile
@@ -145,3 +148,62 @@ class TestBatchResultHelpers:
     def test_lattice_table_cached(self):
         spec = get_accelerator("gtx970")
         assert lattice_table(spec) is lattice_table(spec)
+
+
+def _mixed_phase_profile():
+    """A PageRank-like all-vertex phase followed by a frontier phase."""
+    bvars = BVariables(
+        b1=0.7, b3=0.3, b6=0.3, b7=0.5, b8=0.2, b9=0.4, b10=0.4, b11=0.2,
+        b12=0.2, b13=0.2,
+    )
+    vertices, edges, iterations = 4e6, 6e7, 20
+    trace = KernelTrace(
+        benchmark="pagerank-frontier",
+        graph_name="g",
+        phases=(
+            PhaseTrace(
+                kind=PhaseKind.VERTEX_DIVISION,
+                items=vertices * iterations,
+                edges=edges * iterations,
+                max_parallelism=vertices,
+                work_skew=0.4,
+            ),
+            PhaseTrace(
+                kind=PhaseKind.PARETO_DYNAMIC,
+                items=vertices,
+                edges=edges,
+                max_parallelism=vertices / 3.0,
+                work_skew=0.5,
+            ),
+        ),
+        num_iterations=iterations,
+    )
+    return build_profile(
+        trace, bvars,
+        target_vertices=vertices, target_edges=edges,
+        source_vertices=vertices, source_edges=edges,
+    )
+
+
+def _best_of(fn, repeats: int = 3) -> float:
+    timings = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        timings.append(time.perf_counter() - start)
+    return min(timings)
+
+
+class TestSweepSpeed:
+    def test_batch_pass_beats_the_scalar_loop_tenfold(self):
+        """The reason the batch evaluator exists: one pass over
+        xeonphi7120p's whole lattice must run at least 10x faster than
+        one ``simulate`` call per config (about 170x on a 2-CPU Xeon)."""
+        spec = get_accelerator("xeonphi7120p")
+        profile = _mixed_phase_profile()
+        configs = list(iter_configs(spec))
+        assert len(configs) == 1944
+        batch_evaluate(profile, spec)  # build the lattice table, warm NumPy
+        scalar_s = _best_of(lambda: [simulate(profile, spec, c) for c in configs])
+        batch_s = _best_of(lambda: batch_evaluate(profile, spec))
+        assert scalar_s >= 10.0 * batch_s, (scalar_s, batch_s)

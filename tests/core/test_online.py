@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core.online import (
     _ShadowTrial,
 )
 from repro.core.predictors import make_predictor
+from repro.machine.specs import DEFAULT_PAIR
 from repro.runtime.deploy import prepare_workload
 
 
@@ -330,3 +333,75 @@ class TestAdapterLoop:
             "ratios",
         ):
             assert key in summary
+
+
+class TestAdaptationLoop:
+    """Frozen vs adapting CART on one seeded drift-injected stream.
+
+    The GPU kind runs ``DRIFT_FACTOR`` times slower after the first third
+    of the stream.  Regret is scored against known truth: the decision's
+    per-device estimates, scaled by the factor on GPU rows once the drift
+    is active.  Over the last third, the adapting map must have promoted
+    a retrained candidate and cut the frozen map's tail regret by at
+    least ``REGRET_FLOOR``.
+    """
+
+    BENCHMARKS = ("bfs", "pagerank", "sssp_bf", "triangle_counting")
+    DATASETS = ("usa-cal", "livejournal", "twitter", "facebook", "cage14")
+    TRAIN_SAMPLES = 120
+    REQUESTS = 240
+    DRIFT_FACTOR = 4.0
+    REGRET_FLOOR = 1.5
+
+    def _tail_regret(self, stream, workloads, *, seed: int, adapt: bool):
+        hetero = HeteroMap(DEFAULT_PAIR, predictor="cart", seed=seed)
+        hetero.train(num_samples=self.TRAIN_SAMPLES, seed=seed)
+        start_after = self.REQUESTS // 3
+        backend = DriftInjectedBackend(
+            hetero.engine.backend,
+            factor=self.DRIFT_FACTOR,
+            start_after=start_after,
+            kind="gpu",
+        )
+        hetero.engine.backend = backend
+        adapter = None
+        if adapt:
+            adapter = hetero.enable_adaptation(
+                AdaptationConfig(
+                    cooldown=32, shadow_window=24, min_buffer=8, drift_min_samples=8
+                )
+            )
+        tail_start = self.REQUESTS - self.REQUESTS // 3
+        tail = 0.0
+        for index, item in enumerate(stream):
+            workload = workloads[item]
+            decision = hetero.decisions.decide(workload)
+            result = backend.execute(workload, decision.spec, decision.config)
+            hetero.decisions.audit(
+                decision, decision.spec, decision.config, result
+            )
+            drifting = backend.executions > start_after
+            truth = [
+                estimate.time_ms
+                * (self.DRIFT_FACTOR if drifting and estimate.spec.is_gpu else 1.0)
+                for estimate in decision.estimates
+            ]
+            if index >= tail_start:
+                tail += result.time_ms - min(truth)
+        return tail, adapter
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_adapting_map_beats_the_frozen_tail(self, seed):
+        rng = random.Random(seed)
+        stream = [
+            (rng.choice(self.BENCHMARKS), rng.choice(self.DATASETS))
+            for _ in range(self.REQUESTS)
+        ]
+        workloads = {item: prepare_workload(*item) for item in set(stream)}
+        frozen, _ = self._tail_regret(stream, workloads, seed=seed, adapt=False)
+        adaptive, adapter = self._tail_regret(
+            stream, workloads, seed=seed, adapt=True
+        )
+        assert adapter.promotions >= 1, adapter.summary()
+        assert adaptive < frozen
+        assert adaptive * self.REGRET_FLOOR <= frozen, (adaptive, frozen)

@@ -124,27 +124,27 @@ class TestEffectiveWorkers:
         from repro.core import training
 
         monkeypatch.setattr(training, "available_cpus", lambda: 2)
-        assert training._effective_workers(8, 10_000) == 2
+        assert training.effective_workers(8, 10_000) == 2
 
     def test_serial_when_single_cpu(self, monkeypatch):
         from repro.core import training
 
         monkeypatch.setattr(training, "available_cpus", lambda: 1)
-        assert training._effective_workers(8, 10_000) == 1
+        assert training.effective_workers(8, 10_000) == 1
 
     def test_serial_below_amortization_floor(self, monkeypatch):
         from repro.core import training
 
         monkeypatch.setattr(training, "available_cpus", lambda: 8)
         floor = training._MIN_SAMPLES_PER_WORKER
-        assert training._effective_workers(4, 4 * floor - 1) == 1
-        assert training._effective_workers(4, 4 * floor) == 4
+        assert training.effective_workers(4, 4 * floor - 1) == 1
+        assert training.effective_workers(4, 4 * floor) == 4
 
     def test_workers_one_is_serial(self, monkeypatch):
         from repro.core import training
 
         monkeypatch.setattr(training, "available_cpus", lambda: 8)
-        assert training._effective_workers(1, 10_000) == 1
+        assert training.effective_workers(1, 10_000) == 1
 
 
 class TestDatabasePersistence:

@@ -7,8 +7,21 @@ import math
 import pytest
 
 from repro import obs
+from repro.core.heteromap import HeteroMap
+from repro.machine.fleet import synthetic_fleet
 from repro.obs.config import ObsConfig
-from repro.runtime.deploy import run_workload
+from repro.runtime.deploy import prepare_workload, run_workload
+
+#: Frontier, relaxation and all-vertex kernels over small and mid
+#: datasets, each twice, so an N-device fleet has real queues to balance.
+FLEET_BATCH = (
+    ("pagerank", "facebook"),
+    ("bfs", "cage14"),
+    ("sssp_bf", "usa-cal"),
+    ("connected_components", "facebook"),
+    ("pagerank", "cage14"),
+    ("sssp_delta", "usa-cal"),
+) * 2
 
 
 class TestSoloBitIdentity:
@@ -127,6 +140,15 @@ class TestLoadAwareBeatsSolo:
         for policy in ("load-aware", "makespan"):
             fleet = trained.run_fleet(batch, policy=policy)
             assert fleet.makespan_ms <= solo.makespan_ms + 1e-9
+
+    @pytest.mark.parametrize("size", [2, 4, 8])
+    def test_synthetic_fleet_mixed_batch_never_worse(self, size):
+        hetero = HeteroMap(synthetic_fleet(size), predictor="cart", seed=0)
+        hetero.train(num_samples=32, seed=0)
+        workloads = [prepare_workload(b, d) for b, d in FLEET_BATCH]
+        solo = hetero.run_fleet(workloads, policy="solo")
+        load_aware = hetero.run_fleet(workloads, policy="load-aware")
+        assert load_aware.makespan_ms <= solo.makespan_ms
 
 
 class TestIterableInputs:

@@ -9,7 +9,9 @@ requests**, and backpressure **rejects instead of dropping**.
 
 decision_tree (the analytical model, train_samples=1) keeps worker
 startup cheap; it is per-row exact, so bit-identity holds with no
-canonicalization caveats.
+canonicalization caveats.  ``TestShapeDependentModel`` repeats the
+identity and locality checks with deep128, whose predictions depend on
+batch shape until the decision layer canonicalizes them.
 """
 
 from __future__ import annotations
@@ -115,6 +117,59 @@ class TestBitIdentity:
         # lookup after the first per key is a hit.
         assert report.cache_hits == report.unique_rows - len(pool)
         assert report.completed == 90
+
+
+class TestShapeDependentModel:
+    """deep128 rounds a row a few ULP differently alone than inside a
+    batch, so its router decisions match ``plan_batch`` only through the
+    decision layer's canonicalization of predicted vectors."""
+
+    SPEC = ShardSpec(fleet=DEFAULT_PAIR, predictor="deep128", train_samples=8)
+    POOL = (
+        ("pagerank", "facebook"),
+        ("bfs", "facebook"),
+        ("sssp_bf", "usa-cal"),
+        ("connected_components", "cage14"),
+    )
+    REQUESTS = 256
+
+    @pytest.fixture(scope="class")
+    def deep_pool(self):
+        return [prepare_workload(*item) for item in self.POOL]
+
+    @pytest.fixture(scope="class")
+    def deep_reference(self):
+        model = HeteroMap(
+            self.SPEC.fleet, predictor=self.SPEC.predictor, seed=self.SPEC.seed
+        )
+        model.train(num_samples=self.SPEC.train_samples, seed=self.SPEC.seed)
+        return model.decisions
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_plan_identity_and_locality(self, shards, deep_pool, deep_reference):
+        requests = [deep_pool[i % len(deep_pool)] for i in range(self.REQUESTS)]
+        expected = deep_reference.plan_batch(requests)
+        router = ShardRouter(
+            self.SPEC,
+            RouterConfig(shards=shards, max_batch=512, queue_capacity=16384),
+        )
+        router.launch()
+        try:
+            results: dict[int, tuple] = {}
+            for i, workload in enumerate(requests):
+                assert router.try_submit(
+                    workload,
+                    tag=i,
+                    callback=lambda t, r, out=results: out.__setitem__(t, r),
+                )
+            router.wait_idle()
+        finally:
+            report = router.close()
+        assert [results[i] for i in range(len(requests))] == expected
+        assert router.stats.rejected == 0
+        assert router.stats.dropped == 0
+        assert report.completed == len(requests)
+        assert report.cache_misses == len(deep_pool)
 
 
 class TestMembership:
