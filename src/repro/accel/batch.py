@@ -557,23 +557,39 @@ def batch_evaluate(
 Deployment = tuple[WorkloadProfile, AcceleratorSpec, MachineConfig]
 
 
+def _profile_terms(profile: WorkloadProfile, spec: AcceleratorSpec) -> tuple:
+    """``profile``'s :func:`_row` terms on ``spec`` as a (fields, phases)
+    matrix, and its :func:`_deploy_row`, taken once per (profile, spec).
+
+    They are kept in ``profile.cost_terms`` under ``id(spec)``.  An entry
+    holds its spec and counts only for that very object, so a reused id
+    or a copied profile's entries are taken again.
+    """
+    terms = profile.cost_terms.get(id(spec))
+    if terms is None or terms[2] is not spec:
+        rows = [_row(spec.is_gpu, phase, profile, spec) for phase in profile.phases]
+        terms = (_matrix(rows), _deploy_row(spec, profile), spec)
+        profile.cost_terms[id(spec)] = terms
+    return terms
+
+
 def _evaluate_kind(gpu: bool, rows: Sequence[Deployment]) -> list[SimulationResult]:
     """One pass over every phase of deployments that share an M1 kind."""
     configs = [clamp_config(config, spec) for _, spec, config in rows]
-    lengths = [len(profile.phases) for profile, _, _ in rows]
-    # Rows are phase-major: row r is phase p of deployment d.
-    depth = max(lengths)
-    index = [(p, d) for p in range(depth) for d, n in enumerate(lengths) if n > p]
-    phase_of, deployment_of = np.array(index).T
-    statics = [_row(gpu, rows[d][0].phases[p], *rows[d][:2]) for p, d in index]
-    deploy = _matrix([_deploy_row(spec, profile) for profile, spec, _ in rows])
+    kept = [_profile_terms(profile, spec) for profile, spec, _ in rows]
+    lengths = np.array([len(profile.phases) for profile, _, _ in rows])
+    # Rows are deployment-major: each deployment's phases, in phase order.
+    deployment_of = np.repeat(np.arange(len(rows)), lengths)
+    first_row = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    phase_of = np.arange(len(deployment_of)) - first_row
+    deploy = _matrix([deploy_row for _, deploy_row, _ in kept])
     terms = _matrix([_config_row(row[1], c) for row, c in zip(rows, configs)])
     # Missing phases stay exact zeros in the (6, phases, deployments) grid.
-    grid = np.zeros((6, depth, len(rows)))
+    grid = np.zeros((6, lengths.max(), len(rows)))
     grid[:, phase_of, deployment_of] = np.stack(
         _pass(
             gpu,
-            _Rows(*_matrix(statics)),
+            _Rows(*np.concatenate([phase_rows for phase_rows, _, _ in kept], axis=1)),
             _Deploy(*deploy[:, deployment_of]),
             _Config(*terms[:, deployment_of]),
         )

@@ -286,7 +286,10 @@ class HeteroMap:
         ) as span:
             decision = self.decisions.decide(workload)
             result = self.engine.backend.execute(
-                workload, decision.spec, decision.config
+                workload,
+                decision.spec,
+                decision.config,
+                estimate=decision.chosen.result,
             )
             span.set(chosen=decision.spec.name)
             # Unconditional: with obs off this only feeds the online

@@ -507,8 +507,10 @@ class DriftInjectedBackend:
         workload: Workload,
         spec: AcceleratorSpec,
         config: MachineConfig,
+        *,
+        estimate: SimulationResult | None = None,
     ) -> SimulationResult:
-        result = self.inner.execute(workload, spec, config)
+        result = self.inner.execute(workload, spec, config, estimate=estimate)
         self.executions += 1
         if self.executions <= self.start_after or self.factor == 1.0:
             return result

@@ -35,6 +35,7 @@ __all__ = [
     "as_workload",
     "prepare_workload",
     "prepare_workloads",
+    "record_run",
     "run_workload",
     "trace_cache_key",
 ]
@@ -152,7 +153,12 @@ def run_workload(
     workload: Workload, spec: AcceleratorSpec, config: MachineConfig
 ) -> SimulationResult:
     """Deploy a prepared workload on one accelerator configuration."""
-    result = simulate(workload.profile, spec, config)
+    return record_run(spec, simulate(workload.profile, spec, config))
+
+
+def record_run(spec: AcceleratorSpec, result: SimulationResult) -> SimulationResult:
+    """Count one executed deployment on ``spec`` (``deploy.runs`` and
+    ``deploy.simulated_time_ms`` under ``REPRO_OBS``) and return its result."""
     if obs.enabled():
         obs.counter("deploy.runs", accelerator=spec.name)
         obs.histogram("deploy.simulated_time_ms", result.time_ms)

@@ -5,7 +5,7 @@ a stable dataclass contract (``Workload → Decision → Placement →
 Outcome``, :mod:`repro.runtime.engine.contracts`):
 
 * **decision** (:class:`DecisionService`) — cached batched prediction,
-  costed on *both* accelerators;
+  costed on every fleet device;
 * **placement** (:class:`Scheduler`) — ``solo`` / ``load-aware`` /
   ``makespan`` policies over per-device clocks;
 * **execution** (:class:`ExecutionBackend`) — pluggable deployment of

@@ -75,8 +75,9 @@ _CANONICAL_DECIMALS = 9
 
 
 #: Rows of one accelerator kind from which one array pass costs no more
-#: than a loop of scalar :func:`simulate` calls (DESIGN §5 has the timings).
-ARRAY_PASS_MIN_ROWS = 16
+#: than a loop of scalar :func:`simulate` calls, for profiles the pass has
+#: costed before on the same devices (DESIGN §5 has the timings).
+ARRAY_PASS_MIN_ROWS = 8
 
 
 def estimate_rows(rows: Sequence[Deployment]) -> list[SimulationResult]:

@@ -110,7 +110,10 @@ class Engine:
         deployed = placement.deployed
         if not obs.enabled():
             result = self.backend.execute(
-                placement.decision.workload, deployed.spec, deployed.config
+                placement.decision.workload,
+                deployed.spec,
+                deployed.config,
+                estimate=deployed.result,
             )
             # audit() is a cheap no-op without obs *or* adapter, and the
             # attached online adapter must observe every outcome.
@@ -135,7 +138,10 @@ class Engine:
                 backend=self.backend.name,
             ):
                 result = self.backend.execute(
-                    placement.decision.workload, deployed.spec, deployed.config
+                    placement.decision.workload,
+                    deployed.spec,
+                    deployed.config,
+                    estimate=deployed.result,
                 )
             self.decisions.audit(
                 placement.decision, deployed.spec, deployed.config, result
@@ -150,10 +156,15 @@ class Engine:
         overhead_ms: float,
     ) -> FleetReport:
         makespan = max((p.finish_ms for p in placements), default=0.0)
+        # Times add with += in placement order, as the scheduler's clocks
+        # do: Python 3.12's float sum() is compensated and would round
+        # differently (solo's makespan could then exceed its serial sum).
         devices = []
         for spec in self.scheduler.fleet.devices:
             mine = [p for p in placements if p.deployed.spec.name == spec.name]
-            busy = sum(p.deployed.time_ms for p in mine)
+            busy = 0.0
+            for placement in mine:
+                busy += placement.deployed.time_ms
             devices.append(
                 DeviceReport(
                     accelerator=spec.name,
@@ -163,7 +174,9 @@ class Engine:
                     utilization=busy / makespan if makespan > 0 else 0.0,
                 )
             )
-        serial = sum(p.decision.chosen.time_ms for p in placements)
+        serial = 0.0
+        for placement in placements:
+            serial += placement.decision.chosen.time_ms
         return FleetReport(
             policy=policy,
             backend=self.backend.name,

@@ -1,15 +1,19 @@
 """Execution layer: placements in, simulated results out.
 
 :class:`ExecutionBackend` is the protocol the engine drains device
-queues through; anything with an ``execute(workload, spec, config)``
-returning a :class:`~repro.accel.simulator.SimulationResult` plugs in
-(tests inject fakes to count calls or forge times).
+queues through; anything with an ``execute(workload, spec, config, *,
+estimate=None)`` returning a
+:class:`~repro.accel.simulator.SimulationResult` plugs in (tests inject
+fakes to count calls or forge times).  ``estimate`` is the decision
+layer's cost-model result for the placed deployment, which equals
+:func:`~repro.accel.simulator.simulate` on it exactly; the engine passes
+it so a simulating backend need not cost the deployment a second time.
 
 Two built-ins:
 
-* :class:`SimulatedBackend` — the default: delegates straight to
-  :func:`repro.runtime.deploy.run_workload`, i.e. the paper's cost-model
-  simulation of the deployment.
+* :class:`SimulatedBackend` — the default: the paper's cost-model
+  simulation of the deployment, which is the estimate when one is given
+  and :func:`repro.runtime.deploy.run_workload` otherwise.
 * :class:`StreamingBackend` — the same simulation, but for kernels with
   a chunked streaming implementation it additionally runs the
   Section II spatiotemporal path on the dataset's proxy graph, so
@@ -27,7 +31,7 @@ from repro.accel.simulator import SimulationResult
 from repro.graph.datasets import load_proxy_graph
 from repro.machine.mvars import MachineConfig
 from repro.machine.specs import AcceleratorSpec
-from repro.runtime.deploy import Workload, run_workload
+from repro.runtime.deploy import Workload, record_run, run_workload
 from repro.runtime.streaming import streaming_sssp_bf
 
 __all__ = ["ExecutionBackend", "SimulatedBackend", "StreamingBackend"]
@@ -40,9 +44,19 @@ class ExecutionBackend(Protocol):
     name: str
 
     def execute(
-        self, workload: Workload, spec: AcceleratorSpec, config: MachineConfig
+        self,
+        workload: Workload,
+        spec: AcceleratorSpec,
+        config: MachineConfig,
+        *,
+        estimate: SimulationResult | None = None,
     ) -> SimulationResult:
-        """Run ``workload`` on ``spec`` under ``config``."""
+        """Run ``workload`` on ``spec`` under ``config``.
+
+        ``estimate``, when given, is the cost model's exact result for
+        this deployment: a simulating backend may return it, a backend
+        that really executes ignores it.
+        """
         ...  # pragma: no cover - protocol
 
 
@@ -52,9 +66,16 @@ class SimulatedBackend:
     name = "simulated"
 
     def execute(
-        self, workload: Workload, spec: AcceleratorSpec, config: MachineConfig
+        self,
+        workload: Workload,
+        spec: AcceleratorSpec,
+        config: MachineConfig,
+        *,
+        estimate: SimulationResult | None = None,
     ) -> SimulationResult:
-        return run_workload(workload, spec, config)
+        if estimate is None:
+            return run_workload(workload, spec, config)
+        return record_run(spec, estimate)
 
 
 class StreamingBackend(SimulatedBackend):
@@ -80,9 +101,14 @@ class StreamingBackend(SimulatedBackend):
         self.budget_bytes = int(budget_bytes)
 
     def execute(
-        self, workload: Workload, spec: AcceleratorSpec, config: MachineConfig
+        self,
+        workload: Workload,
+        spec: AcceleratorSpec,
+        config: MachineConfig,
+        *,
+        estimate: SimulationResult | None = None,
     ) -> SimulationResult:
-        result = super().execute(workload, spec, config)
+        result = super().execute(workload, spec, config, estimate=estimate)
         if workload.benchmark in self.STREAMING_KERNELS:
             graph = load_proxy_graph(workload.dataset)
             streamed = streaming_sssp_bf(graph, self.budget_bytes)

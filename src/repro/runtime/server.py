@@ -689,6 +689,7 @@ class DecisionServer(AdmissionWindow):
                             placement.decision.workload,
                             deployed.spec,
                             deployed.config,
+                            estimate=deployed.result,
                         )
                     self.decisions.audit(
                         placement.decision, deployed.spec, deployed.config, result
@@ -698,6 +699,7 @@ class DecisionServer(AdmissionWindow):
                         placement.decision.workload,
                         deployed.spec,
                         deployed.config,
+                        estimate=deployed.result,
                     )
                     # Without obs, audit() only feeds the online adapter
                     # (when one is attached) and returns.

@@ -14,6 +14,7 @@ ratio implied by the diameter (see DESIGN.md, substitutions table).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import SimulationError
 from repro.features.bvars import BVariables
@@ -129,6 +130,16 @@ class WorkloadProfile:
             raise SimulationError("a workload needs at least one phase")
         if self.footprint_bytes < 0:
             raise SimulationError("footprint must be non-negative")
+
+    @cached_property
+    def cost_terms(self) -> dict:
+        """Cost-model terms of this profile per accelerator spec, filled
+        and read by :mod:`repro.accel.batch`'s fleet pass.
+
+        A cached attribute, not a field, so ``==``, ``hash``, ``repr`` and
+        :func:`dataclasses.replace` see only the dataclass fields.
+        """
+        return {}
 
     @property
     def total_edges(self) -> float:

@@ -10,6 +10,7 @@ the scalar loop and the array pass, and the ceiling rule's no-copy path.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -118,6 +119,35 @@ def test_phase_counts_fold_through_padding():
     _assert_rows_exact(rows)
 
 
+def test_kept_terms_follow_the_spec_object():
+    """The pass keeps a profile's phase terms per spec object in
+    ``profile.cost_terms``; another spec of the same name, a copied
+    profile and an entry under a reused id are all costed afresh, and
+    the kept terms never show in the profile's ``==``, ``hash`` or
+    ``repr``."""
+    rng = np.random.default_rng(29)
+    profile = make_profile()
+    before = (hash(profile), repr(profile))
+    spec = get_accelerator("xeonphi7120p")
+    bigger = replace(spec, cache_mb=spec.cache_mb * 8)
+    config = _continuous_config(spec, rng)
+    assert simulate(profile, bigger, config) != simulate(profile, spec, config)
+
+    _assert_rows_exact([(profile, spec, config)])
+    _assert_rows_exact([(profile, spec, config), (profile, bigger, config)])
+    twin = copy.deepcopy(profile)
+    _assert_rows_exact([(twin, spec, config), (twin, bigger, config)])
+    # An entry left under an id that now names another spec object.
+    stale = replace(profile)
+    _assert_rows_exact([(stale, bigger, config)])
+    stale.cost_terms[id(spec)] = stale.cost_terms.pop(id(bigger))
+    _assert_rows_exact([(stale, spec, config)])
+
+    assert (hash(profile), repr(profile)) == before
+    assert profile == twin == stale
+    assert not replace(profile).cost_terms
+
+
 @pytest.mark.parametrize(
     "items,total_bytes", [(0.0, 1e7), (1e5, 0.0), (0.0, 0.0)]
 )
@@ -129,6 +159,61 @@ def test_zero_item_and_zero_byte_phases(items, total_bytes):
         for spec in FLEET8
         for _ in range(3)
     ]
+    _assert_rows_exact(rows)
+
+
+def _coherent_profile(rng, spec) -> WorkloadProfile:
+    """Every term of a coherent cache's hit ratio live on ``spec``: rw-shared
+    bytes, per-iteration state near the cache size (so only part of it is
+    resident), and read-only data each pass scans again.  The footprint
+    is several caches, which keeps the hit ratio under its 0.97 cap."""
+    cache = spec.cache_bytes
+    iterations = int(rng.integers(1, 20))
+    footprint = cache * rng.uniform(4.0, 40.0)
+    items = cache / 24.0 * rng.uniform(0.5, 4.0) * iterations
+    total = footprint * rng.uniform(1.2, 8.0) * iterations
+    seq, rand = rng.uniform(0.1, 0.5), rng.uniform(0.1, 0.4)
+    phases = tuple(
+        PhaseProfile(
+            kind=kind,
+            items=items,
+            edges=items * rng.uniform(1.0, 30.0),
+            max_parallelism=items / iterations,
+            work_skew=rng.uniform(0.0, 1.0),
+            int_ops=items * rng.uniform(5.0, 50.0),
+            fp_ops=items * rng.uniform(0.0, 5.0),
+            seq_bytes=total * seq,
+            rand_bytes=total * rand,
+            indirect_bytes=total * (1.0 - seq - rand),
+            shared_ro_bytes=total * rng.uniform(0.05, 0.6),
+            shared_rw_bytes=total * rng.uniform(0.05, 0.6),
+            local_bytes=0.0,
+            atomics=items * rng.uniform(0.0, 0.3),
+            barriers=float(iterations),
+        )
+        for kind in (PhaseKind.PARETO, PhaseKind.PUSH_POP)
+    )
+    return WorkloadProfile(
+        benchmark="coherent",
+        graph_name="coherent",
+        phases=phases,
+        num_iterations=iterations,
+        footprint_bytes=footprint,
+        contention=rng.uniform(0.0, 0.5),
+    )
+
+
+def test_coherent_cache_terms():
+    """Coherent multicore rows whose cache hit sums every coherent term
+    below its cap, so a regrouped product in that sum shows."""
+    rng = np.random.default_rng(23)
+    coherent = [spec for spec in FLEET8 if spec.coherent and not spec.is_gpu]
+    assert coherent
+    rows = []
+    for spec in coherent:
+        for _ in range(250):
+            profile = _coherent_profile(rng, spec)
+            rows.append((profile, spec, _continuous_config(spec, rng)))
     _assert_rows_exact(rows)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core.heteromap import HeteroMap
 from repro.machine.fleet import synthetic_fleet
 from repro.obs.config import ObsConfig
 from repro.runtime.deploy import prepare_workload, run_workload
+from repro.runtime.engine import Engine, Scheduler, SimulatedBackend
 
 #: Frontier, relaxation and all-vertex kernels over small and mid
 #: datasets, each twice, so an N-device fleet has real queues to balance.
@@ -22,6 +24,40 @@ FLEET_BATCH = (
     ("pagerank", "cage14"),
     ("sssp_delta", "usa-cal"),
 ) * 2
+
+
+def _fold(times) -> float:
+    """Times added with += from 0.0, as the scheduler's clocks add them."""
+    total = 0.0
+    for time_ms in times:
+        total += time_ms
+    return total
+
+
+def _with_time(estimate, time_ms: float):
+    """``estimate`` with its result's completion time forged to ``time_ms``."""
+    result = estimate.result
+    cost = replace(result.cost, time_s=time_ms / 1e3)
+    assert replace(result, cost=cost).time_ms == time_ms
+    return replace(estimate, result=replace(result, cost=cost))
+
+
+class _ForgedDecisions:
+    """A decision layer that returns prepared decisions."""
+
+    def __init__(self, service, decisions) -> None:
+        self.service = service
+        self.decisions = decisions
+
+    def require_trained(self) -> float:
+        return self.service.require_trained()
+
+    def decide_batch(self, workloads):
+        assert [d.workload for d in self.decisions] == list(workloads)
+        return self.decisions
+
+    def audit(self, *args) -> None:
+        pass
 
 
 class TestSoloBitIdentity:
@@ -58,11 +94,9 @@ class TestFleetReport:
         assert report.policy == "load-aware"
         assert report.backend == "simulated"
         assert len(report.outcomes) == len(batch)
-        assert report.makespan_ms == pytest.approx(
-            max(p.finish_ms for p in report.placements)
-        )
-        assert report.serial_ms == pytest.approx(
-            sum(p.decision.chosen.time_ms for p in report.placements)
+        assert report.makespan_ms == max(p.finish_ms for p in report.placements)
+        assert report.serial_ms == _fold(
+            p.decision.chosen.time_ms for p in report.placements
         )
         assert report.total_overhead_ms == pytest.approx(
             trained.overhead_ms * len(batch)
@@ -78,12 +112,8 @@ class TestFleetReport:
                 if p.deployed.spec.name == device.accelerator
             ]
             assert device.items == len(mine)
-            assert device.busy_ms == pytest.approx(
-                sum(p.deployed.time_ms for p in mine)
-            )
-            assert device.idle_ms == pytest.approx(
-                report.makespan_ms - device.busy_ms
-            )
+            assert device.busy_ms == _fold(p.deployed.time_ms for p in mine)
+            assert device.idle_ms == report.makespan_ms - device.busy_ms
             assert 0.0 <= device.utilization <= 1.0 + 1e-9
         assert report.device(trained.gpu.name).accelerator == trained.gpu.name
         with pytest.raises(KeyError):
@@ -91,8 +121,31 @@ class TestFleetReport:
 
     def test_solo_report_serial_equals_makespan(self, trained, batch):
         report = trained.run_fleet(batch, policy="solo")
-        assert report.makespan_ms == pytest.approx(report.serial_ms)
-        assert report.speedup == pytest.approx(1.0)
+        assert report.makespan_ms == report.serial_ms
+        assert report.speedup == 1.0
+
+    def test_serial_sum_folds_like_the_clocks(self, trained, batch):
+        """Times on which a left fold and an exact (or compensated) sum
+        differ: 1e16 + 1.0 rounds back to 1e16.  ``serial_ms`` and
+        ``busy_ms`` add in placement order like the scheduler's clocks, so
+        solo's makespan is still its serial sum, bit for bit."""
+        decisions = trained.decisions.decide_batch(batch[:3])
+        # All three on the first device, so its busy time folds them too.
+        forged = [
+            replace(
+                decision,
+                estimates=tuple(_with_time(e, time_ms) for e in decision.estimates),
+                chosen_index=0,
+                runner_up_index=1,
+            )
+            for decision, time_ms in zip(decisions, (1e16, 1.0, 1.0))
+        ]
+        service = _ForgedDecisions(trained.decisions, forged)
+        engine = Engine(service, Scheduler(trained.fleet), SimulatedBackend())
+        report = engine.run_fleet(batch[:3], policy="solo")
+        assert report.makespan_ms == report.serial_ms == 1e16
+        assert report.speedup == 1.0
+        assert [device.busy_ms for device in report.devices] == [1e16, 0.0]
 
     def test_outcomes_in_input_order(self, trained, batch):
         report = trained.run_fleet(batch, policy="makespan")
@@ -137,9 +190,10 @@ class TestLoadAwareBeatsSolo:
 
     def test_mixed_batch_never_worse(self, trained, batch):
         solo = trained.run_fleet(batch, policy="solo")
-        for policy in ("load-aware", "makespan"):
-            fleet = trained.run_fleet(batch, policy=policy)
-            assert fleet.makespan_ms <= solo.makespan_ms + 1e-9
+        load_aware = trained.run_fleet(batch, policy="load-aware")
+        assert load_aware.makespan_ms <= solo.makespan_ms
+        lpt = trained.run_fleet(batch, policy="makespan")
+        assert lpt.makespan_ms <= solo.makespan_ms + 1e-9
 
     @pytest.mark.parametrize("size", [2, 4, 8])
     def test_synthetic_fleet_mixed_batch_never_worse(self, size):

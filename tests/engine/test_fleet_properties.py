@@ -101,19 +101,33 @@ class TestPairBitIdentity:
         assert all(cost > 0.0 for cost in decision.costs_ms)
 
 
+def _assert_within_serial(report) -> None:
+    """makespan <= serial sum, exactly where the policy places in the order
+    the serial sum adds: solo's makespan *is* that sum, and each greedy
+    load-aware finish is at most the chosen device's, which rounding keeps
+    (it is monotonic).  LPT places in another order, so it keeps a
+    tolerance."""
+    if report.policy == "makespan":
+        assert report.makespan_ms <= report.serial_ms * (1 + 1e-12)
+        assert report.speedup >= 1.0 - 1e-12
+        return
+    assert report.makespan_ms <= report.serial_ms
+    assert report.speedup >= 1.0
+    if report.policy == "solo":
+        assert report.makespan_ms == report.serial_ms
+        assert report.speedup == 1.0
+
+
 class TestMakespanBound:
     """makespan <= serial sum of chosen-device times, every policy."""
 
     @pytest.mark.parametrize("policy", ["solo", "load-aware", "makespan"])
     def test_pair_fleet(self, trained, batch, policy):
-        report = trained.run_fleet(batch, policy=policy)
-        assert report.makespan_ms <= report.serial_ms * (1 + 1e-12)
-        assert report.speedup >= 1.0 - 1e-12
+        _assert_within_serial(trained.run_fleet(batch, policy=policy))
 
     @pytest.mark.parametrize("policy", ["solo", "load-aware", "makespan"])
     def test_four_device_fleet(self, fleet4, batch, policy):
-        report = fleet4.run_fleet(batch, policy=policy)
-        assert report.makespan_ms <= report.serial_ms * (1 + 1e-12)
+        _assert_within_serial(fleet4.run_fleet(batch, policy=policy))
 
 
 class TestPermutationInvariance:
@@ -195,7 +209,7 @@ class TestFleetEndToEnd:
         report = fleet4.run_fleet(list(batch) * 4, policy="load-aware")
         used = [d for d in report.devices if d.items > 0]
         assert len(used) >= 2
-        assert report.speedup >= 1.0 - 1e-12
+        assert report.speedup >= 1.0
 
     def test_overrides_recorded_when_scheduler_disagrees(self, fleet4, batch):
         report = fleet4.run_fleet(list(batch) * 4, policy="load-aware")
