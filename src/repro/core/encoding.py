@@ -64,7 +64,8 @@ def _trusted_config(**updates: object) -> MachineConfig:
 
     ``__init__`` + ``__post_init__`` dominate the per-row cost of batched
     decoding, yet every knob here is already clamped into its valid range
-    by the vectorized arithmetic — the checks can never fire.  The result
+    by the vectorized arithmetic (NaN, which clamping passes through, is
+    rejected up front) — the checks can never fire.  The result
     is field-identical (``==`` and ``hash``) to a normally constructed
     instance.  Only for decoder-internal use; anything building configs
     from unchecked values must go through ``MachineConfig(...)``.
@@ -155,41 +156,27 @@ def decode_config_batch(
     gpu: AcceleratorSpec,
     multicore: AcceleratorSpec,
 ) -> list[tuple[AcceleratorSpec, MachineConfig]]:
-    """Decode an ``(n, NUM_TARGETS)`` prediction matrix in one pass.
+    """Decode an ``(n, NUM_TARGETS)`` prediction matrix, each row onto
+    the device its M1 bit names.
 
-    The knob arithmetic (rounding, log ramps, ceiling clamps) runs
-    vectorized over the whole matrix; only the final
-    :class:`MachineConfig` construction is per-row.  Row ``i`` of the
+    Each kind's rows take one :func:`decode_config_for` pass (on the
+    matrix validated once) and go back in row order, so each row is
+    decoded once, onto its own kind only.  Row ``i`` of the
     result equals ``decode_config(vectors[i], gpu, multicore)`` — the
     equivalence is pinned by tests, because the exactness of the serving
     cache depends on it.
     """
     vectors = _validated_matrix(vectors)
-    if vectors.shape[0] == 0:
-        return []
-    multicore_rows = (vectors[:, 0] >= 0.5).tolist()
-    mc = _multicore_knob_lists(vectors, multicore)
-    gp = _gpu_knob_lists(vectors, gpu)
-
-    # Per-row fan-out.  Knobs are snapped to a discrete lattice, so many
-    # rows decode to the same configuration; MachineConfig is frozen, so
-    # duplicate rows can share one instance — construction (the dominant
-    # per-row cost) runs once per *unique* decoded config.
-    memo: dict[tuple, tuple[AcceleratorSpec, MachineConfig]] = {}
-    decoded: list[tuple[AcceleratorSpec, MachineConfig]] = []
-    for row in range(vectors.shape[0]):
-        if multicore_rows[row]:
-            key = _multicore_key(mc, row)
-        else:
-            key = _gpu_key(gp, row)
-        entry = memo.get(key)
-        if entry is None:
-            if key[0]:
-                entry = (multicore, _multicore_config(multicore, mc, row))
-            else:
-                entry = (gpu, _gpu_config(gpu, gp, row))
-            memo[key] = entry
-        decoded.append(entry)
+    on_multicore = vectors[:, 0] >= 0.5
+    decoded: list = [None] * vectors.shape[0]
+    for spec, rows in ((gpu, ~on_multicore), (multicore, on_multicore)):
+        if rows.all():  # one kind, as every one-row request is
+            return [(spec, config) for config in _decode_onto(vectors, spec)]
+        index = np.flatnonzero(rows)
+        if index.size:
+            configs = _decode_onto(vectors[index], spec)
+            for row, config in zip(index.tolist(), configs):
+                decoded[row] = (spec, config)
     return decoded
 
 
@@ -200,16 +187,27 @@ def decode_config_for(
 
     The fleet generalization of :func:`decode_config_batch`: the M1
     accelerator bit is *ignored* and every row's knobs are decoded onto
-    ``spec`` using its own architectural parameters.  For the device the
-    M1 bit names this is bit-identical to :func:`decode_config_batch`;
-    for a device of the opposite kind it is bit-identical to re-decoding
-    the vector with the M1 bit flipped (the pre-fleet runner-up path) —
-    both pinned by the fleet property tests, because the N=2 fleet must
-    reproduce the historical pair decisions exactly.
+    ``spec`` using its own architectural parameters.  The knob arithmetic
+    (rounding, log ramps, ceiling clamps) runs vectorized over the whole
+    matrix and is elementwise, so a row decodes the same alone or inside
+    any matrix; only the final :class:`MachineConfig` construction is
+    per-row.  For a device of the opposite kind to the M1 bit this is
+    bit-identical to re-decoding the vector with the bit flipped (the
+    pre-fleet runner-up path) — pinned by the fleet property tests,
+    because the N=2 fleet must reproduce the historical pair decisions
+    exactly.
     """
-    vectors = _validated_matrix(vectors)
-    if vectors.shape[0] == 0:
-        return []
+    return _decode_onto(_validated_matrix(vectors), spec)
+
+
+def _decode_onto(
+    vectors: np.ndarray, spec: AcceleratorSpec
+) -> list[MachineConfig]:
+    """:func:`decode_config_for` on an already validated matrix."""
+    # Knobs are snapped to a discrete lattice, so many rows decode to the
+    # same configuration; MachineConfig is frozen, so duplicate rows can
+    # share one instance — construction (the dominant per-row cost) runs
+    # once per *unique* decoded config.
     memo: dict[tuple, MachineConfig] = {}
     configs: list[MachineConfig] = []
     if spec.is_gpu:
@@ -234,14 +232,20 @@ def decode_config_for(
 
 
 def _validated_matrix(vectors: np.ndarray) -> np.ndarray:
-    """Clip and shape-check a prediction matrix."""
-    vectors = np.clip(np.asarray(vectors, dtype=np.float64), 0.0, 1.0)
+    """Shape-check, NaN-check and clip a prediction matrix.
+
+    Clipping maps ±inf into range but passes NaN through, and a NaN knob
+    would decode to an integer field of ``-2**63``.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != NUM_TARGETS:
         raise ValueError(
             f"expected an (n, {NUM_TARGETS}) prediction matrix, got "
             f"{vectors.shape}"
         )
-    return vectors
+    if np.isnan(vectors).any():
+        raise ValueError("prediction matrix holds NaN entries")
+    return np.clip(vectors, 0.0, 1.0)
 
 
 def _multicore_knob_lists(
@@ -307,7 +311,6 @@ def _gpu_knob_lists(
 def _multicore_key(mc: tuple[list, ...], row: int) -> tuple:
     cores, tpc, simd, blocktime, chunk, schedules, placement, affinity = mc
     return (
-        True,
         cores[row],
         tpc[row],
         simd[row],
@@ -321,7 +324,7 @@ def _multicore_key(mc: tuple[list, ...], row: int) -> tuple:
 
 def _gpu_key(gp: tuple[list, list], row: int) -> tuple:
     gthreads, lthreads = gp
-    return (False, gthreads[row], lthreads[row])
+    return gthreads[row], lthreads[row]
 
 
 def _multicore_config(

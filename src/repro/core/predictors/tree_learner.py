@@ -11,9 +11,11 @@ Each node's split is chosen in two steps: :func:`screen_splits` scores
 every (feature, threshold) candidate at once from prefix sums and keeps
 the few within a rounding bound of the best, then
 :func:`best_split` scores those exactly, in the same order and with the
-same expression as a per-candidate loop over all of them.  Trees are
-therefore bit-identical to that loop (kept as the test reference in
-:mod:`repro.validation.cart`).
+same expression as a per-candidate loop over all of them.  A pure node
+and a shortlist of one candidate that clears the node's own score by the
+rounding margin skip the exact step, with the answer it would give.
+Trees are therefore bit-identical to that loop (kept as the test
+reference in :mod:`repro.validation.cart`).
 """
 
 from __future__ import annotations
@@ -81,7 +83,34 @@ def screen_splits(
     the screened minimum ``s``, so keeping every candidate within ``2E``
     of the screened minimum keeps ``w``, and :func:`best_split`'s exact
     pass over the shortlist picks what a pass over every candidate picks.
+    The screen keeps a window ``bound = 8E`` (``_BOUND_SAFETY`` times
+    ``2E``).
+
+    Two searches need no exact pass.  Let ``floor`` be ``parent -
+    1e-12`` computed as :func:`best_split` computes it, so both compare
+    against the same float: a candidate wins only if its exact score is
+    below ``floor``.
+
+    * Pure node, ``floor <= 0``: no candidate wins, because an exact
+      score adds two variances times row counts, none of them negative.
+    * Certified single candidate: every candidate tied at the exact
+      minimum screens within ``2E`` of ``s``, so a lone kept candidate
+      ``c`` is the only exact minimum, and it wins iff ``exact(c) <
+      floor``.  If the float sum ``screen(c) + 2 bound`` is below
+      ``floor``, it does: the sum is ``screen(c) + 16E`` to within ``u
+      (|screen(c)| + 16E)``, which is below ``E`` since ``|screen(c)| <=
+      Y + E``, so ``exact(c) <= screen(c) + E < sum < floor``.  The
+      margin ``2 bound`` carries the keep window's safety factor over
+      ``E``.
     """
+    return _screen(features, targets, min_samples)[0]
+
+
+def _screen(
+    features: np.ndarray, targets: np.ndarray, min_samples: int
+) -> tuple[list[tuple[int, float]], np.ndarray, float]:
+    """:func:`screen_splits`' shortlist, the kept candidates' screened
+    scores and the keep window ``bound``."""
     rows, outputs = targets.shape
     order = np.argsort(features, axis=0)
     values = np.take_along_axis(features, order, axis=0)
@@ -101,7 +130,7 @@ def screen_splits(
     valid = (n_left >= min_samples) & (rows - n_left >= min_samples)
     feature, thresholds, n_left = feature[valid], thresholds[valid], n_left[valid]
     if not feature.size:
-        return []
+        return [], np.empty(0), 0.0
     norms = (targets * targets).sum(axis=1)
     sums = targets[order]  # summed in place: the node's largest array
     np.cumsum(sums, axis=0, out=sums)
@@ -118,7 +147,8 @@ def screen_splits(
         _BOUND_SAFETY * 14.0 * (rows + outputs + 3) * _UNIT_ROUNDOFF * norms.sum()
     )
     keep = np.flatnonzero(screened <= screened.min() + bound)
-    return [(int(feature[c]), float(thresholds[c])) for c in keep]
+    shortlist = [(int(feature[c]), float(thresholds[c])) for c in keep]
+    return shortlist, screened[keep], bound
 
 
 def best_split(
@@ -216,10 +246,19 @@ class CartPredictor(LearnedPredictor):
     def _split(
         self, features: np.ndarray, targets: np.ndarray
     ) -> tuple[int, float] | None:
-        """This node's split: the exact best of the screened shortlist."""
-        return best_split(
-            features, targets, screen_splits(features, targets, self.min_samples)
-        )
+        """This node's split: the exact best of the screened shortlist.
+
+        A pure node and a certified single candidate return early with
+        the answer :func:`best_split` would give (:func:`screen_splits`
+        has the argument).
+        """
+        floor = targets.var(axis=0).sum() * features.shape[0] - 1e-12
+        if floor <= 0.0:
+            return None
+        shortlist, scores, bound = _screen(features, targets, self.min_samples)
+        if len(shortlist) == 1 and scores[0] + 2.0 * bound < floor:
+            return shortlist[0]
+        return best_split(features, targets, shortlist)
 
     @staticmethod
     def _leaf(targets: np.ndarray) -> _Node:

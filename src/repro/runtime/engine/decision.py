@@ -440,25 +440,34 @@ class DecisionService:
     ) -> dict[int, tuple[MachineConfig, ...]]:
         """Per-device configs for each unique entry's predicted vector.
 
-        One :func:`decode_config_for` pass per device over the unique
-        vectors (cache hits and in-batch duplicates share rows), keyed by
+        An entry already holds its vector decoded onto the device its
+        spec names (:func:`decode_config_batch` decodes each row there
+        with :func:`decode_config_for`), so each other device gets one
+        :func:`decode_config_for` pass over the unique vectors not already
+        its own (cache hits and in-batch duplicates share rows).  Keyed by
         entry identity.
         """
-        unique_rows: dict[int, int] = {}
-        vectors: list[np.ndarray] = []
-        for entry in entries:
-            if id(entry) not in unique_rows:
-                unique_rows[id(entry)] = len(vectors)
-                vectors.append(entry.vector)
-        if not vectors:
+        unique = list({id(entry): entry for entry in entries}.values())
+        if not unique:
             return {}
-        matrix = np.stack(vectors)
-        per_device = [
-            decode_config_for(matrix, spec) for spec in self.fleet.devices
-        ]
+        matrix = np.stack([entry.vector for entry in unique])
+        per_device = []
+        for spec in self.fleet.devices:
+            configs = [entry.config for entry in unique]
+            others = [
+                row
+                for row, entry in enumerate(unique)
+                if entry.spec.name != spec.name
+            ]
+            if others:
+                for row, config in zip(
+                    others, decode_config_for(matrix[others], spec)
+                ):
+                    configs[row] = config
+            per_device.append(configs)
         return {
-            entry_id: tuple(configs[row] for configs in per_device)
-            for entry_id, row in unique_rows.items()
+            id(entry): tuple(configs[row] for configs in per_device)
+            for row, entry in enumerate(unique)
         }
 
     def _estimate(

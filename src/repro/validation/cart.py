@@ -16,7 +16,12 @@ Matrices mix 0.1-step columns (as the encoder emits), continuous ones and
 half-thousandth ones, plus duplicated and mirrored (``x`` and ``1 - x``)
 columns: a mirrored column splits the same rows, summed in the
 opposite order, so only a sound rounding bound keeps the earlier feature
-winning that tie.  Violations raise :class:`OracleMismatchError`,
+winning that tie.  Targets are uniform, 0/1 bits, offset by 1e4, or a
+palette: each row takes one of 1–4 target rows on the 0.1 grid, as the
+training database's oracle configs repeat.  Palettes give pure nodes
+whose parent score is a rounding residue just above zero, and splits
+whose sides have equal means, the cases the split search's two early
+exits decide.  Violations raise :class:`OracleMismatchError`,
 replayable via the standard ``REPRO_FUZZ_SEED`` one-liner.
 """
 
@@ -171,13 +176,16 @@ def random_cart_matrices(
     features = np.column_stack([columns[int(i)] for i in order])
 
     outputs = int(rng.integers(1, NUM_TARGETS + 1))
-    shape = int(rng.integers(0, 3))
+    shape = int(rng.integers(0, 4))
     if shape == 0:
         targets = rng.random((rows, outputs))
     elif shape == 1:
         targets = rng.integers(0, 2, size=(rows, outputs)).astype(np.float64)
-    else:
+    elif shape == 2:
         targets = 1e4 + rng.random((rows, outputs)) * 1e-3
+    else:
+        palette = rng.integers(0, 11, size=(int(rng.integers(1, 5)), outputs)) / 10.0
+        targets = palette[rng.integers(0, len(palette), size=rows)]
     if rng.random() < 0.3:
         block = int(rng.integers(1, rows + 1))
         copies = min(3, (MAX_ROWS - rows) // block)
@@ -191,7 +199,7 @@ def random_cart_matrices(
     description = (
         f"{features.shape[0]}x{features.shape[1]} ({kinds}, {mirrored} "
         f"mirrored), {outputs} outputs "
-        f"({('uniform', 'bits', 'offset 1e4')[shape]}), "
+        f"({('uniform', 'bits', 'offset 1e4', 'palette')[shape]}), "
         f"depth<={settings['max_depth']}, "
         f"min_samples={settings['min_samples']}"
     )

@@ -9,11 +9,11 @@ the seeded-replay contract of :mod:`repro.validation.fuzz`:
   ``estimate_rows`` (so both sides of its array-pass crossover), equal a
   scalar :func:`~repro.accel.simulator.simulate` loop, and
   :func:`~repro.accel.batch.fleet_argbest` picks what the loop picks;
-* **decode agreement** — :func:`repro.core.encoding.decode_config_for`
-  (decode a predicted knob vector onto *one* named device) is
-  bit-identical to the matching kind-branch of
-  :func:`~repro.core.encoding.decode_config_batch`, which is the exact
-  identity that makes the N=2 fleet reproduce the historical pair path;
+* **decode agreement** — :func:`~repro.core.encoding.decode_config_batch`,
+  which decodes each kind's rows on their own, gives every row exactly
+  what :func:`repro.core.encoding.decode_config_for` gives for it inside
+  the whole matrix, the identity that lets the decision layer reuse a
+  cached entry's config for its own device;
 * **permutation invariance** — a fleet's fingerprint and primaries never
   depend on device-list order, so neither do cache keys or decisions.
 
@@ -126,13 +126,15 @@ def check_fleet_argmin(
 
 
 def check_decode_agreement(vectors: np.ndarray, fleet: Fleet) -> None:
-    """Per-device decode must be bit-identical to the pair batch decode.
+    """Decoding a kind's rows on their own must equal decoding each row
+    inside the whole matrix.
 
-    For each row, :func:`decode_config_batch` anchored on the fleet
-    primaries picks a device by the M1 bit and decodes the knobs with
-    that device's parameters; :func:`decode_config_for` of the same
-    device must produce the *exact same* configuration (no tolerance —
-    this is the N=2 bit-identity spine).
+    :func:`decode_config_batch` anchored on the fleet primaries picks
+    each row's device by the M1 bit and decodes only that kind's rows
+    onto it; :func:`decode_config_for` of the same device over the whole
+    matrix must give each row the *exact same* configuration (no
+    tolerance — the decision layer reuses the first for the entry's own
+    device and takes the second for every other device).
 
     Raises:
         OracleMismatchError: on any row where the two decoders disagree.

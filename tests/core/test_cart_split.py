@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.heteromap import HeteroMap
 from repro.core.online import AdaptationConfig, DriftInjectedBackend
+from repro.core.predictors import tree_learner
 from repro.core.predictors.tree_learner import (
     CartPredictor,
     best_split,
@@ -185,3 +186,68 @@ class TestScreen:
         features = np.repeat(np.arange(4) / 10.0, 8).reshape(-1, 1)
         flat = np.ones((32, 2))
         assert best_split(features, flat, screen_splits(features, flat, 8)) is None
+
+
+class TestEarlyExits:
+    """A pure node and a certified single candidate skip the exact pass;
+    trees stay equal to the reference's."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_lone_candidate_without_gain_stays_a_leaf(self, offset):
+        """Both sides hold the same rows, so the one candidate's exact
+        score is the parent's: the screen cannot certify it.  At a 1e4
+        offset rounding alone screens it below ``parent - 1e-12``, so
+        only the margin keeps it uncertified."""
+        features = np.repeat([0.2, 0.7], 16).reshape(-1, 1)
+        targets = offset + np.tile([[0.3, 0.9], [0.6, 0.1]], (16, 1))
+        assert len(screen_splits(features, targets, 8)) == 1
+        screened, _ = check_cart_fit(features, targets)
+        assert screened.depth() == 0
+
+    @pytest.mark.parametrize("delta", [7e-7, 1e-6])
+    def test_near_pure_node_above_the_threshold_splits(self, delta):
+        """A parent score of a few times 1e-12 is not a pure node."""
+        features = np.repeat([0.2, 0.7], 16).reshape(-1, 1)
+        targets = np.repeat([[0.5], [0.5 + delta]], 16, axis=0)
+        assert 2e-12 < targets.var(axis=0).sum() * 32 < 1e-11
+        screened, _ = check_cart_fit(features, targets)
+        assert screened.depth() == 1
+
+    def test_refit_shape_takes_both_exits(self, monkeypatch):
+        """A base block plus a buffer block stacked four times, targets on
+        the 0.1 grid, as the online adapter refits.  Base rows take one of
+        three target rows, picked by two features, as the training
+        database's oracle configs repeat."""
+        rng = np.random.default_rng(0)
+        palette = rng.integers(0, 11, size=(3, 11)) / 10.0
+        base, buffer = grid(rng, 120, 17), grid(rng, 32, 17)
+        base_targets = palette[(base[:, 0] > 0.4) + (base[:, 1] > 0.6).astype(int)]
+        buffer_targets = rng.integers(0, 11, size=(32, 11)) / 10.0
+        features = np.vstack([base] + [buffer] * 4)
+        targets = np.vstack([base_targets] + [buffer_targets] * 4)
+
+        splits, shortlists, rescored = [], [], []
+        split, screen, best = CartPredictor._split, tree_learner._screen, best_split
+
+        def counted_split(self, *args):
+            splits.append(1)
+            return split(self, *args)
+
+        def counted_screen(*args):
+            result = screen(*args)
+            shortlists.append(len(result[0]))
+            return result
+
+        def counted_best(features, targets, candidates):
+            rescored.append(len(candidates))
+            return best(features, targets, candidates)
+
+        monkeypatch.setattr(CartPredictor, "_split", counted_split)
+        monkeypatch.setattr(tree_learner, "_screen", counted_screen)
+        monkeypatch.setattr(tree_learner, "best_split", counted_best)
+        CartPredictor().fit(features, targets)
+        monkeypatch.undo()
+        pure = len(splits) - len(shortlists)
+        certified = shortlists.count(1) - rescored.count(1)
+        assert pure > 0 and certified > 0
+        check_cart_fit(features, targets)

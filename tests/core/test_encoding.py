@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.core.encoding import (
     choice_signature,
     decode_config,
     decode_config_batch,
+    decode_config_for,
     encode_config,
     encode_features,
     encode_features_batch,
@@ -188,3 +191,32 @@ class TestBatchEncoding:
         vectors = np.tile(np.full(NUM_TARGETS, 0.4), (3, 1))
         decoded = decode_config_batch(vectors, GPU, PHI)
         assert decoded[0][1] is decoded[1][1] is decoded[2][1]
+
+
+class TestNonFiniteVectors:
+    """Clipping maps ±inf into range but passes NaN through, which would
+    decode to an integer knob of ``-2**63``; every decoder rejects NaN."""
+
+    @pytest.mark.parametrize(
+        ("accel", "knob"), [(0.2, 8), (0.2, 9), (0.8, 1), (0.8, 3), (np.nan, 1)]
+    )
+    def test_nan_knob_rejected(self, accel, knob):
+        vector = np.full(NUM_TARGETS, 0.5)
+        vector[0], vector[knob] = accel, np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            decode_config(vector, GPU, PHI)
+        matrix = np.vstack([np.full(NUM_TARGETS, 0.5), vector])
+        with pytest.raises(ValueError, match="NaN"):
+            decode_config_batch(matrix, GPU, PHI)
+        for spec in (GPU, PHI):
+            with pytest.raises(ValueError, match="NaN"):
+                decode_config_for(vector[None], spec)
+
+    @pytest.mark.parametrize("accel", [0.2, 0.8])
+    def test_infinities_decode_to_valid_configs(self, accel):
+        vector = np.where(np.arange(NUM_TARGETS) % 2, np.inf, -np.inf)
+        vector[0] = accel
+        spec, config = decode_config(vector, GPU, PHI)
+        # replace() re-runs MachineConfig's validation on every field.
+        assert dataclasses.replace(config) == config
+        assert decode_config_for(vector[None], spec) == [config]
