@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.features.bvars import BVariables
 from repro.features.ivars import IVariables
-from repro.machine.mvars import MachineConfig, OmpSchedule, clamp_config
+from repro.machine.mvars import MachineConfig, OmpSchedule
 from repro.machine.specs import AcceleratorSpec
 
 __all__ = [
@@ -102,10 +102,6 @@ def _log_frac(value: float, low: float, high: float) -> float:
     if value <= low:
         return 0.0
     return min(1.0, math.log2(value / low) / math.log2(high / low))
-
-
-def _log_unfrac(frac: float, low: float, high: float) -> float:
-    return low * (high / low) ** min(1.0, max(0.0, frac))
 
 
 def encode_config(

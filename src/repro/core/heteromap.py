@@ -19,11 +19,13 @@ prediction, costed on every fleet device), a
 :class:`~repro.runtime.engine.scheduler.Scheduler` (``solo`` /
 ``load-aware`` / ``makespan`` placement policies), and a pluggable
 :class:`~repro.runtime.engine.execution.ExecutionBackend`.
-:meth:`run_many` keeps the historical list-of-outcomes API (its default
-``solo`` policy is bit-identical to the pre-engine serial path);
-:meth:`run_fleet` returns the full
-:class:`~repro.runtime.engine.contracts.FleetReport` with per-device
-utilization and the batch makespan.
+:meth:`predict` answers from the decision layer's plan tier, so it
+names the deployment that runs.  :meth:`run_workload` (one item,
+``solo``), :meth:`run_many` (the outcomes only) and :meth:`run_fleet`
+(the full :class:`~repro.runtime.engine.contracts.FleetReport` with
+per-device utilization and the batch makespan) are all
+:meth:`~repro.runtime.engine.engine.Engine.run_fleet`, which executes,
+audits and builds every outcome.
 
 Baselines (:meth:`run_single_accelerator`, :meth:`run_ideal`) reproduce
 the GPU-only / multicore-only / manually-tuned comparisons of Section VII.
@@ -259,10 +261,16 @@ class HeteroMap:
     # -- online -----------------------------------------------------------
 
     def predict(self, workload: Workload) -> tuple[AcceleratorSpec, MachineConfig]:
-        """Predict the deployment for a prepared workload."""
-        return self.predictor.predict_config(
-            workload.bvars, workload.ivars, self.gpu, self.multicore
-        )
+        """The deployment :meth:`run_workload` would execute.
+
+        One row through the plan tier's cache and canonical decode;
+        unlike :meth:`plan_batch` it never spends exploration budget.
+
+        Raises:
+            NotTrainedError: before :meth:`train`.
+        """
+        entry = self.decisions.choose_encoded(self.decisions.encode([workload]))[0]
+        return entry.spec, entry.config
 
     def run(self, benchmark: str, dataset: str) -> RunOutcome:
         """Schedule and execute one benchmark-input combination."""
@@ -270,36 +278,13 @@ class HeteroMap:
         return self.run_workload(workload)
 
     def run_workload(self, workload: Workload) -> RunOutcome:
-        """Schedule and execute a prepared workload.
+        """Schedule and execute a prepared workload: a one-item ``solo``
+        :meth:`run_fleet`, audited like every executed placement.
 
-        With observability enabled, every call also emits a
-        :class:`repro.obs.DecisionRecord`: the (B, I) inputs, the chosen
-        deployment, its predicted time/energy/utilization, and the margin
-        over the runner-up accelerator (the decision layer's estimate of
-        the same predicted knob vector with the M1 bit flipped).
+        Raises:
+            NotTrainedError: before :meth:`train`.
         """
-        overhead_ms = self.decisions.require_trained()
-        with obs.span(
-            "heteromap.run_workload",
-            benchmark=workload.benchmark,
-            dataset=workload.dataset,
-        ) as span:
-            decision = self.decisions.decide(workload)
-            result = self.engine.backend.execute(
-                workload,
-                decision.spec,
-                decision.config,
-                estimate=decision.chosen.result,
-            )
-            span.set(chosen=decision.spec.name)
-            # Unconditional: with obs off this only feeds the online
-            # adapter (when attached), otherwise it is a cheap branch.
-            self.decisions.audit(
-                decision, decision.spec, decision.config, result
-            )
-        return RunOutcome.from_execution(
-            workload, decision.spec, decision.config, result, overhead_ms
-        )
+        return self.run_fleet([workload], policy="solo").outcomes[0]
 
     # -- batched serving ---------------------------------------------------
 
@@ -333,15 +318,7 @@ class HeteroMap:
         scheduler trade devices against each other; use
         :meth:`run_fleet` for the per-device accounting.
         """
-        workloads = prepare_workloads(items)
-        with obs.span("heteromap.run_many", batch=len(workloads)) as span:
-            report = self.engine.run_fleet(workloads, policy=policy)
-            span.set(
-                chosen=",".join(
-                    sorted({o.chosen_accelerator for o in report.outcomes})
-                )
-            )
-        return list(report.outcomes)
+        return list(self.run_fleet(items, policy=policy).outcomes)
 
     def run_fleet(
         self, items: Iterable[WorkloadLike], *, policy: str = "load-aware"

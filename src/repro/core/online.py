@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -50,11 +50,9 @@ from repro.machine.specs import AcceleratorSpec
 from repro.obs.quality import DriftDetector
 from repro.runtime.deploy import Workload
 from repro.runtime.engine.contracts import Decision
+from repro.runtime.engine.decision import DecisionService, select_chosen
 from repro.runtime.engine.execution import ExecutionBackend
 from repro.machine.mvars import MachineConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
-    from repro.runtime.engine.decision import DecisionService
 
 __all__ = [
     "AdaptationConfig",
@@ -233,7 +231,7 @@ class OnlineAdapter:
 
     def __init__(
         self,
-        service: "DecisionService",
+        service: DecisionService,
         *,
         make_candidate: Callable[[], Predictor],
         base_matrices: tuple[np.ndarray, np.ndarray] | None,
@@ -375,7 +373,14 @@ class OnlineAdapter:
             key=lambda i: (corrected[i], decision.estimates[i].spec.name),
         )
         incumbent_cost = corrected[decision.chosen_index]
-        candidate_index = self._candidate_choice(trial.candidate, decision, corrected)
+        vector = trial.candidate.predict_vector(
+            np.asarray(decision.features, dtype=np.float64)
+        )
+        candidate_index = select_chosen(
+            [e.spec for e in decision.estimates],
+            corrected,
+            prefer_multicore=float(vector[0]) >= 0.5,
+        )
         candidate_cost = corrected[candidate_index]
         trial.incumbent_regret += incumbent_cost - corrected[oracle]
         trial.candidate_regret += candidate_cost - corrected[oracle]
@@ -383,34 +388,6 @@ class OnlineAdapter:
         self.shadow_evaluations += 1
         if obs.enabled():
             obs.counter("quality.shadow_evaluations")
-
-    @staticmethod
-    def _candidate_choice(
-        candidate: Predictor, decision: Decision, corrected: list[float]
-    ) -> int:
-        """The candidate's kind-restricted argmin over corrected costs.
-
-        Mirrors the decision rule: the candidate's M1 bit picks the
-        accelerator kind, the cheapest corrected estimate within the kind
-        wins (ties by device name).  Falls back to the unrestricted
-        argmin if the fleet lacks the called kind (cannot happen for a
-        validated fleet, but keeps the scorer total).
-        """
-        vector = candidate.predict_vector(
-            np.asarray(decision.features, dtype=np.float64)
-        )
-        prefer_multicore = float(vector[0]) >= 0.5
-        candidates = [
-            index
-            for index, estimate in enumerate(decision.estimates)
-            if estimate.spec.is_gpu != prefer_multicore
-        ]
-        if not candidates:
-            candidates = list(range(len(corrected)))
-        return min(
-            candidates,
-            key=lambda i: (corrected[i], decision.estimates[i].spec.name),
-        )
 
     def _conclude_shadow(self) -> None:
         trial = self._shadow

@@ -13,12 +13,9 @@ import math
 
 import numpy as np
 
-from repro.core.decision_tree import decision_tree_predict
 from repro.core.encoding import encode_config
 from repro.core.predictors.base import Predictor, _validate_batch
 from repro.core.predictors.confidence import ConfidenceReport
-from repro.features.bvars import BVariables
-from repro.features.ivars import IVariables
 from repro.machine.mvars import MachineConfig
 from repro.machine.specs import AcceleratorSpec
 
@@ -78,8 +75,9 @@ class AnalyticalTreePredictor(Predictor):
         b = features[:, :13].copy()
         i = features[:, 13:17]
 
-        # Phase-sum repair, as in _bvars_from: normalize B1-B5 when their
-        # sum is positive, else fall back to a pure B1 phase profile.
+        # Phase-sum repair: feature rows round-trip through float math, so
+        # normalize B1-B5 when their sum is positive, else fall back to a
+        # pure B1 phase profile.
         totals = b[:, :5].sum(axis=1)
         positive = totals > 0
         b[positive, :5] = b[positive, :5] / totals[positive, None]
@@ -189,25 +187,3 @@ class AnalyticalTreePredictor(Predictor):
             np.minimum(1.0, np.log2(chunk / 16.0) / math.log2(1024.0 / 16.0)),
         )
         return np.clip(out, 0.0, 1.0)
-
-    def predict_config(
-        self,
-        bvars: BVariables,
-        ivars: IVariables,
-        gpu: AcceleratorSpec,
-        multicore: AcceleratorSpec,
-    ) -> tuple[AcceleratorSpec, MachineConfig]:
-        spec, config, _ = decision_tree_predict(bvars, ivars, gpu, multicore)
-        return spec, config
-
-    @staticmethod
-    def _bvars_from(row: np.ndarray) -> BVariables:
-        values = [float(v) for v in row[:13]]
-        # Feature rows round-trip through float math; repair the phase-sum
-        # invariant before reconstructing the dataclass.
-        phase_total = sum(values[:5])
-        if phase_total > 0:
-            values[:5] = [v / phase_total for v in values[:5]]
-        else:
-            values[0] = 1.0
-        return BVariables(*values)

@@ -1,9 +1,10 @@
 """Predictor interface shared by all automated learners (Section V).
 
 A predictor maps the 17-dimensional (B, I) feature vector to the
-normalized M target vector; :meth:`predict_config` decodes that into a
-concrete accelerator + :class:`MachineConfig` deployment.  Learned
-predictors implement :meth:`fit`; the analytical decision tree wraps the
+normalized M target vector; the decision layer
+(:mod:`repro.runtime.engine.decision`) decodes that into a concrete
+accelerator + ``MachineConfig`` deployment.  Learned predictors
+implement :meth:`fit`; the analytical decision tree wraps the
 Section IV model under the same interface so Table IV can compare them
 uniformly.
 """
@@ -14,13 +15,9 @@ import abc
 
 import numpy as np
 
-from repro.core.encoding import NUM_FEATURES, decode_config, encode_features
+from repro.core.encoding import NUM_FEATURES
 from repro.core.predictors.confidence import ConfidenceReport
 from repro.errors import NotTrainedError, TrainingError
-from repro.features.bvars import BVariables
-from repro.features.ivars import IVariables
-from repro.machine.mvars import MachineConfig
-from repro.machine.specs import AcceleratorSpec
 
 __all__ = ["Predictor", "LearnedPredictor"]
 
@@ -102,17 +99,6 @@ class Predictor(abc.ABC):
         ignore the report decide bit-identically to the plain path.
         """
         return self.predict_batch(features), self.confidence_batch(features)
-
-    def predict_config(
-        self,
-        bvars: BVariables,
-        ivars: IVariables,
-        gpu: AcceleratorSpec,
-        multicore: AcceleratorSpec,
-    ) -> tuple[AcceleratorSpec, MachineConfig]:
-        """Predict and decode a concrete deployment."""
-        vector = self.predict_vector(encode_features(bvars, ivars))
-        return decode_config(vector, gpu, multicore)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -145,27 +145,6 @@ class Decision:
         names = [estimate.spec.name for estimate in self.estimates]
         raise KeyError(f"{accelerator!r} is not one of {names}")
 
-    def runner_up_excluding(
-        self, accelerator: str, metric: str = "time"
-    ) -> DeviceEstimate:
-        """The best estimate on any device *other than* ``accelerator``.
-
-        The audit trail's runner-up column: the alternative the fleet
-        gave up by executing on ``accelerator``.  Ties break by device
-        name so the answer is permutation-invariant.
-
-        Raises:
-            KeyError: when excluding ``accelerator`` leaves no options.
-        """
-        rest = [
-            estimate
-            for estimate in self.estimates
-            if estimate.spec.name != accelerator
-        ]
-        if not rest:
-            raise KeyError(f"no alternative to {accelerator!r} in this fleet")
-        return min(rest, key=lambda e: (e.result.objective(metric), e.spec.name))
-
 
 @dataclass(frozen=True)
 class Placement:

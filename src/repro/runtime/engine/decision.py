@@ -97,53 +97,51 @@ def estimate_rows(rows: Sequence[Deployment]) -> list[SimulationResult]:
 
 
 def select_chosen(
-    estimates: Sequence[DeviceEstimate],
+    specs: Sequence[AcceleratorSpec],
+    costs: Sequence[float],
     *,
     prefer_multicore: bool,
-    metric: str,
 ) -> int:
     """Kind-restricted argmin: the index the decision layer deploys.
 
     Candidates are the devices of the M1 kind the predictor called;
-    among them the lowest objective wins, ties broken by device name so
-    the pick never depends on fleet-list order.
+    among them the lowest cost wins, ties broken by device name so the
+    pick never depends on fleet-list order.  ``costs`` holds one value
+    per device in ``specs`` order: the metric's objective for a
+    decision, ratio-corrected times for the online shadow scorer.
 
     Raises:
-        ValueError: when the fleet has no device of the called kind.
+        ValueError: when ``specs`` has no device of the called kind.
     """
     candidates = [
         index
-        for index, estimate in enumerate(estimates)
-        if estimate.spec.is_gpu != prefer_multicore
+        for index, spec in enumerate(specs)
+        if spec.is_gpu != prefer_multicore
     ]
     if not candidates:
         kind = "multicore" if prefer_multicore else "GPU"
         raise ValueError(f"no {kind} device among the estimates")
-    return min(
-        candidates,
-        key=lambda i: (estimates[i].result.objective(metric), estimates[i].spec.name),
-    )
+    return min(candidates, key=lambda i: (costs[i], specs[i].name))
 
 
 def select_runner_up(
-    estimates: Sequence[DeviceEstimate],
-    chosen_index: int,
-    metric: str,
+    specs: Sequence[AcceleratorSpec],
+    costs: Sequence[float],
+    excluded_index: int,
 ) -> int:
-    """Second-best index: the best estimate excluding the chosen device.
+    """The lowest-cost device other than ``excluded_index``.
 
-    Ties break by device name, like :func:`select_chosen`.
+    The runner-up of a decision (excluding its chosen device) and the
+    audit's counterfactual (excluding the device that ran).  Ties break
+    by device name, like :func:`select_chosen`.
 
     Raises:
-        ValueError: for a single-estimate list (no alternative exists).
+        ValueError: for a single-device list (no alternative exists).
     """
-    candidates = [i for i in range(len(estimates)) if i != chosen_index]
+    candidates = [i for i in range(len(specs)) if i != excluded_index]
     if not candidates:
         raise ValueError("a runner-up needs at least two estimates")
-    return min(
-        candidates,
-        key=lambda i: (estimates[i].result.objective(metric), estimates[i].spec.name),
-    )
+    return min(candidates, key=lambda i: (costs[i], specs[i].name))
 
 
 class DecisionService:
@@ -494,15 +492,16 @@ class DecisionService:
                 DeviceEstimate(spec=spec, config=config, result=next(results))
                 for spec, config in zip(devices, configs[id(entry)])
             )
+            costs = [e.result.objective(self.metric) for e in estimates]
             chosen = select_chosen(
-                estimates, prefer_multicore=not entry.spec.is_gpu, metric=self.metric
+                devices, costs, prefer_multicore=not entry.spec.is_gpu
             )
             decisions.append(
                 Decision(
                     workload=workload,
                     estimates=estimates,
                     chosen_index=chosen,
-                    runner_up_index=select_runner_up(estimates, chosen, self.metric),
+                    runner_up_index=select_runner_up(devices, costs, chosen),
                     vector=entry.vector,
                     features=tuple(float(f) for f in row),
                     confidence=entry.confidence,
@@ -556,7 +555,10 @@ class DecisionService:
     ) -> None:
         """Write one audit record for ``decision`` deployed as
         ``spec``/``config`` with predicted ``result`` (obs enabled)."""
-        runner_up = decision.runner_up_excluding(spec.name, self.metric)
+        specs = [e.spec for e in decision.estimates]
+        costs = [e.result.objective(self.metric) for e in decision.estimates]
+        ran = [s.name for s in specs].index(spec.name)
+        runner_up = decision.estimates[select_runner_up(specs, costs, ran)]
         trace = obs.current_trace()
         obs.record_decision(
             obs.DecisionRecord(

@@ -12,9 +12,11 @@ results).  The batch-level accounting — per-device busy/idle time and
 utilization, the fleet makespan, and the serial (solo) baseline — comes
 back as a :class:`~repro.runtime.engine.contracts.FleetReport`.
 
-``HeteroMap.run_many`` is a thin wrapper over :meth:`Engine.run_fleet`
-that keeps only the outcomes; callers who want the fleet accounting use
-``HeteroMap.run_fleet`` directly.
+:meth:`Engine.run_fleet` is the one loop that executes placements,
+audits them and builds their outcomes.  ``HeteroMap.run_workload`` and
+the async server's run mode are its ``solo`` runs, and
+``HeteroMap.run_many`` keeps only the outcomes of a run under any
+policy.
 """
 
 from __future__ import annotations
@@ -108,24 +110,13 @@ class Engine:
     def _execute(self, placement, contexts):
         """Run one placement under its request trace (if any) and audit it."""
         deployed = placement.deployed
-        if not obs.enabled():
-            result = self.backend.execute(
-                placement.decision.workload,
-                deployed.spec,
-                deployed.config,
-                estimate=deployed.result,
-            )
-            # audit() is a cheap no-op without obs *or* adapter, and the
-            # attached online adapter must observe every outcome.
-            self.decisions.audit(
-                placement.decision, deployed.spec, deployed.config, result
-            )
-            return result
         context = (
             contexts[placement.order]
             if placement.order < len(contexts)
             else None
         )
+        # trace_scope((None,)) would clear the batch scope, so a row
+        # without a context keeps it.
         scope = (
             obs.trace_scope((context,))
             if context is not None
@@ -143,6 +134,7 @@ class Engine:
                     deployed.config,
                     estimate=deployed.result,
                 )
+            # Also with obs off: audit() feeds the attached online adapter.
             self.decisions.audit(
                 placement.decision, deployed.spec, deployed.config, result
             )

@@ -437,7 +437,6 @@ def main(argv: list[str] | None = None) -> int:
                 mode=args.mode,
             ),
             backend=backend,
-            scheduler=hetero.scheduler,
         )
     tenants = [f"tenant-{i}" for i in range(max(1, args.tenants))]
 

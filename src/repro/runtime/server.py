@@ -55,10 +55,10 @@ import numpy as np
 from repro import obs
 from repro.core.encoding import encode_features_batch
 from repro.runtime.deploy import Workload
-from repro.runtime.engine.contracts import RunOutcome
 from repro.runtime.engine.decision import DecisionService
-from repro.runtime.engine.execution import ExecutionBackend, SimulatedBackend
-from repro.runtime.engine.scheduler import POLICIES, Scheduler
+from repro.runtime.engine.engine import Engine
+from repro.runtime.engine.execution import ExecutionBackend
+from repro.runtime.engine.scheduler import Scheduler
 
 __all__ = [
     "AdmissionWindow",
@@ -153,25 +153,15 @@ class ServerConfig(WindowConfig):
     """Tuning knobs for one :class:`DecisionServer`."""
 
     #: What a request resolves to: ``"plan"`` → (spec, config), ``"decide"``
-    #: → both-device-costed :class:`Decision`, ``"run"`` → executed
-    #: :class:`RunOutcome` (audited when observability is on).
+    #: → fleet-costed :class:`Decision`, ``"run"`` → the
+    #: :class:`RunOutcome` of the engine's ``solo`` run of the flush
+    #: (executed and audited).
     mode: str = "plan"
-    #: Placement policy for ``"run"`` mode flushes (see
-    #: :data:`repro.runtime.engine.scheduler.POLICIES`).  ``"solo"`` is
-    #: bit-identical to executing each chosen estimate directly, so the
-    #: default changes nothing about served outcomes — it just gives every
-    #: server request a placement span in the trace stream.
-    placement_policy: str = "solo"
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.mode not in ("plan", "decide", "run"):
             raise ValueError(f"unknown server mode {self.mode!r}")
-        if self.placement_policy not in POLICIES:
-            raise ValueError(
-                f"unknown placement policy {self.placement_policy!r}; "
-                f"known: {POLICIES}"
-            )
 
 
 @dataclass
@@ -604,7 +594,9 @@ class DecisionServer(AdmissionWindow):
     """Dynamic-batching asyncio front end over one decision service.
 
     Its sink decides each assembled batch in-process — in ``plan``,
-    ``decide`` or ``run`` mode — and completes it inline.
+    ``decide`` or ``run`` mode — and completes it inline.  A ``run``
+    flush is one ``solo`` :meth:`Engine.run_fleet
+    <repro.runtime.engine.engine.Engine.run_fleet>` through ``backend``.
     """
 
     config: ServerConfig
@@ -615,33 +607,32 @@ class DecisionServer(AdmissionWindow):
         config: ServerConfig | None = None,
         *,
         backend: ExecutionBackend | None = None,
-        scheduler: Scheduler | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         super().__init__(config or ServerConfig(), clock)
         self.decisions = decisions
-        self.backend: ExecutionBackend = backend or SimulatedBackend()
-        #: Placement layer for ``"run"`` flushes; defaults to a scheduler
-        #: over the decision service's own fleet.
-        self.scheduler = scheduler or Scheduler(decisions.fleet)
+        #: Runs ``"run"`` flushes: solo placement, execution and audit.
+        self.engine = Engine(decisions, Scheduler(decisions.fleet), backend)
 
     def _encode(self, workloads: list[Workload]) -> np.ndarray:
         return self.decisions.encode(workloads)
 
     def _sink(self, batch: list[_Request], reason: str, flush_start: float) -> None:
         """Decide one assembled batch synchronously and complete it."""
-        if obs.enabled():
-            # Row-aligned request scope: every span below (flush, decide,
-            # predict, place, execute) carries the batch's trace ids, and
-            # the decision layer can attribute cache hits per row.
-            with obs.trace_scope([r.trace for r in batch]), obs.span(
-                "server.flush",
-                reason=reason,
-                batch=len(batch),
-                mode=self.config.mode,
-            ):
-                results = self._serve(batch)
-        else:
+        # Row-aligned request scope: every span below (flush, decide,
+        # predict, place, execute) carries the batch's trace ids, and the
+        # decision layer can attribute cache hits per row.
+        scope = (
+            obs.trace_scope([r.trace for r in batch])
+            if obs.enabled()
+            else contextlib.nullcontext()
+        )
+        with scope, obs.span(
+            "server.flush",
+            reason=reason,
+            batch=len(batch),
+            mode=self.config.mode,
+        ):
             results = self._serve(batch)
         done = self.clock()
         self._complete(batch, results, flush_start, done)
@@ -655,65 +646,9 @@ class DecisionServer(AdmissionWindow):
             entries = self.decisions.choose_encoded(np.vstack(self._rows(batch)))
             return [(entry.spec, entry.config) for entry in entries]
         workloads = [request.workload for request in batch]
-        decisions = self.decisions.decide_batch(workloads)
         if mode == "decide":
-            return decisions
-        overhead_ms = self.decisions.require_trained()
-        # Run mode routes through the placement layer.  Under the default
-        # "solo" policy every placement is the chosen estimate in input
-        # order, so outcomes are bit-identical to executing decisions
-        # directly — the scheduler only adds the placement span/metrics
-        # and, under a fleet policy, load-aware device assignment.
-        placements = self.scheduler.place(
-            decisions, policy=self.config.placement_policy
-        )
-        outcomes: list[RunOutcome | None] = [None] * len(batch)
-        traced = obs.enabled()
-        for placement in placements:
-            deployed = placement.deployed
-            request = batch[placement.order]
-            scope = (
-                obs.trace_scope((request.trace,))
-                if traced and request.trace is not None
-                else contextlib.nullcontext()
-            )
-            with scope:
-                if traced:
-                    with obs.span(
-                        "backend.execute",
-                        device=deployed.spec.name,
-                        backend=self.backend.name,
-                        tenant=request.tenant,
-                    ):
-                        result = self.backend.execute(
-                            placement.decision.workload,
-                            deployed.spec,
-                            deployed.config,
-                            estimate=deployed.result,
-                        )
-                    self.decisions.audit(
-                        placement.decision, deployed.spec, deployed.config, result
-                    )
-                else:
-                    result = self.backend.execute(
-                        placement.decision.workload,
-                        deployed.spec,
-                        deployed.config,
-                        estimate=deployed.result,
-                    )
-                    # Without obs, audit() only feeds the online adapter
-                    # (when one is attached) and returns.
-                    self.decisions.audit(
-                        placement.decision, deployed.spec, deployed.config, result
-                    )
-            outcomes[placement.order] = RunOutcome.from_execution(
-                placement.decision.workload,
-                deployed.spec,
-                deployed.config,
-                result,
-                overhead_ms,
-            )
-        return outcomes
+            return self.decisions.decide_batch(workloads)
+        return list(self.engine.run_fleet(workloads, policy="solo").outcomes)
 
     @staticmethod
     def _shards(mode: str, results: list) -> list[str]:

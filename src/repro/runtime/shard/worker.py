@@ -140,15 +140,12 @@ def shard_worker_main(
                 raise RuntimeError(f"unknown shard message {kind!r}")
             _, block_id, rows, inverse = message
             started = time.perf_counter()
-            if traced:
-                with obs.span(
-                    "shard.flush",
-                    shard=name,
-                    batch=int(len(inverse)),
-                    unique=int(len(rows)),
-                ):
-                    entries = decisions.choose_encoded(rows)
-            else:
+            with obs.span(
+                "shard.flush",
+                shard=name,
+                batch=int(len(inverse)),
+                unique=int(len(rows)),
+            ):
                 entries = decisions.choose_encoded(rows)
             state["decide_s"] += time.perf_counter() - started
             # One (device name, config) plan per *unique* row; the

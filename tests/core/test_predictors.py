@@ -152,12 +152,12 @@ class TestAnalyticalWrapper:
         assert out[0] == 0.0  # GPU per Figure 7
 
     def test_predict_config_matches_tree(self):
+        from repro.core.decision_tree import decision_tree_predict
         from repro.features.ivars import ivars_from_meta
         from repro.features.profiles import get_profile
         from repro.graph.datasets import get_dataset
 
-        predictor = AnalyticalTreePredictor(GPU, PHI)
-        spec, config = predictor.predict_config(
+        spec, config, _ = decision_tree_predict(
             get_profile("sssp_delta"),
             ivars_from_meta(get_dataset("usa-cal").paper),
             GPU,

@@ -7,6 +7,7 @@ import gc
 
 import pytest
 
+from repro import obs
 from repro.core.heteromap import HeteroMap
 from repro.errors import NotTrainedError
 from repro.runtime.deploy import prepare_workload
@@ -17,6 +18,7 @@ from repro.runtime.server import (
     ServerStats,
     low_latency_gc,
 )
+from tests.engine.test_execution import CountingBackend
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +333,41 @@ class TestModes:
         assert len(got) == 2
         assert got[0].benchmark == pool[0].benchmark
         assert got[0].completion_time_ms > 0
+
+    def test_run_mode_is_the_engines_solo_run(self, pool):
+        """Run-mode outcomes equal ``run_many``'s, each placement runs
+        once, and an attached adapter observes every row with obs off."""
+        backend = CountingBackend()
+        model = HeteroMap.with_default_pair(
+            predictor="decision_tree", backend=backend
+        )
+        model.train(num_samples=1, seed=0)
+        batch = [*pool, prepare_workload("sssp_delta", "usa-cal")]
+        expected = model.run_many(batch)
+        backend.calls.clear()
+        server = DecisionServer(
+            model.decisions,
+            ServerConfig(max_batch=4, queue_capacity=8, mode="run"),
+            backend=backend,
+        )
+
+        def serve() -> list:
+            got = {}
+            for tag, workload in enumerate(batch):
+                server.try_submit(workload, tag=tag, callback=got.__setitem__)
+            return [got[tag] for tag in range(len(batch))]
+
+        obs.configure(obs.ObsConfig(enabled=False))
+        try:
+            assert serve() == expected
+            assert backend.calls == [
+                (o.benchmark, o.chosen_accelerator) for o in expected
+            ]
+            adapter = model.enable_adaptation()
+            serve()
+            assert adapter.observations == len(batch)
+        finally:
+            obs.reset()
 
 
 class TestStats:

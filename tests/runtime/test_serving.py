@@ -179,11 +179,10 @@ class TestPlanBatch:
         assert plans[0][1] == plans[1][1]
 
     def test_matches_scalar_predict(self, trained_cart):
-        """Batched plans equal the scalar online path's decisions.
+        """Batched plans equal the one-row ``predict`` answers.
 
-        Exact equality needs a predictor whose batched forward is
-        bit-identical to its row forward — true for CART's lockstep
-        descent; an MLP's batched matmul can drift by ULPs.
+        Both go through the plan tier.  CART's tree walk needs no
+        canonical rounding; the MLP case below does.
         """
         workloads = [prepare_workload(b, d) for b, d in ITEMS]
         plans = trained_cart.plan_batch(workloads)
@@ -193,12 +192,35 @@ class TestPlanBatch:
             assert config == scalar_config
 
     def test_agrees_with_scalar_predict_choice(self, trained):
-        """Batched and scalar paths agree on the accelerator choice."""
+        """Batched and one-row paths agree on the spec *and* the config.
+
+        The MLP's row and batch forwards give equal vectors here; what a
+        ``predict`` that skips the plan tier's 1e-9 canonical rounding
+        got wrong was the continuous multicore knobs (placement,
+        affinity, blocktime), about 1e-9 apart.
+        """
         workloads = [prepare_workload(b, d) for b, d in ITEMS]
         plans = trained.plan_batch(workloads)
-        for workload, (spec, _) in zip(workloads, plans):
-            scalar_spec, _ = trained.predict(workload)
+        for workload, (spec, config) in zip(workloads, plans):
+            scalar_spec, scalar_config = trained.predict(workload)
             assert spec is scalar_spec
+            assert config == scalar_config
+
+    def test_predict_is_what_runs(self):
+        """``predict`` names the deployment ``run_workload`` executes.
+
+        The analytical tree's equations set knobs (e.g. a nonzero OpenMP
+        spin count) that the decoded target vector does not carry; the
+        plan tier's decode is what runs, so it is what ``predict`` says.
+        """
+        hetero = HeteroMap.with_default_pair(predictor="decision_tree")
+        hetero.train(num_samples=1)
+        for item in [*ITEMS, ("sssp_delta", "usa-cal")]:
+            workload = prepare_workload(*item)
+            spec, config = hetero.predict(workload)
+            outcome = hetero.run_workload(workload)
+            assert spec.name == outcome.chosen_accelerator
+            assert config == outcome.config
 
     def test_cache_hits_bit_identical(self, trained):
         """A cache hit returns the identical decision, not a recompute."""
