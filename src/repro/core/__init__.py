@@ -11,7 +11,6 @@ from repro.core.encoding import (
     NUM_TARGETS,
     TARGET_NAMES,
     choice_signature,
-    decode_config,
     encode_config,
     encode_features,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "choice_signature",
     "config_from_equations",
     "decision_tree_predict",
-    "decode_config",
     "encode_config",
     "encode_features",
     "gpu_config_from_equations",

@@ -25,7 +25,6 @@ __all__ = [
     "encode_features",
     "encode_features_batch",
     "encode_config",
-    "decode_config",
     "decode_config_batch",
     "decode_config_for",
     "choice_signature",
@@ -128,25 +127,6 @@ def encode_config(
     return np.clip(vector, 0.0, 1.0)
 
 
-def decode_config(
-    vector: np.ndarray,
-    gpu: AcceleratorSpec,
-    multicore: AcceleratorSpec,
-) -> tuple[AcceleratorSpec, MachineConfig]:
-    """Turn a (possibly fractional) prediction back into a deployment.
-
-    The accelerator choice thresholds at 0.5 (the paper's default);
-    continuous knobs round to their nearest machine value and are clamped
-    by the ceiling rule.  Delegates to :func:`decode_config_batch` so the
-    scalar and batched serving paths share one arithmetic implementation
-    (NumPy scalar ``**``/``log`` round differently from the array ufuncs
-    at the ULP level; a single code path keeps cache entries bit-identical
-    to fresh decodes).
-    """
-    vector = np.asarray(vector, dtype=np.float64)
-    return decode_config_batch(vector.reshape(1, -1), gpu, multicore)[0]
-
-
 def decode_config_batch(
     vectors: np.ndarray,
     gpu: AcceleratorSpec,
@@ -155,12 +135,14 @@ def decode_config_batch(
     """Decode an ``(n, NUM_TARGETS)`` prediction matrix, each row onto
     the device its M1 bit names.
 
-    Each kind's rows take one :func:`decode_config_for` pass (on the
-    matrix validated once) and go back in row order, so each row is
-    decoded once, onto its own kind only.  Row ``i`` of the
-    result equals ``decode_config(vectors[i], gpu, multicore)`` — the
-    equivalence is pinned by tests, because the exactness of the serving
-    cache depends on it.
+    The accelerator choice thresholds at 0.5 (the paper's default);
+    continuous knobs round to their nearest machine value and are clamped
+    by the ceiling rule.  Each kind's rows take one
+    :func:`decode_config_for` pass (on the matrix validated once) and go
+    back in row order, so each row is decoded once, onto its own kind
+    only.  Row ``i`` of the result equals the one-row decode of
+    ``vectors[i : i + 1]`` — the equivalence is pinned by tests, because
+    the exactness of the serving cache depends on it.
     """
     vectors = _validated_matrix(vectors)
     on_multicore = vectors[:, 0] >= 0.5

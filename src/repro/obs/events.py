@@ -5,8 +5,8 @@ records, structured log lines, and the exit-time metrics snapshot all
 flow through :meth:`JsonlSink.emit` as ``{"kind": ..., ...}`` objects.
 Lines are written atomically-enough for the repo's needs: the file is
 opened in append mode and each event is a single flushed ``write`` call,
-so concurrent processes (e.g. the parallel training-database workers)
-interleave whole lines rather than corrupting each other.
+so concurrent processes (e.g. forked shard workers) interleave whole
+lines rather than corrupting each other.
 """
 
 from __future__ import annotations

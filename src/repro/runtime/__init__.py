@@ -26,7 +26,6 @@ from repro.runtime.serving import (
     CachedDecision,
     CacheStats,
     DecisionCache,
-    feature_key,
     feature_keys_batch,
 )
 from repro.runtime.streaming import (
@@ -55,7 +54,6 @@ __all__ = [
     "Workload",
     "cache_dir",
     "clear_cache",
-    "feature_key",
     "feature_keys_batch",
     "load_trace",
     "low_latency_gc",

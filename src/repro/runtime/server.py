@@ -230,6 +230,34 @@ class _Request:
         self.trace = trace  # TraceContext | None (None when obs is off)
 
 
+class _Waiter:
+    """An awaiting :meth:`AdmissionWindow.submit`'s callback (slotted:
+    allocated per awaited request).
+
+    The completing thread need not be the loop's (the shard router's
+    collector), so the result — or the flush's error, through
+    :meth:`fail` — crosses over to the loop safely.
+    """
+
+    __slots__ = ("future",)
+
+    def __init__(self, future) -> None:
+        self.future = future
+
+    def __call__(self, _tag, result) -> None:
+        self._post(self.future.set_result, result)
+
+    def fail(self, error: BaseException) -> None:
+        self._post(self.future.set_exception, error)
+
+    def _post(self, settle: Callable, value) -> None:
+        self.future.get_loop().call_soon_threadsafe(self._settle, settle, value)
+
+    def _settle(self, settle: Callable, value) -> None:
+        if not self.future.done():
+            settle(value)
+
+
 class AdmissionWindow:
     """The batching window under both serving front ends.
 
@@ -441,20 +469,12 @@ class AdmissionWindow:
         Raises:
             ServerOverloadedError: when backpressure rejects the request;
                 carries the ``retry_after_s`` hint.
+            Exception: whatever the sink raised for this request's batch.
         """
         if self._loop is None:
             self.start()
-        loop = self._loop
-        future = loop.create_future()
-
-        def resolve(_tag, result) -> None:
-            # The completing thread need not be the loop's (the shard
-            # router's collector), so the result crosses over safely.
-            loop.call_soon_threadsafe(
-                lambda: None if future.done() else future.set_result(result)
-            )
-
-        if not self.try_submit(workload, tenant=tenant, callback=resolve):
+        future = self._loop.create_future()
+        if not self.try_submit(workload, tenant=tenant, callback=_Waiter(future)):
             raise ServerOverloadedError(self.retry_after_s(), self.pending)
         return await future
 
@@ -540,13 +560,20 @@ class AdmissionWindow:
         stats.batch_sizes.append(len(batch))
         try:
             self._sink(batch, reason, self.clock())
-        except BaseException:
-            # These requests will never resolve: account them, then raise.
+        except BaseException as error:
+            # These requests will never resolve: account them, fail their
+            # awaiting ``submit`` calls (a flush in a loop callback cannot
+            # raise to them), then raise.
             stats.dropped += len(batch)
+            for request in batch:
+                if isinstance(request.callback, _Waiter):
+                    request.callback.fail(error)
             raise
-        # The deadline clock restarts for whatever arrived mid-flush.
-        if self._queued and self._timer is None:
-            self._arm_timer()
+        finally:
+            # The deadline clock restarts for whatever is still queued,
+            # after a failed flush too.
+            if self._queued and self._timer is None:
+                self._arm_timer()
         return len(batch)
 
     def _sink(self, batch: list[_Request], reason: str, flush_start: float) -> None:

@@ -37,7 +37,6 @@ __all__ = [
     "CachedDecision",
     "DecisionCache",
     "capacity_from_env",
-    "feature_key",
     "feature_keys_batch",
 ]
 
@@ -73,72 +72,31 @@ def capacity_from_env(default: int = DEFAULT_CAPACITY) -> int:
     return capacity
 
 
-def feature_key(
-    features: np.ndarray,
-    *,
-    fleet: str | None = None,
-    predictor: str | None = None,
-) -> tuple[float | str, ...]:
-    """Canonical cache key for one 17-element feature row.
+def feature_keys_batch(
+    features: np.ndarray, *, fleet: str, predictor: str
+) -> list[tuple[float | str, ...]]:
+    """Canonical cache keys for a whole ``(n, 17)`` feature matrix.
 
     Feature rows are already discretized, so equal workloads produce
     float-equal rows and the plain tuple is an exact key (no rounding or
-    hashing tricks needed).  ``tolist()`` is the fast path — this runs
-    once per lookup on the serving hot path.
+    hashing tricks needed).  One ``tolist()`` over the matrix converts
+    every element in a single C pass; this is the per-request key cost on
+    the serving hot path.
 
-    ``fleet`` namespaces the key with a fleet fingerprint
+    ``fleet`` namespaces each key with a fleet fingerprint
     (:attr:`repro.machine.fleet.Fleet.fingerprint`): decisions are only
     exact relative to the device set they were decoded for, so a cache
     shared across two differently configured fleets must never serve one
     fleet's placement to the other.
 
-    ``predictor`` namespaces the key with a predictor identity tag
+    ``predictor`` namespaces each key with a predictor identity tag
     (name plus generation, e.g. ``"cart#g2"``): a cached vector is only
     exact relative to the model that predicted it, so a cache consulted
     across two predictors — or across an online-adaptation promotion,
     which bumps the generation — must never serve one model's decision
     as the other's.
     """
-    if isinstance(features, np.ndarray):
-        key = tuple(features.tolist())
-    else:
-        key = tuple(float(value) for value in features)
-    if predictor is not None:
-        key = (predictor, *key)
-    if fleet is not None:
-        key = (fleet, *key)
-    return key
-
-
-def feature_keys_batch(
-    features: np.ndarray,
-    *,
-    fleet: str | None = None,
-    predictor: str | None = None,
-) -> list[tuple[float | str, ...]]:
-    """Cache keys for a whole ``(n, 17)`` feature matrix at once.
-
-    One ``tolist()`` over the matrix converts every element in a single C
-    pass, which is measurably cheaper than calling :func:`feature_key` on
-    ``n`` row views — this is the per-request key cost on the serving hot
-    path, so the batch form is what the decision layer and the async
-    server use.  ``fleet`` and ``predictor`` namespace every key exactly
-    as in :func:`feature_key`.
-    """
-    if isinstance(features, np.ndarray):
-        rows = features.tolist()
-    else:
-        rows = [list(row) for row in features]
-    if predictor is None and fleet is None:
-        return [tuple(row) for row in rows]
-    prefix: tuple[str, ...]
-    if fleet is not None and predictor is not None:
-        prefix = (fleet, predictor)
-    elif fleet is not None:
-        prefix = (fleet,)
-    else:
-        prefix = (predictor,)  # type: ignore[assignment]
-    return [(*prefix, *row) for row in rows]
+    return [(fleet, predictor, *row) for row in np.asarray(features).tolist()]
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,8 @@ def ring_key(features: "np.ndarray | Iterable[float] | bytes") -> bytes:
 
     Equal workloads produce float-equal rows (the 0.1-grid dedupe
     property), so the raw float64 byte image is an exact identity — the
-    same invariant the decision cache's :func:`feature_key` relies on.
+    same invariant the decision cache's
+    :func:`~repro.runtime.serving.feature_keys_batch` relies on.
     ``bytes`` pass through untouched (the router pre-computes them once
     per memoized workload).
     """

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.decision_tree import decision_tree_predict
-from repro.core.encoding import NUM_FEATURES, encode_config
+from repro.core.encoding import NUM_FEATURES, encode_config, encode_features
 from repro.core.predictors import (
     AnalyticalTreePredictor,
     LearnedPredictor,
@@ -22,8 +22,11 @@ from repro.core.predictors import (
 )
 from repro.core.training import build_training_database
 from repro.errors import NotTrainedError
+from repro.experiments.common import BENCHMARK_ORDER, DATASET_ORDER
 from repro.features.bvars import BVariables
-from repro.features.ivars import IVariables
+from repro.features.ivars import IVariables, ivars_from_meta
+from repro.features.profiles import get_profile
+from repro.graph.datasets import get_dataset
 from repro.machine.specs import get_accelerator
 
 GPU = get_accelerator("gtx750ti")
@@ -110,24 +113,34 @@ class TestBatchValidation:
             predictor.predict_batch(np.zeros((2, NUM_FEATURES)))
 
 
-class TestAnalyticalMaskedBranches:
+def _table1_features() -> np.ndarray:
+    """The 81 Table I benchmark-input feature rows."""
+    return np.vstack(
+        [
+            encode_features(
+                get_profile(benchmark), ivars_from_meta(get_dataset(dataset).paper)
+            )
+            for benchmark in BENCHMARK_ORDER
+            for dataset in DATASET_ORDER
+        ]
+    )
+
+
+class TestAnalyticalIsPaperModel:
     def test_matches_hand_built_model(self, feature_matrix):
-        """The masked batch evaluation is differentially pinned against
-        the Section IV scalar model (tree walk + encode_config): the
-        accelerator decision must match exactly, the continuous knob
-        encodings to ULP tolerance."""
+        """Every analytical vector is exactly the Section IV scalar model
+        (tree walk + equations + encode_config) on the repaired row."""
         predictor = AnalyticalTreePredictor(GPU, PHI)
-        batch = predictor.predict_batch(feature_matrix)
-        for row, prediction in zip(feature_matrix, batch):
-            values = [float(v) for v in row[:13]]
-            total = sum(values[:5])
-            if total > 0:
-                values[:5] = [v / total for v in values[:5]]
-            else:
-                values[0] = 1.0
-            bvars = BVariables(*values)
-            ivars = IVariables(*[float(v) for v in row[13:17]])
-            _, config, _ = decision_tree_predict(bvars, ivars, GPU, PHI)
-            reference = encode_config(config, GPU, PHI)
-            assert prediction[0] == reference[0]
-            assert np.max(np.abs(prediction - reference)) < 1e-12
+        for features in (feature_matrix, _table1_features()):
+            batch = predictor.predict_batch(features)
+            for row, prediction in zip(features, batch):
+                values = [float(v) for v in row[:13]]
+                total = sum(values[:5])
+                if total > 0:
+                    values[:5] = [v / total for v in values[:5]]
+                else:
+                    values[0] = 1.0
+                bvars = BVariables(*values)
+                ivars = IVariables(*[float(v) for v in row[13:17]])
+                _, config, _ = decision_tree_predict(bvars, ivars, GPU, PHI)
+                assert np.array_equal(prediction, encode_config(config, GPU, PHI))

@@ -14,7 +14,6 @@ from repro.core.encoding import (
     NUM_TARGETS,
     TARGET_NAMES,
     choice_signature,
-    decode_config,
     decode_config_batch,
     decode_config_for,
     encode_config,
@@ -28,6 +27,11 @@ from repro.machine.specs import get_accelerator
 
 GPU = get_accelerator("gtx750ti")
 PHI = get_accelerator("xeonphi7120p")
+
+
+def _decode_one(vector):
+    """The one-row decode: ``decode_config_batch`` on a 1-row matrix."""
+    return decode_config_batch(np.asarray(vector)[None], GPU, PHI)[0]
 
 
 class TestEncodeFeatures:
@@ -57,7 +61,7 @@ class TestConfigRoundtrip:
             gpu_local_threads=128,
         )
         vec = encode_config(config, GPU, PHI)
-        spec, decoded = decode_config(vec, GPU, PHI)
+        spec, decoded = _decode_one(vec)
         assert spec.name == GPU.name
         assert decoded.gpu_global_threads == pytest.approx(2560, abs=2)
         assert decoded.gpu_local_threads == pytest.approx(128, abs=1)
@@ -77,7 +81,7 @@ class TestConfigRoundtrip:
             omp_chunk=64,
         )
         vec = encode_config(config, GPU, PHI)
-        spec, decoded = decode_config(vec, GPU, PHI)
+        spec, decoded = _decode_one(vec)
         assert spec.name == PHI.name
         assert decoded.cores == 30
         assert decoded.threads_per_core == 2
@@ -101,15 +105,15 @@ class TestConfigRoundtrip:
     def test_decode_thresholds_accel_at_half(self):
         vec = np.full(NUM_TARGETS, 0.5)
         vec[0] = 0.49
-        spec, _ = decode_config(vec, GPU, PHI)
+        spec, _ = _decode_one(vec)
         assert spec.is_gpu
         vec[0] = 0.51
-        spec, _ = decode_config(vec, GPU, PHI)
+        spec, _ = _decode_one(vec)
         assert not spec.is_gpu
 
     def test_decode_clamps_wild_vectors(self):
         vec = np.full(NUM_TARGETS, 99.0)
-        spec, config = decode_config(vec, GPU, PHI)
+        spec, config = _decode_one(vec)
         assert config.cores <= PHI.cores
 
 
@@ -133,7 +137,7 @@ class TestChoiceSignature:
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(0.0, 1.0), min_size=11, max_size=11))
 def test_property_decode_always_valid(values):
-    spec, config = decode_config(np.asarray(values), GPU, PHI)
+    spec, config = _decode_one(values)
     # Decoded configs always satisfy the machine's limits.
     if spec.is_gpu:
         assert 1 <= config.gpu_global_threads <= GPU.max_threads
@@ -173,9 +177,9 @@ class TestBatchEncoding:
         vectors = np.random.default_rng(9).random((50, NUM_TARGETS))
         decoded = decode_config_batch(vectors, GPU, PHI)
         for vector, (spec, config) in zip(vectors, decoded):
-            scalar_spec, scalar_config = decode_config(vector, GPU, PHI)
-            assert spec is scalar_spec
-            assert config == scalar_config
+            alone_spec, alone_config = _decode_one(vector)
+            assert spec is alone_spec
+            assert config == alone_config
 
     def test_decode_batch_empty(self):
         assert decode_config_batch(np.empty((0, NUM_TARGETS)), GPU, PHI) == []
@@ -204,7 +208,7 @@ class TestNonFiniteVectors:
         vector = np.full(NUM_TARGETS, 0.5)
         vector[0], vector[knob] = accel, np.nan
         with pytest.raises(ValueError, match="NaN"):
-            decode_config(vector, GPU, PHI)
+            _decode_one(vector)
         matrix = np.vstack([np.full(NUM_TARGETS, 0.5), vector])
         with pytest.raises(ValueError, match="NaN"):
             decode_config_batch(matrix, GPU, PHI)
@@ -216,7 +220,7 @@ class TestNonFiniteVectors:
     def test_infinities_decode_to_valid_configs(self, accel):
         vector = np.where(np.arange(NUM_TARGETS) % 2, np.inf, -np.inf)
         vector[0] = accel
-        spec, config = decode_config(vector, GPU, PHI)
+        spec, config = _decode_one(vector)
         # replace() re-runs MachineConfig's validation on every field.
         assert dataclasses.replace(config) == config
         assert decode_config_for(vector[None], spec) == [config]

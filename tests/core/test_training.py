@@ -76,77 +76,6 @@ class TestBuildDatabase:
         assert bits == {0, 1}
 
 
-class TestParallelBuild:
-    def test_worker_count_does_not_change_content(self, tmp_path):
-        serial = build_training_database(GPU, PHI, num_samples=6, seed=3, workers=1)
-        parallel = build_training_database(GPU, PHI, num_samples=6, seed=3, workers=3)
-        assert serial.features == parallel.features
-        assert serial.targets == parallel.targets
-        assert serial.objectives == parallel.objectives
-        # Byte-identical persistence regardless of worker count.
-        serial.save(tmp_path / "serial.json")
-        parallel.save(tmp_path / "parallel.json")
-        assert (tmp_path / "serial.json").read_bytes() == (
-            tmp_path / "parallel.json"
-        ).read_bytes()
-
-    def test_more_workers_than_samples(self):
-        db = build_training_database(GPU, PHI, num_samples=2, seed=1, workers=8)
-        assert len(db) == 2
-
-    def test_single_sample_stays_serial(self):
-        db = build_training_database(GPU, PHI, num_samples=1, seed=0, workers=4)
-        assert len(db) == 1
-
-    def test_forced_parallel_byte_identical(self, tmp_path, monkeypatch):
-        """Force the pool path (small threshold, fake CPU count) and check
-        the database is still byte-identical to the serial build."""
-        from repro.core import training
-
-        monkeypatch.setattr(training, "_MIN_SAMPLES_PER_WORKER", 2)
-        monkeypatch.setattr(training, "available_cpus", lambda: 8)
-        serial = build_training_database(GPU, PHI, num_samples=8, seed=3, workers=1)
-        parallel = build_training_database(GPU, PHI, num_samples=8, seed=3, workers=2)
-        serial.save(tmp_path / "serial.json")
-        parallel.save(tmp_path / "parallel.json")
-        assert (tmp_path / "serial.json").read_bytes() == (
-            tmp_path / "parallel.json"
-        ).read_bytes()
-
-
-class TestEffectiveWorkers:
-    def test_available_cpus_positive(self):
-        from repro.core.training import available_cpus
-
-        assert available_cpus() >= 1
-
-    def test_clamped_to_cpus(self, monkeypatch):
-        from repro.core import training
-
-        monkeypatch.setattr(training, "available_cpus", lambda: 2)
-        assert training.effective_workers(8, 10_000) == 2
-
-    def test_serial_when_single_cpu(self, monkeypatch):
-        from repro.core import training
-
-        monkeypatch.setattr(training, "available_cpus", lambda: 1)
-        assert training.effective_workers(8, 10_000) == 1
-
-    def test_serial_below_amortization_floor(self, monkeypatch):
-        from repro.core import training
-
-        monkeypatch.setattr(training, "available_cpus", lambda: 8)
-        floor = training._MIN_SAMPLES_PER_WORKER
-        assert training.effective_workers(4, 4 * floor - 1) == 1
-        assert training.effective_workers(4, 4 * floor) == 4
-
-    def test_workers_one_is_serial(self, monkeypatch):
-        from repro.core import training
-
-        monkeypatch.setattr(training, "available_cpus", lambda: 8)
-        assert training.effective_workers(1, 10_000) == 1
-
-
 class TestDatabasePersistence:
     def test_roundtrip(self, tmp_path):
         db = build_training_database(GPU, PHI, num_samples=3, seed=4)
@@ -173,18 +102,3 @@ class TestDatabasePersistence:
         db.add(np.zeros(NUM_FEATURES), np.zeros(NUM_TARGETS), 1.0)
         assert len(db) == 1
 
-
-class TestChunkedDispatch:
-    def test_chunked_parallel_path_byte_identical(self, tmp_path, monkeypatch):
-        """Force the real chunked pool dispatch (the 6-sample default would
-        fall back to serial) and pin byte-identity against the serial path."""
-        from repro.core import training
-
-        monkeypatch.setattr(training, "_MIN_SAMPLES_PER_WORKER", 3)
-        serial = build_training_database(GPU, PHI, num_samples=8, seed=9, workers=1)
-        chunked = build_training_database(GPU, PHI, num_samples=8, seed=9, workers=2)
-        serial.save(tmp_path / "serial.json")
-        chunked.save(tmp_path / "chunked.json")
-        assert (tmp_path / "serial.json").read_bytes() == (
-            tmp_path / "chunked.json"
-        ).read_bytes()

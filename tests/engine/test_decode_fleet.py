@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.encoding import (
     NUM_TARGETS,
-    decode_config,
     decode_config_batch,
     decode_config_for,
 )
@@ -136,7 +135,9 @@ class TestDecodeBatch:
             want = self.MULTICORE if vector[0] >= 0.5 else self.GPU
             assert spec is want
             assert config == decode_config_for(vector[None], spec)[0]
-            assert (spec, config) == decode_config(vector, self.GPU, self.MULTICORE)
+            assert (spec, config) == decode_config_batch(
+                vector[None], self.GPU, self.MULTICORE
+            )[0]
         is_gpu = {spec.is_gpu for spec, _ in decoded}
         assert is_gpu == {
             "gpu": {True}, "multicore": {False}, "mixed": {True, False}, "empty": set()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.encoding import decode_config, decode_config_batch
+from repro.core.encoding import decode_config_batch
 from repro.accel.simulator import simulate
 from repro.core.heteromap import HeteroMap
 from repro.machine.fleet import synthetic_fleet
@@ -61,8 +61,8 @@ def _legacy_pair_decisions(trained, workloads):
     for workload, (spec, config), vector in zip(workloads, decoded, vectors):
         flipped = np.array(vector, dtype=np.float64, copy=True)
         flipped[0] = 0.0 if flipped[0] >= 0.5 else 1.0
-        other_spec, other_config = decode_config(
-            flipped, trained.gpu, trained.multicore
+        ((other_spec, other_config),) = decode_config_batch(
+            flipped[None], trained.gpu, trained.multicore
         )
         reference.append(
             (

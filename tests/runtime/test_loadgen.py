@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import queue
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +17,12 @@ from repro.runtime.loadgen import (
     poisson_arrivals,
     run_open_loop,
 )
-from repro.runtime.server import DecisionServer, ServerConfig
+from repro.runtime.server import (
+    AdmissionWindow,
+    DecisionServer,
+    ServerConfig,
+    WindowConfig,
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +116,31 @@ class TestOnOffArrivals:
             onoff_arrivals(1000, **defaults)
 
 
+class CollectorWindow(AdmissionWindow):
+    """Completes every batch on one collector thread, as the shard
+    router does: callbacks run before ``completed`` counts them."""
+
+    def __init__(self) -> None:
+        config = WindowConfig(max_batch=4, flush_deadline_ms=1.0)
+        super().__init__(config, time.monotonic)
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._collector = threading.Thread(target=self._collect, daemon=True)
+        self._collector.start()
+
+    def _sink(self, batch, reason, flush_start) -> None:
+        self._inbox.put((batch, flush_start))
+
+    def _collect(self) -> None:
+        while (item := self._inbox.get()) is not None:
+            batch, flush_start = item
+            self._complete(batch, [None] * len(batch), flush_start, self.clock())
+
+    def close(self) -> None:
+        self._inbox.put(None)
+        self._collector.join(timeout=5.0)
+        assert not self._collector.is_alive()
+
+
 class TestRunOpenLoop:
     def run(self, server, arrivals, pool, **kwargs):
         async def scenario():
@@ -132,6 +165,33 @@ class TestRunOpenLoop:
         assert report.latency_p99_ms >= report.latency_p50_ms >= 0
         assert report.flushes > 0
         assert report.results is None
+
+    def test_warm_up_completion_stays_outside_the_window(self, pool):
+        """A warm-up request whose callback already ran but whose
+        completion is not yet counted must not land in the report."""
+        window = CollectorWindow()
+
+        async def scenario():
+            window.start()
+            loop = asyncio.get_running_loop()
+            warmed = loop.create_future()
+
+            def slow_callback(_tag, _result):
+                loop.call_soon_threadsafe(warmed.set_result, None)
+                time.sleep(0.2)  # the collector counts it after this
+
+            assert window.try_submit(pool[0], callback=slow_callback)
+            await warmed
+            arrivals = np.linspace(0.0, 0.05, 20)
+            return await run_open_loop(window, arrivals, pool)
+
+        try:
+            report = asyncio.run(scenario())
+        finally:
+            window.close()
+        assert report.admitted == 20
+        assert report.completed == report.admitted
+        assert report.dropped == 0
 
     def test_results_bit_identical_to_plan_batch(self, hetero, pool):
         server = DecisionServer(

@@ -223,6 +223,37 @@ class TestSinkFailure:
         assert server.pending == 0
         asyncio.run(asyncio.wait_for(server.drain(), timeout=5.0))
 
+    def test_awaited_submit_raises_when_a_loop_flush_fails(
+        self, hetero, pool, monkeypatch
+    ):
+        """Flushes that raise in event-loop callbacks (a size flush, then
+        deadline flushes for what it left queued) fail the futures of
+        their batches' ``submit`` calls, so every one raises the sink's
+        error instead of waiting forever."""
+
+        def broken(features):
+            raise RuntimeError("sink failed")
+
+        monkeypatch.setattr(hetero.decisions, "choose_encoded", broken)
+        server = DecisionServer(
+            hetero.decisions,
+            ServerConfig(max_batch=2, flush_deadline_ms=1.0, queue_capacity=8),
+        )
+
+        async def scenario():
+            async with server:
+                submits = [server.submit(pool[0]) for _ in range(5)]
+                return await asyncio.wait_for(
+                    asyncio.gather(*submits, return_exceptions=True), 3.0
+                )
+
+        errors = asyncio.run(scenario())
+        assert [str(error) for error in errors] == ["sink failed"] * 5
+        assert all(isinstance(error, RuntimeError) for error in errors)
+        assert server.stats.admitted == 5
+        assert server.stats.dropped == 5
+        assert server.stats.completed == 0
+
 
 class TestFairness:
     def test_round_robin_across_tenants(self, hetero, pool):

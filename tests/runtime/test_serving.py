@@ -15,7 +15,6 @@ from repro.runtime.deploy import prepare_workload
 from repro.runtime.serving import (
     CachedDecision,
     DecisionCache,
-    feature_key,
     feature_keys_batch,
 )
 
@@ -31,25 +30,29 @@ def _entry(tag: int) -> CachedDecision:
     )
 
 
+def _key(row, *, fleet="ffff", predictor="deep16#g0"):
+    """The cache key of one feature row."""
+    return feature_keys_batch([row], fleet=fleet, predictor=predictor)[0]
+
+
 class TestFeatureKey:
     def test_array_and_sequence_agree(self):
         row = np.array([0.1, 0.2, 0.3])
-        assert feature_key(row) == feature_key([0.1, 0.2, 0.3])
+        assert _key(row) == _key([0.1, 0.2, 0.3])
 
     def test_equal_rows_equal_keys(self):
         a = np.round(np.random.default_rng(0).random(17), 1)
-        assert feature_key(a) == feature_key(a.copy())
+        assert _key(a) == _key(a.copy())
 
     def test_fleet_fingerprint_namespaces_keys(self):
         row = np.array([0.1, 0.2, 0.3])
-        assert feature_key(row, fleet="aaaa") != feature_key(row, fleet="bbbb")
-        assert feature_key(row, fleet="aaaa") != feature_key(row)
-        assert feature_key(row, fleet="aaaa")[0] == "aaaa"
+        assert _key(row, fleet="aaaa") != _key(row, fleet="bbbb")
+        assert _key(row, fleet="aaaa")[0] == "aaaa"
 
     def test_batch_keys_match_row_keys_with_fleet(self):
         matrix = np.array([[0.1, 0.2], [0.3, 0.4]])
-        batch = feature_keys_batch(matrix, fleet="ffff")
-        assert batch == [feature_key(row, fleet="ffff") for row in matrix]
+        batch = feature_keys_batch(matrix, fleet="ffff", predictor="deep16#g0")
+        assert batch == [_key(row) for row in matrix]
 
 
 class TestDecisionCache:
@@ -419,13 +422,9 @@ class TestPredictorCacheIsolation:
 
     def test_tag_namespaces_keys(self):
         row = np.array([0.1, 0.2, 0.3])
-        assert feature_key(row, predictor="deep16#g0") != feature_key(
-            row, predictor="deep32#g0"
-        )
-        assert feature_key(row, predictor="deep16#g0") != feature_key(
-            row, predictor="deep16#g1"
-        )
-        assert feature_key(row, predictor="deep16#g0") != feature_key(row)
+        assert _key(row, predictor="deep16#g0") != _key(row, predictor="deep32#g0")
+        assert _key(row, predictor="deep16#g0") != _key(row, predictor="deep16#g1")
+        assert _key(row, predictor="deep16#g0")[1] == "deep16#g0"
 
     def test_interleaved_predictors_stay_isolated(self, shared_predictors):
         shared, a, b = shared_predictors
