@@ -63,7 +63,6 @@ __all__ = [
     "batch_evaluate",
     "by_kind",
     "fleet_evaluate",
-    "fleet_argbest",
 ]
 
 # Spec × profile terms: scalars for a lattice, per-row arrays otherwise.
@@ -559,37 +558,55 @@ Deployment = tuple[WorkloadProfile, AcceleratorSpec, MachineConfig]
 
 def _profile_terms(profile: WorkloadProfile, spec: AcceleratorSpec) -> tuple:
     """``profile``'s :func:`_row` terms on ``spec`` as a (fields, phases)
-    matrix, and its :func:`_deploy_row`, taken once per (profile, spec).
+    matrix, its :func:`_deploy_row` and its phase-kind strings, taken
+    once per (profile, spec).
 
     They are kept in ``profile.cost_terms`` under ``id(spec)``.  An entry
     holds its spec and counts only for that very object, so a reused id
     or a copied profile's entries are taken again.
     """
     terms = profile.cost_terms.get(id(spec))
-    if terms is None or terms[2] is not spec:
+    if terms is None or terms[3] is not spec:
         rows = [_row(spec.is_gpu, phase, profile, spec) for phase in profile.phases]
-        terms = (_matrix(rows), _deploy_row(spec, profile), spec)
+        kinds = tuple(phase.kind.value for phase in profile.phases)
+        terms = (_matrix(rows), _deploy_row(spec, profile), kinds, spec)
         profile.cost_terms[id(spec)] = terms
+    return terms
+
+
+def _config_terms(config: MachineConfig, spec: AcceleratorSpec) -> tuple:
+    """``config`` clamped to ``spec`` and its :func:`_config_row`, taken
+    once per (config, spec).
+
+    They are kept in ``config.cost_terms`` under ``id(spec)`` by
+    :func:`_profile_terms`'s rule: an entry holds its spec and counts
+    only for that very object.
+    """
+    terms = config.cost_terms.get(id(spec))
+    if terms is None or terms[2] is not spec:
+        clamped = clamp_config(config, spec)
+        terms = (clamped, _config_row(spec, clamped), spec)
+        config.cost_terms[id(spec)] = terms
     return terms
 
 
 def _evaluate_kind(gpu: bool, rows: Sequence[Deployment]) -> list[SimulationResult]:
     """One pass over every phase of deployments that share an M1 kind."""
-    configs = [clamp_config(config, spec) for _, spec, config in rows]
     kept = [_profile_terms(profile, spec) for profile, spec, _ in rows]
+    kept_configs = [_config_terms(config, spec) for _, spec, config in rows]
     lengths = np.array([len(profile.phases) for profile, _, _ in rows])
     # Rows are deployment-major: each deployment's phases, in phase order.
     deployment_of = np.repeat(np.arange(len(rows)), lengths)
     first_row = np.repeat(np.cumsum(lengths) - lengths, lengths)
     phase_of = np.arange(len(deployment_of)) - first_row
-    deploy = _matrix([deploy_row for _, deploy_row, _ in kept])
-    terms = _matrix([_config_row(row[1], c) for row, c in zip(rows, configs)])
+    deploy = _matrix([deploy_row for _, deploy_row, _, _ in kept])
+    terms = _matrix([config_row for _, config_row, _ in kept_configs])
     # Missing phases stay exact zeros in the (6, phases, deployments) grid.
     grid = np.zeros((6, lengths.max(), len(rows)))
     grid[:, phase_of, deployment_of] = np.stack(
         _pass(
             gpu,
-            _Rows(*np.concatenate([phase_rows for phase_rows, _, _ in kept], axis=1)),
+            _Rows(*np.concatenate([entry[0] for entry in kept], axis=1)),
             _Deploy(*deploy[:, deployment_of]),
             _Config(*terms[:, deployment_of]),
         )
@@ -598,12 +615,11 @@ def _evaluate_kind(gpu: bool, rows: Sequence[Deployment]) -> list[SimulationResu
     _count_pass(len(rows))
     results = []
     columns = (t.tolist() for t in (_Deploy(*deploy).streaming, *totals))
-    per_row = zip(rows, configs, grid[:4].T.tolist(), *columns)
-    for (profile, spec, _), config, parts, stream_s, *sums in per_row:
+    per_row = zip(rows, kept, kept_configs, grid[:4].T.tolist(), *columns)
+    for (_, spec, _), profile_terms, (config, _, _), parts, stream_s, *sums in per_row:
         time_s, busy_s, stall_s, _, power, energy = sums
         phase_costs = tuple(
-            PhaseCost(phase.kind.value, *costs)
-            for phase, costs in zip(profile.phases, parts)
+            PhaseCost(kind, *costs) for kind, costs in zip(profile_terms[2], parts)
         )
         cost = WorkloadCost(spec.name, phase_costs, stream_s, time_s, busy_s, stall_s)
         energy_result = EnergyResult(spec.name, power, energy)
@@ -637,25 +653,3 @@ def fleet_evaluate(rows: Sequence[Deployment]) -> list[SimulationResult]:
     """
     return by_kind(rows, _evaluate_kind)
 
-
-def fleet_argbest(
-    profile: WorkloadProfile,
-    deployments: Sequence[tuple[AcceleratorSpec, MachineConfig]],
-    metric: str = "time",
-) -> tuple[int, list[SimulationResult]]:
-    """Vectorized argmin over one workload's candidate deployments.
-
-    Returns the index of the deployment with the lowest objective (first
-    minimum, matching the scalar scan) plus every materialized result.
-    The differential fleet oracle pins this against an exhaustive scalar
-    :func:`~repro.accel.simulator.simulate` loop.
-
-    Raises:
-        SimulationError: for an empty deployment list or unknown metric.
-    """
-    results = fleet_evaluate([(profile, spec, config) for spec, config in deployments])
-    if not results:
-        raise SimulationError("fleet_argbest needs at least one deployment")
-    objectives = [result.objective(metric) for result in results]
-    best = min(range(len(objectives)), key=lambda i: (objectives[i], i))
-    return best, results

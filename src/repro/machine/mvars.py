@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 from repro.errors import MachineConfigError
 from repro.machine.specs import AcceleratorSpec
@@ -130,6 +131,16 @@ class MachineConfig:
             raise MachineConfigError("gpu_global_threads (M19) must be >= 1")
         if self.gpu_local_threads < 1:
             raise MachineConfigError("gpu_local_threads (M20) must be >= 1")
+
+    @cached_property
+    def cost_terms(self) -> dict:
+        """This config's clamped form and cost-model terms per accelerator
+        spec, filled and read by :mod:`repro.accel.batch`'s fleet pass.
+
+        A cached attribute, not a field, so ``==``, ``hash``, ``repr`` and
+        :func:`dataclasses.replace` see only the dataclass fields.
+        """
+        return {}
 
     @property
     def placement_looseness(self) -> float:

@@ -28,11 +28,14 @@ accelerator kind with enough rows, the scalar :func:`simulate` below
 that; both equal direct simulation exactly, so which one ran never
 shows in a decision.
 
-Cache entries hold only the feature-keyed (spec, config, vector) triple;
-estimates depend on the workload *profile* (two datasets can share a
-discretized feature row yet scale differently), so they are computed per
-workload and never cached.  Cache keys are namespaced by the fleet
-fingerprint so one cache can never serve placements across fleets.
+Cache entries hold the feature-keyed (spec, config, vector) triple and,
+once a decide has needed them, the vector's configs on the other fleet
+devices (:attr:`~repro.runtime.serving.CachedDecision.device_configs`),
+so a cache hit decodes nothing.  Estimates depend on the workload
+*profile* (two datasets can share a discretized feature row yet scale
+differently), so they are computed per workload and never cached.  Cache
+keys are namespaced by the fleet fingerprint so one cache can never
+serve placements across fleets.
 """
 
 from __future__ import annotations
@@ -438,34 +441,24 @@ class DecisionService:
     ) -> dict[int, tuple[MachineConfig, ...]]:
         """Per-device configs for each unique entry's predicted vector.
 
-        An entry already holds its vector decoded onto the device its
-        spec names (:func:`decode_config_batch` decodes each row there
-        with :func:`decode_config_for`), so each other device gets one
-        :func:`decode_config_for` pass over the unique vectors not already
-        its own (cache hits and in-batch duplicates share rows).  Keyed by
-        entry identity.
+        Each device gets one :func:`decode_config_for` pass over the
+        unique entries whose :attr:`~CachedDecision.device_configs` lack
+        it, and the configs are kept there.  An entry starts with its own
+        device's config, and a cache hit keeps every device an earlier
+        decide decoded, so such a batch decodes nothing.  Keyed by entry
+        identity, configs in fleet order.
         """
         unique = list({id(entry): entry for entry in entries}.values())
-        if not unique:
-            return {}
-        matrix = np.stack([entry.vector for entry in unique])
-        per_device = []
         for spec in self.fleet.devices:
-            configs = [entry.config for entry in unique]
-            others = [
-                row
-                for row, entry in enumerate(unique)
-                if entry.spec.name != spec.name
-            ]
-            if others:
-                for row, config in zip(
-                    others, decode_config_for(matrix[others], spec)
-                ):
-                    configs[row] = config
-            per_device.append(configs)
+            missing = [e for e in unique if spec.name not in e.device_configs]
+            if missing:
+                matrix = np.stack([entry.vector for entry in missing])
+                for entry, config in zip(missing, decode_config_for(matrix, spec)):
+                    entry.device_configs[spec.name] = config
+        names = self.fleet.names
         return {
-            id(entry): tuple(configs[row] for configs in per_device)
-            for row, entry in enumerate(unique)
+            id(entry): tuple(entry.device_configs[name] for name in names)
+            for entry in unique
         }
 
     def _estimate(
@@ -487,7 +480,7 @@ class DecisionService:
         ]
         results = iter(estimate_rows(rows))
         decisions = []
-        for workload, entry, row in zip(workloads, entries, features):
+        for workload, entry, row in zip(workloads, entries, features.tolist()):
             estimates = tuple(
                 DeviceEstimate(spec=spec, config=config, result=next(results))
                 for spec, config in zip(devices, configs[id(entry)])
@@ -503,7 +496,7 @@ class DecisionService:
                     chosen_index=chosen,
                     runner_up_index=select_runner_up(devices, costs, chosen),
                     vector=entry.vector,
-                    features=tuple(float(f) for f in row),
+                    features=tuple(row),
                     confidence=entry.confidence,
                     explored=explored,
                 )

@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -101,7 +102,13 @@ def feature_keys_batch(
 
 @dataclass(frozen=True)
 class CachedDecision:
-    """One memoized prediction: the decoded deployment + raw M vector."""
+    """One memoized prediction: the decoded deployment + raw M vector.
+
+    ``spec`` and ``config`` are the plan tier's deployment.  The decide
+    tier also decodes ``vector`` onto every other fleet device and keeps
+    those configs in :attr:`device_configs`, so a cache hit decides
+    without decoding again.
+    """
 
     spec: AcceleratorSpec
     config: MachineConfig
@@ -120,6 +127,19 @@ class CachedDecision:
         vector = np.array(self.vector, dtype=np.float64, copy=True)
         vector.setflags(write=False)
         object.__setattr__(self, "vector", vector)
+
+    @cached_property
+    def device_configs(self) -> dict[str, MachineConfig]:
+        """``vector`` decoded onto each fleet device, by device name,
+        filled as the decision layer decodes; it starts with ``config``
+        on ``spec``.
+
+        Names suffice: an entry is only served under its fleet's
+        fingerprint, which fixes every field of each named device.  A
+        cached attribute, not a field, so ``==``, ``repr`` and
+        :func:`dataclasses.replace` see only the dataclass fields.
+        """
+        return {self.spec.name: self.config}
 
 
 @dataclass

@@ -9,8 +9,8 @@ The correctness-tooling layer the perf roadmap stands on.  Its parts:
   vectorized batch cost model to the scalar ``simulate`` reference and
   the tuning layer's argmin to scalar brute force.
 * :mod:`repro.validation.fleet` — the fleet component: multi-workload
-  row sets costed by the array pass equal to a scalar loop, argmin vs an
-  exhaustive scalar loop, decode bit-identity, and permutation-invariant
+  row sets costed by the array pass equal to a scalar loop, again from
+  the terms it kept, decode bit-identity, and permutation-invariant
   fleet identities.
 * :mod:`repro.validation.cart` — the CART component: screened split
   search bit-identical to the per-candidate reference loop, whose split
@@ -49,7 +49,6 @@ from repro.validation.cart import (
 )
 from repro.validation.fleet import (
     check_decode_agreement,
-    check_fleet_argmin,
     check_fleet_rows,
     check_permutation_identity,
     random_fleet,
@@ -89,7 +88,6 @@ __all__ = [
     "check_cart_fit",
     "check_decode_agreement",
     "check_exhaustive_against_scalar",
-    "check_fleet_argmin",
     "check_fleet_rows",
     "check_kernel_case",
     "check_permutation_identity",

@@ -7,8 +7,10 @@ the seeded-replay contract of :mod:`repro.validation.fuzz`:
   workloads on a random 2–6 device fleet, costed by
   :func:`repro.accel.batch.fleet_evaluate` and by the decision layer's
   ``estimate_rows`` (so both sides of its array-pass crossover), equal a
-  scalar :func:`~repro.accel.simulator.simulate` loop, and
-  :func:`~repro.accel.batch.fleet_argbest` picks what the loop picks;
+  scalar :func:`~repro.accel.simulator.simulate` loop; so do a second
+  pass over the same objects, which reads the terms the first one kept
+  per profile and per config, and one config object costed on every
+  device of its kind, which keeps a clamped copy per device;
 * **decode agreement** — :func:`~repro.core.encoding.decode_config_batch`,
   which decodes each kind's rows on their own, gives every row exactly
   what :func:`repro.core.encoding.decode_config_for` gives for it inside
@@ -25,23 +27,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accel.batch import Deployment, fleet_argbest, fleet_evaluate
+from repro.accel.batch import Deployment, fleet_evaluate
 from repro.accel.simulator import simulate
 from repro.core.encoding import NUM_TARGETS, decode_config_batch, decode_config_for
 from repro.errors import OracleMismatchError
 from repro.machine.fleet import Fleet, synthetic_fleet
-from repro.machine.mvars import MachineConfig
-from repro.machine.specs import AcceleratorSpec
 from repro.runtime.engine.decision import estimate_rows
 from repro.validation.oracle import random_config, random_profile
-from repro.workload.profile import WorkloadProfile
 
 __all__ = [
     "MAX_FLEET_SIZE",
     "MAX_ROWS",
     "random_fleet",
     "check_fleet_rows",
-    "check_fleet_argmin",
     "check_decode_agreement",
     "check_permutation_identity",
     "run_fleet_case",
@@ -101,30 +99,6 @@ def check_fleet_rows(rows: "list[Deployment]") -> None:
                 )
 
 
-def check_fleet_argmin(
-    profile: WorkloadProfile,
-    deployments: "list[tuple[AcceleratorSpec, MachineConfig]]",
-    metric: str,
-) -> None:
-    """Vectorized fleet argmin vs an exhaustive scalar simulate loop: every
-    result must equal the scalar one and the pick must be the scan's.
-
-    Raises:
-        OracleMismatchError: on any difference.
-    """
-    check_fleet_rows([(profile, spec, config) for spec, config in deployments])
-    best_index, _ = fleet_argbest(profile, deployments, metric)
-    scalar = [simulate(profile, spec, config) for spec, config in deployments]
-    scalar_best = min(
-        range(len(scalar)), key=lambda i: (scalar[i].objective(metric), i)
-    )
-    if best_index != scalar_best:
-        raise OracleMismatchError(
-            f"fleet argmin divergence (metric {metric!r}): vectorized best "
-            f"#{best_index} vs scalar best #{scalar_best}"
-        )
-
-
 def check_decode_agreement(vectors: np.ndarray, fleet: Fleet) -> None:
     """Decoding a kind's rows on their own must equal decoding each row
     inside the whole matrix.
@@ -178,7 +152,9 @@ def check_permutation_identity(
 
 
 def run_fleet_case(seed: int) -> str:
-    """One fleet fuzz case: exact row costing, argmin, decode and identity.
+    """One fleet fuzz case: exact row costing, kept terms, decode and
+    identity.  It draws what earlier versions drew, the metric included,
+    so a recorded ``REPRO_FUZZ_SEED`` line replays the same case.
 
     Raises:
         OracleMismatchError: on any violation.
@@ -193,12 +169,16 @@ def run_fleet_case(seed: int) -> str:
         profile = profiles[int(rng.integers(0, len(profiles)))]
         rows.append((profile, spec, random_config(spec, rng)))
     check_fleet_rows(rows)
+    check_fleet_rows(rows)  # from the terms the first pass kept
+    profile, spec, config = rows[0]
+    same_kind = [device for device in fleet.devices if device.is_gpu == spec.is_gpu]
+    check_fleet_rows([(profile, device, config) for device in same_kind])
     deployments = [
         (spec, random_config(spec, rng))
         for spec in fleet.devices
         for _ in range(int(rng.integers(1, 3)))
     ]
-    check_fleet_argmin(profiles[0], deployments, metric)
+    check_fleet_rows([(profiles[0], spec, config) for spec, config in deployments])
     vectors = rng.uniform(0.0, 1.0, size=(5, NUM_TARGETS))
     check_decode_agreement(vectors, fleet)
     check_permutation_identity(fleet, rng)

@@ -4,8 +4,9 @@ The fleet path costs arbitrary ``(profile, spec, config)`` rows in one
 array pass per accelerator kind.  These tests compare it with scalar
 ``simulate`` by ``==`` (no tolerance) on mixed-spec fleets, on the
 inputs where NumPy and libm would round differently, and on the edge
-cases of the model; they also pin the decision layer's crossover between
-the scalar loop and the array pass, and the ceiling rule's no-copy path.
+cases of the model, and with the terms the pass keeps per profile and
+per config; they also pin the decision layer's crossover between the
+scalar loop and the array pass, and the ceiling rule's no-copy path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.accel.batch import fleet_evaluate
 from repro.accel.simulator import simulate
 from repro.core.heteromap import HeteroMap
 from repro.machine.fleet import synthetic_fleet
-from repro.machine.mvars import MachineConfig, clamp_config
+from repro.machine.mvars import MachineConfig, OmpSchedule, clamp_config
 from repro.machine.specs import get_accelerator
 from repro.runtime.deploy import prepare_workload
 from repro.runtime.engine.decision import ARRAY_PASS_MIN_ROWS
@@ -146,6 +147,44 @@ def test_kept_terms_follow_the_spec_object():
     assert (hash(profile), repr(profile)) == before
     assert profile == twin == stale
     assert not replace(profile).cost_terms
+
+
+def test_kept_config_terms_follow_the_spec_object():
+    """The pass keeps a config's clamped form and ``_config_row`` per spec
+    object in ``config.cost_terms``; a same-named spec with a lower
+    ceiling, a copied config and an entry under a reused id are all
+    costed afresh, and the kept terms never show in the config's ``==``,
+    ``hash`` or ``repr``."""
+    profile = make_profile()
+    spec = get_accelerator("xeonphi7120p")
+    config = MachineConfig(
+        accelerator=spec.name,
+        cores=spec.cores,
+        threads_per_core=2,
+        simd_width=8,
+        blocktime_ms=37.5,
+        omp_schedule=OmpSchedule.DYNAMIC,
+        omp_chunk=7,
+    )
+    before = (hash(config), repr(config))
+    lower = replace(spec, cores=spec.cores // 2)
+    assert clamp_config(config, spec) is config
+    assert clamp_config(config, lower) != config
+    assert simulate(profile, lower, config) != simulate(profile, spec, config)
+
+    _assert_rows_exact([(profile, spec, config)])
+    _assert_rows_exact([(profile, spec, config), (profile, lower, config)])
+    twin = copy.deepcopy(config)
+    _assert_rows_exact([(profile, spec, twin), (profile, lower, twin)])
+    # An entry left under an id that now names another spec object.
+    stale = replace(config)
+    _assert_rows_exact([(profile, lower, stale)])
+    stale.cost_terms[id(spec)] = stale.cost_terms.pop(id(lower))
+    _assert_rows_exact([(profile, spec, stale)])
+
+    assert (hash(config), repr(config)) == before
+    assert config == twin == stale
+    assert not replace(config).cost_terms
 
 
 @pytest.mark.parametrize(

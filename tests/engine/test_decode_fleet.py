@@ -2,7 +2,8 @@
 
 :func:`decode_config_batch` decodes each row onto its own kind only, and
 the decision layer reuses that config for the device an entry's spec
-names, decoding the vector onto the other devices only.  Both shortcuts
+names, decoding the vector onto the other devices only and keeping those
+configs in the entry, so a cache hit decodes nothing.  Every shortcut
 must give exactly what :func:`decode_config_for` gives for the row alone,
 on every device, including for cache hits and for a cache shared by two
 fleets with the same fingerprint.
@@ -10,9 +11,13 @@ fleets with the same fingerprint.
 
 from __future__ import annotations
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import repro.runtime.engine.decision as decision_module
 from repro.core.encoding import (
     NUM_TARGETS,
     decode_config_batch,
@@ -23,6 +28,7 @@ from repro.machine.fleet import Fleet, synthetic_fleet
 from repro.machine.specs import DEFAULT_PAIR
 from repro.runtime.deploy import prepare_workload
 from repro.runtime.engine.decision import DecisionService
+from repro.runtime.serving import DecisionCache
 
 #: The linear pair map below sends the first five to the GPU kind and the
 #: rest to the multicore kind, so the batch mixes entries of both kinds.
@@ -46,6 +52,46 @@ def assert_configs_decode_alone(decisions) -> None:
         vector = np.asarray(decision.vector)[None]
         for estimate in decision.estimates:
             assert estimate.config == decode_config_for(vector, estimate.spec)[0]
+
+
+def assert_same_decisions(got, want) -> None:
+    """Equal estimates (spec names, configs, results) and picks."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert [(e.spec.name, e.config, e.result) for e in a.estimates] == [
+            (e.spec.name, e.config, e.result) for e in b.estimates
+        ]
+        assert (a.chosen_index, a.runner_up_index) == (
+            b.chosen_index, b.runner_up_index
+        )
+        assert np.array_equal(a.vector, b.vector)
+        assert a.features == b.features
+
+
+def count_decodes(monkeypatch) -> list[int]:
+    """Rows of each ``decode_config_for`` call the decision layer makes
+    from here on."""
+    rows: list[int] = []
+
+    def counting(vectors, spec):
+        rows.append(len(vectors))
+        return decode_config_for(vectors, spec)
+
+    monkeypatch.setattr(decision_module, "decode_config_for", counting)
+    return rows
+
+
+def service_like(service: DecisionService, fleet: Fleet, cache) -> DecisionService:
+    """A trained service with ``service``'s predictor on ``fleet``."""
+    twin = DecisionService(
+        service.predictor,
+        fleet,
+        predictor_name=service.predictor_name,
+        metric=service.metric,
+        cache=cache,
+    )
+    twin.overhead_ms = service.overhead_ms
+    return twin
 
 
 @pytest.fixture(
@@ -84,32 +130,83 @@ class TestDecideBatch:
         assert_configs_decode_alone(decisions)
 
     def test_cache_shared_by_two_fleets(self, cached_map, batch):
-        """A second Fleet object, devices reversed, same fingerprint: its
-        service hits entries whose spec objects the first fleet made."""
+        """Second Fleet objects with the same fingerprint, devices
+        reversed or deep-copied into distinct spec objects: their
+        services hit entries whose spec objects and kept configs the
+        first fleet made."""
         first = cached_map.decisions
-        fleet = Fleet(tuple(reversed(cached_map.fleet.devices)))
-        assert fleet.fingerprint == cached_map.fleet.fingerprint
-        second = DecisionService(
-            first.predictor,
-            fleet,
-            predictor_name=first.predictor_name,
-            metric=first.metric,
-            cache=first.cache,
-        )
-        second.overhead_ms = first.overhead_ms
+        devices = cached_map.fleet.devices
+        copied = Fleet(copy.deepcopy(devices))
+        assert all(a is not b for a, b in zip(copied.devices, devices))
         expected = first.decide_batch(batch)
-        misses = first.cache.stats.misses
-        decisions = second.decide_batch(batch)
-        assert first.cache.stats.misses == misses
-        assert_configs_decode_alone(decisions)
-        for want, got in zip(expected, decisions):
-            assert got.chosen.spec.name == want.chosen.spec.name
-            assert got.chosen.config == want.chosen.config
-            assert got.chosen.result == want.chosen.result
+        for fleet in (Fleet(tuple(reversed(devices))), copied):
+            assert fleet.fingerprint == cached_map.fleet.fingerprint
+            second = service_like(first, fleet, first.cache)
+            misses = first.cache.stats.misses
+            decisions = second.decide_batch(batch)
+            assert first.cache.stats.misses == misses
+            assert_configs_decode_alone(decisions)
+            for want, got in zip(expected, decisions):
+                assert got.chosen.spec.name == want.chosen.spec.name
+                assert got.chosen.config == want.chosen.config
+                assert got.chosen.result == want.chosen.result
+        # The copied fleet keeps the device order, so its decisions (the
+        # loop's last) equal the first fleet's estimate for estimate.
+        assert_same_decisions(decisions, expected)
 
     def test_cart_pair(self, trained, batch):
         """The engine fixture: CART on the pair, cache bypassed."""
         assert_configs_decode_alone(trained.decisions.decide_batch(batch))
+
+
+class TestKeptConfigs:
+    """A cache entry keeps its vector's config on every device a decide
+    decoded it onto, so deciding a cached batch again decodes nothing."""
+
+    def test_cache_hit_decodes_nothing(self, cached_map, batch, monkeypatch):
+        decisions = cached_map.decisions
+        decisions.clear_cache()
+        first = decisions.decide_batch(batch)
+        rows = count_decodes(monkeypatch)
+        second = decisions.decide_batch(batch)
+        assert rows == []
+        assert_same_decisions(second, first)
+
+    @pytest.mark.parametrize("reset", ["clear_cache", "swap_predictor"])
+    def test_reset_decodes_again(self, cached_map, batch, monkeypatch, reset):
+        service = service_like(
+            cached_map.decisions, cached_map.fleet, DecisionCache()
+        )
+        first = service.decide_batch(batch)
+        if reset == "clear_cache":
+            service.clear_cache()
+        else:
+            service.swap_predictor(service.predictor)
+        rows = count_decodes(monkeypatch)
+        again = service.decide_batch(batch)
+        # Every distinct vector is decoded onto every device but its own.
+        assert sum(rows) == (len(cached_map.fleet) - 1) * len(
+            {decision.features for decision in again}
+        )
+        assert_same_decisions(again, first)
+
+    def test_kept_configs_are_not_fields(self, cached_map, batch):
+        decisions = cached_map.decisions
+        decisions.decide_batch(batch)
+        entry = decisions.choose_encoded(decisions.encode(batch[:1]))[0]
+        assert set(entry.device_configs) == set(cached_map.fleet.names)
+        fresh = replace(entry)
+        assert repr(fresh) == repr(entry)
+        assert fresh.device_configs == {entry.spec.name: entry.config}
+
+    def test_fresh_profiles_decide_alike(self, cached_map, batch):
+        """``replace`` copies of the profiles keep no terms; the entries
+        and their configs do."""
+        decisions = cached_map.decisions
+        want = decisions.decide_batch(batch)
+        fresh = [replace(w, profile=replace(w.profile)) for w in batch]
+        assert not any(w.profile.cost_terms for w in fresh)
+        assert_same_decisions(decisions.decide_batch(fresh), want)
 
 
 class TestDecodeBatch:
