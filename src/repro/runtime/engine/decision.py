@@ -33,9 +33,12 @@ once a decide has needed them, the vector's configs on the other fleet
 devices (:attr:`~repro.runtime.serving.CachedDecision.device_configs`),
 so a cache hit decodes nothing.  Estimates depend on the workload
 *profile* (two datasets can share a discretized feature row yet scale
-differently), so they are computed per workload and never cached.  Cache
-keys are namespaced by the fleet fingerprint so one cache can never
-serve placements across fleets.
+differently), so the cache never holds one.  Each profile object keeps
+its own: the exact result of the config object it was last costed with
+on each device (:func:`~repro.accel.batch.keep_estimates`), so a cache
+hit for a workload decided before costs no row either.  Cache keys are
+namespaced by the fleet fingerprint so one cache can never serve
+placements across fleets.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.accel.batch import Deployment, by_kind, fleet_evaluate
+from repro.accel.batch import Deployment, evaluate_kind, keep_estimates
 from repro.accel.simulator import SimulationResult, simulate
 from repro.core.encoding import (
     decode_config_batch,
@@ -86,17 +89,20 @@ ARRAY_PASS_MIN_ROWS = 8
 def estimate_rows(rows: Sequence[Deployment]) -> list[SimulationResult]:
     """Cost ``(profile, spec, config)`` rows, each equal to :func:`simulate`.
 
-    A kind with at least :data:`ARRAY_PASS_MIN_ROWS` rows takes one
-    :func:`~repro.accel.batch.fleet_evaluate` pass; a smaller kind loops
-    over this module's :func:`simulate`, which is faster for it.
+    A row whose profile keeps an estimate for that very spec and config
+    object takes it (:func:`~repro.accel.batch.keep_estimates`).  Of the
+    other rows, a kind with at least :data:`ARRAY_PASS_MIN_ROWS` takes one
+    :func:`~repro.accel.batch.evaluate_kind` pass; a smaller kind loops
+    over this module's :func:`simulate`, which is faster for it.  Only
+    rows without a kept estimate count towards the crossover.
     """
 
     def cost(gpu: bool, kind_rows: list) -> list[SimulationResult]:
         if len(kind_rows) >= ARRAY_PASS_MIN_ROWS:
-            return fleet_evaluate(kind_rows)
+            return evaluate_kind(gpu, kind_rows)
         return [simulate(*row) for row in kind_rows]
 
-    return by_kind(rows, cost)
+    return keep_estimates(rows, cost)
 
 
 def select_chosen(
@@ -432,7 +438,8 @@ class DecisionService:
         entries, features = self._choose_batch(workloads)
         decisions = self._estimate(workloads, entries, features)
         if decisions and obs.enabled():
-            # One cost-model evaluation per decision per fleet device.
+            # One estimate per decision per fleet device, kept or costed
+            # (cost_model.configs by path: kept, batch, scalar).
             obs.counter("engine.estimates", len(self.fleet) * len(decisions))
         return decisions
 

@@ -9,8 +9,10 @@ the seeded-replay contract of :mod:`repro.validation.fuzz`:
   ``estimate_rows`` (so both sides of its array-pass crossover), equal a
   scalar :func:`~repro.accel.simulator.simulate` loop; so do a second
   pass over the same objects, which reads the terms the first one kept
-  per profile and per config, and one config object costed on every
-  device of its kind, which keeps a clamped copy per device;
+  per profile and per config and the estimates it kept per profile, a
+  third over equal copies of the configs, which must replace those
+  estimates rather than be served them, and one config object costed on
+  every device of its kind, which keeps a clamped copy per device;
 * **decode agreement** — :func:`~repro.core.encoding.decode_config_batch`,
   which decodes each kind's rows on their own, gives every row exactly
   what :func:`repro.core.encoding.decode_config_for` gives for it inside
@@ -24,6 +26,8 @@ and quantity, replayable via the standard ``REPRO_FUZZ_SEED`` one-liner.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -81,15 +85,19 @@ def random_fleet(
     return Fleet(tuple(picks[int(i)] for i in order))
 
 
-def check_fleet_rows(rows: "list[Deployment]") -> None:
+def check_fleet_rows(rows: "list[Deployment]") -> list:
     """Array-path costing of ``rows`` (``fleet_evaluate`` and the decision
     layer's ``estimate_rows``) vs a scalar simulate loop, by ``==``.
+
+    Returns:
+        The ``estimate_rows`` results, input order.
 
     Raises:
         OracleMismatchError: on the first row whose results differ.
     """
     scalar = [simulate(*row) for row in rows]
-    for costed in (fleet_evaluate(rows), estimate_rows(rows)):
+    passes = fleet_evaluate(rows), estimate_rows(rows)
+    for costed in passes:
         for index, (got, want) in enumerate(zip(costed, scalar)):
             if got != want:
                 raise OracleMismatchError(
@@ -97,6 +105,7 @@ def check_fleet_rows(rows: "list[Deployment]") -> None:
                     f"#{index} of {len(rows)}: time_s {got.time_s!r} vs "
                     f"{want.time_s!r}"
                 )
+    return passes[1]
 
 
 def check_decode_agreement(vectors: np.ndarray, fleet: Fleet) -> None:
@@ -152,9 +161,9 @@ def check_permutation_identity(
 
 
 def run_fleet_case(seed: int) -> str:
-    """One fleet fuzz case: exact row costing, kept terms, decode and
-    identity.  It draws what earlier versions drew, the metric included,
-    so a recorded ``REPRO_FUZZ_SEED`` line replays the same case.
+    """One fleet fuzz case: exact row costing, kept terms and estimates,
+    decode and identity.  It draws what earlier versions drew, the metric
+    included, so a recorded ``REPRO_FUZZ_SEED`` line replays the same case.
 
     Raises:
         OracleMismatchError: on any violation.
@@ -169,7 +178,18 @@ def run_fleet_case(seed: int) -> str:
         profile = profiles[int(rng.integers(0, len(profiles)))]
         rows.append((profile, spec, random_config(spec, rng)))
     check_fleet_rows(rows)
-    check_fleet_rows(rows)  # from the terms the first pass kept
+    kept = check_fleet_rows(rows)  # from the terms and estimates kept
+    copies = [(profile, spec, replace(config)) for profile, spec, config in rows]
+    served = [
+        index
+        for index, (was, now) in enumerate(zip(kept, check_fleet_rows(copies)))
+        if was is now
+    ]
+    if served:
+        raise OracleMismatchError(
+            f"kept estimate served to an equal config that is another "
+            f"object on rows {served} of {len(rows)}"
+        )
     profile, spec, config = rows[0]
     same_kind = [device for device in fleet.devices if device.is_gpu == spec.is_gpu]
     check_fleet_rows([(profile, device, config) for device in same_kind])

@@ -1,4 +1,4 @@
-"""One decode per (row, device).
+"""One decode per (row, device), and one costing per (profile, device, config).
 
 :func:`decode_config_batch` decodes each row onto its own kind only, and
 the decision layer reuses that config for the device an entry's spec
@@ -6,7 +6,9 @@ names, decoding the vector onto the other devices only and keeping those
 configs in the entry, so a cache hit decodes nothing.  Every shortcut
 must give exactly what :func:`decode_config_for` gives for the row alone,
 on every device, including for cache hits and for a cache shared by two
-fleets with the same fingerprint.
+fleets with the same fingerprint.  A profile keeps the exact estimate of
+each such config, so a cache hit for a workload decided before costs no
+row either.
 """
 
 from __future__ import annotations
@@ -18,15 +20,20 @@ import numpy as np
 import pytest
 
 import repro.runtime.engine.decision as decision_module
+from repro import obs
+from repro.accel.batch import evaluate_kind
+from repro.accel.simulator import simulate
 from repro.core.encoding import (
     NUM_TARGETS,
     decode_config_batch,
     decode_config_for,
 )
 from repro.core.heteromap import HeteroMap
+from repro.core.online import DriftInjectedBackend
 from repro.machine.fleet import Fleet, synthetic_fleet
 from repro.machine.specs import DEFAULT_PAIR
 from repro.runtime.deploy import prepare_workload
+from repro.runtime.engine import SimulatedBackend
 from repro.runtime.engine.decision import DecisionService
 from repro.runtime.serving import DecisionCache
 
@@ -207,6 +214,128 @@ class TestKeptConfigs:
         fresh = [replace(w, profile=replace(w.profile)) for w in batch]
         assert not any(w.profile.cost_terms for w in fresh)
         assert_same_decisions(decisions.decide_batch(fresh), want)
+
+
+def count_costing(monkeypatch) -> dict[str, int]:
+    """Rows the decision layer costs from here on, by ``simulate`` call
+    and by array pass."""
+    counts = {"simulate": 0, "pass": 0}
+
+    def simulating(*row):
+        counts["simulate"] += 1
+        return simulate(*row)
+
+    def passing(gpu, rows):
+        counts["pass"] += len(rows)
+        return evaluate_kind(gpu, rows)
+
+    monkeypatch.setattr(decision_module, "simulate", simulating)
+    monkeypatch.setattr(decision_module, "evaluate_kind", passing)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def deep_map():
+    """deep128 on synthetic_fleet(4), through the decision cache."""
+    hetero = HeteroMap(synthetic_fleet(4), predictor="deep128", seed=5)
+    hetero.train(num_samples=24, seed=5)
+    assert hetero.decisions.cache_active
+    return hetero
+
+
+def assert_estimates_equal_simulate(decisions) -> None:
+    for decision in decisions:
+        for e in decision.estimates:
+            assert e.result == simulate(decision.workload.profile, e.spec, e.config)
+
+
+class TestKeptEstimates:
+    """A workload decided again from a cache hit costs no row: each of its
+    profile's rows meets the spec and config objects it was costed with,
+    whose exact result the profile keeps."""
+
+    def test_cache_hit_costs_no_row(self, deep_map, batch, monkeypatch):
+        decisions = deep_map.decisions
+        decisions.clear_cache()
+        first = decisions.decide_batch(batch)
+        counts = count_costing(monkeypatch)
+        second = decisions.decide_batch(batch)
+        assert counts == {"simulate": 0, "pass": 0}
+        for a, b in zip(second, first):
+            assert all(x.result is y.result for x, y in zip(a.estimates, b.estimates))
+        assert_same_decisions(second, first)
+
+    @pytest.mark.parametrize("reset", ["clear_cache", "swap_predictor"])
+    def test_reset_costs_every_row(self, deep_map, batch, monkeypatch, reset):
+        service = service_like(deep_map.decisions, deep_map.fleet, DecisionCache())
+        first = service.decide_batch(batch)
+        if reset == "clear_cache":
+            service.clear_cache()
+        else:
+            service.swap_predictor(service.predictor)
+        counts = count_costing(monkeypatch)
+        again = service.decide_batch(batch)
+        assert sum(counts.values()) == len(deep_map.fleet) * len(batch)
+        assert_same_decisions(again, first)
+        assert_estimates_equal_simulate(again)
+
+    def test_cart_costs_every_row(self, trained, batch, monkeypatch):
+        """CART bypasses the cache, so every decode makes new configs."""
+        decisions = trained.decisions
+        assert not decisions.cache_active
+        first = decisions.decide_batch(batch)
+        counts = count_costing(monkeypatch)
+        again = decisions.decide_batch(batch)
+        assert sum(counts.values()) == len(trained.fleet) * len(batch)
+        assert_same_decisions(again, first)
+
+    def test_drift_leaves_kept_estimates_unscaled(self, deep_map, batch):
+        """A drift-injected backend scales what it executes, never the
+        estimates the profiles keep."""
+        backend = DriftInjectedBackend(
+            SimulatedBackend(), factor=4.0, start_after=2, kind="gpu"
+        )
+        engine = deep_map.engine
+        saved, engine.backend = engine.backend, backend
+        try:
+            report = deep_map.run_fleet(batch, policy="load-aware")
+        finally:
+            engine.backend = saved
+        assert any(
+            outcome.result != placement.deployed.result
+            for outcome, placement in zip(report.outcomes, report.placements)
+        )
+        later = deep_map.decisions.decide_batch(batch)
+        for a, b in zip(later, (p.decision for p in report.placements)):
+            assert all(x.result is y.result for x, y in zip(a.estimates, b.estimates))
+        assert_estimates_equal_simulate(later)
+
+    def test_rows_counted_by_path(self, deep_map, batch):
+        """``cost_model.configs`` counts each decide's rows as kept, array
+        pass or scalar ``simulate``; together they are ``engine.estimates``."""
+        decisions = deep_map.decisions
+        decisions.clear_cache()
+        state = obs.configure(obs.ObsConfig(enabled=True))
+        try:
+            counted = []
+            for _ in range(2):
+                decisions.decide_batch(batch)
+                counted.append(
+                    {
+                        path: state.metrics.counter_value(
+                            "cost_model.configs", path=path
+                        )
+                        for path in ("kept", "batch", "scalar")
+                    }
+                )
+            rows = len(deep_map.fleet) * len(batch)
+            assert state.metrics.counter_value("engine.estimates") == 2 * rows
+        finally:
+            obs.reset()
+        first, both = counted
+        assert first == {"kept": 0, "batch": rows, "scalar": 0}
+        second = {path: both[path] - first[path] for path in both}
+        assert second == {"kept": rows, "batch": 0, "scalar": 0}
 
 
 class TestDecodeBatch:
