@@ -8,8 +8,7 @@ pass covers one accelerator kind, so the GPU/multicore branches stay plain
 ``if`` statements.  It serves :func:`batch_evaluate` (one workload on a
 config set such as the M lattice) and :func:`evaluate_kind` (any mix of
 deployments of one kind, e.g. every (workload × device) pair of a decide
-batch).  :func:`keep_estimates` lets the decision layer reuse the exact
-result a profile already has for a (spec, config) pair.
+batch).
 
 Results equal :func:`simulate` bit for bit: only IEEE-exact elementwise
 operations (``+ - * /``, ``minimum``, ``maximum``, ``abs``, ``where``)
@@ -66,7 +65,6 @@ __all__ = [
     "by_kind",
     "evaluate_kind",
     "fleet_evaluate",
-    "keep_estimates",
 ]
 
 # Spec × profile terms: scalars for a lattice, per-row arrays otherwise.
@@ -649,41 +647,9 @@ def fleet_evaluate(rows: Sequence[Deployment]) -> list[SimulationResult]:
 
     Each accelerator kind is costed in one :func:`evaluate_kind` pass
     over all its phases, whatever the mix of workloads and specs, and
-    every result equals :func:`simulate`.  It keeps no estimate: every
-    call runs the pass, so it checks what :func:`keep_estimates` serves.
+    every result equals :func:`simulate`.
 
     Returns:
         One :class:`SimulationResult` per deployment, input order.
     """
     return by_kind(rows, evaluate_kind)
-
-
-def keep_estimates(rows: Sequence[Deployment], cost) -> list[SimulationResult]:
-    """:func:`by_kind` ``(rows, cost)`` for the rows without a kept estimate.
-
-    A profile keeps, per spec object, the result of the config object it
-    was last costed with there (``profile.kept_estimates``, under
-    ``id(spec)``).  A row whose spec and config are those very objects
-    takes that result; the other rows are costed and their results kept.
-    The kept result is exact, since profile, spec and config are frozen,
-    and it is keyed by the profile object, never by its feature row.
-
-    Returns:
-        One :class:`SimulationResult` per row, input order.
-    """
-    results: list[SimulationResult | None] = []
-    missing = []
-    for index, (profile, spec, config) in enumerate(rows):
-        kept = profile.kept_estimates.get(id(spec))
-        if kept is not None and kept[0] is spec and kept[1] is config:
-            results.append(kept[2])
-        else:
-            results.append(None)
-            missing.append(index)
-    if obs.enabled():  # vs cost_model.configs{path="batch"|"scalar"}
-        obs.counter("cost_model.configs", len(rows) - len(missing), path="kept")
-    for index, result in zip(missing, by_kind([rows[i] for i in missing], cost)):
-        profile, spec, config = rows[index]
-        profile.kept_estimates[id(spec)] = (spec, config, result)
-        results[index] = result
-    return results  # type: ignore[return-value]

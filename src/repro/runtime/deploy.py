@@ -15,10 +15,14 @@ dataset) pair it:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
+
+import numpy as np
 
 from repro import obs
 from repro.accel.simulator import SimulationResult, simulate
+from repro.core.encoding import encode_features
 from repro.features.bvars import BVariables
 from repro.features.ivars import IVariables, ivars_from_meta
 from repro.features.profiles import get_profile
@@ -54,13 +58,37 @@ _OVERHEAD_SCALES_WITH_DEPTH = {"sssp_bf", "connected_components", "bfs", "sssp_d
 
 @dataclass(frozen=True)
 class Workload:
-    """A fully prepared benchmark-input combination."""
+    """A fully prepared benchmark-input combination.
+
+    Its two cached attributes are not fields, so ``==``, ``hash``,
+    ``repr`` and :func:`dataclasses.replace` see only the five fields, and
+    a ``replace`` copy starts with neither.
+    """
 
     benchmark: str
     dataset: str
     bvars: BVariables
     ivars: IVariables
     profile: WorkloadProfile
+
+    @cached_property
+    def feature_row(self) -> np.ndarray:
+        """The read-only encoded ``(17,)`` feature row, encoded once."""
+        row = encode_features(self.bvars, self.ivars)
+        row.setflags(write=False)
+        return row
+
+    @cached_property
+    def kept_decision(self) -> tuple | None:
+        """The parts of the last decision the decision layer built for this
+        workload, with the cache entry, device tuple and metric they were
+        built for; ``None`` until one is kept.
+
+        Written and read by :mod:`repro.runtime.engine.decision` only.  The
+        parts never refer back to the workload, so keeping them makes no
+        reference cycle.
+        """
+        return None
 
 
 def trace_cache_key(benchmark: str, dataset: str) -> str:

@@ -23,6 +23,7 @@ swapped (new policies, new backends) without touching the others.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,9 +129,10 @@ class Decision:
         """The chosen machine configuration."""
         return self.chosen.config
 
-    @property
+    @cached_property
     def costs_ms(self) -> tuple[float, ...]:
-        """Per-device estimated times in milliseconds, fleet order."""
+        """Per-device estimated times in milliseconds, fleet order, taken
+        once per decision (a cached attribute, not a field)."""
         return tuple(estimate.time_ms for estimate in self.estimates)
 
     def estimate_for(self, accelerator: str) -> DeviceEstimate:

@@ -33,12 +33,15 @@ once a decide has needed them, the vector's configs on the other fleet
 devices (:attr:`~repro.runtime.serving.CachedDecision.device_configs`),
 so a cache hit decodes nothing.  Estimates depend on the workload
 *profile* (two datasets can share a discretized feature row yet scale
-differently), so the cache never holds one.  Each profile object keeps
-its own: the exact result of the config object it was last costed with
-on each device (:func:`~repro.accel.batch.keep_estimates`), so a cache
-hit for a workload decided before costs no row either.  Cache keys are
-namespaced by the fleet fingerprint so one cache can never serve
-placements across fleets.
+differently), so the cache never holds one.  Each
+:class:`~repro.runtime.deploy.Workload` object keeps its own instead: its
+encoded feature row, and the parts of the last decision built for it
+(estimates, picks, features and per-device costs) with the cache entry,
+device tuple and metric they were built for.  Deciding it again under
+that very entry and device tuple and an equal metric assembles the
+decision from those parts, so such a workload is encoded, decoded,
+costed and picked once.  Cache keys are namespaced by the fleet
+fingerprint so one cache can never serve placements across fleets.
 """
 
 from __future__ import annotations
@@ -48,13 +51,9 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.accel.batch import Deployment, evaluate_kind, keep_estimates
+from repro.accel.batch import Deployment, by_kind, evaluate_kind
 from repro.accel.simulator import SimulationResult, simulate
-from repro.core.encoding import (
-    decode_config_batch,
-    decode_config_for,
-    encode_features_batch,
-)
+from repro.core.encoding import NUM_FEATURES, decode_config_batch, decode_config_for
 from repro.core.predictors.base import Predictor
 from repro.errors import NotTrainedError
 from repro.machine.fleet import Fleet
@@ -89,12 +88,12 @@ ARRAY_PASS_MIN_ROWS = 8
 def estimate_rows(rows: Sequence[Deployment]) -> list[SimulationResult]:
     """Cost ``(profile, spec, config)`` rows, each equal to :func:`simulate`.
 
-    A row whose profile keeps an estimate for that very spec and config
-    object takes it (:func:`~repro.accel.batch.keep_estimates`).  Of the
-    other rows, a kind with at least :data:`ARRAY_PASS_MIN_ROWS` takes one
+    A kind with at least :data:`ARRAY_PASS_MIN_ROWS` rows takes one
     :func:`~repro.accel.batch.evaluate_kind` pass; a smaller kind loops
-    over this module's :func:`simulate`, which is faster for it.  Only
-    rows without a kept estimate count towards the crossover.
+    over this module's :func:`simulate`, which is faster for it.  Every
+    row is costed: a workload decided again from the same cache entry
+    never reaches this function, since its decision is assembled from the
+    parts it keeps (:meth:`DecisionService._estimate`).
     """
 
     def cost(gpu: bool, kind_rows: list) -> list[SimulationResult]:
@@ -102,7 +101,7 @@ def estimate_rows(rows: Sequence[Deployment]) -> list[SimulationResult]:
             return evaluate_kind(gpu, kind_rows)
         return [simulate(*row) for row in kind_rows]
 
-    return keep_estimates(rows, cost)
+    return by_kind(rows, cost)
 
 
 def select_chosen(
@@ -253,16 +252,13 @@ class DecisionService:
         and recorded in the audit stream; the returned plans themselves
         are untouched, so exploration never changes what is served.
         """
-        entries, features = self._choose_batch(workloads)
+        entries = self._choose_batch(workloads)
         if self.exploration is not None:
-            self._explore_low_confidence(workloads, entries, features)
+            self._explore_low_confidence(workloads, entries)
         return [(entry.spec, entry.config) for entry in entries]
 
     def _explore_low_confidence(
-        self,
-        workloads: Sequence[Workload],
-        entries: Sequence[CachedDecision],
-        features: np.ndarray,
+        self, workloads: Sequence[Workload], entries: Sequence[CachedDecision]
     ) -> None:
         """Spend exploration budget costing uncertain plan-tier rows.
 
@@ -284,7 +280,6 @@ class DecisionService:
         decisions = self._estimate(
             [workloads[index] for index in probe_rows],
             [entries[index] for index in probe_rows],
-            features[probe_rows],
             explored=True,
         )
         if obs.enabled():
@@ -299,15 +294,17 @@ class DecisionService:
             obs.counter("quality.exploration_probes", len(probe_rows))
 
     def encode(self, workloads: Sequence[Workload]) -> np.ndarray:
-        """The batch's discretized ``(n, 17)`` feature matrix."""
-        return encode_features_batch([(w.bvars, w.ivars) for w in workloads])
+        """The batch's discretized ``(n, 17)`` feature matrix, stacked from
+        the row each workload keeps (:attr:`Workload.feature_row
+        <repro.runtime.deploy.Workload.feature_row>`), so a workload is
+        encoded once."""
+        if not workloads:
+            return np.empty((0, NUM_FEATURES))
+        return np.array([workload.feature_row for workload in workloads])
 
-    def _choose_batch(
-        self, workloads: Sequence[Workload]
-    ) -> tuple[list[CachedDecision], np.ndarray]:
+    def _choose_batch(self, workloads: Sequence[Workload]) -> list[CachedDecision]:
         """Cache-dedupe a batch and run one forward pass for the misses."""
-        features = self.encode(workloads)
-        return self.choose_encoded(features), features
+        return self.choose_encoded(self.encode(workloads))
 
     def choose_encoded(self, features: np.ndarray) -> list[CachedDecision]:
         """Decide a pre-encoded feature matrix through cache + one forward.
@@ -316,8 +313,8 @@ class DecisionService:
         Equal feature rows share a single prediction (first occurrence
         computes, the rest hit the freshly inserted cache entry or an
         in-batch memo when the cache is disabled or bypassed).  The async
-        server calls this directly with memoized feature rows, skipping
-        the encode pass for hot workloads.
+        server's plan mode and the shard workers call this directly with
+        the feature rows the workloads keep.
 
         The plan tier is feature-pure, so decoding anchors on the fleet
         primaries; cache keys carry the fleet fingerprint, so a cache
@@ -435,8 +432,7 @@ class DecisionService:
 
     def decide_batch(self, workloads: Sequence[Workload]) -> list[Decision]:
         """Choose deployments and cost every fleet device for a batch."""
-        entries, features = self._choose_batch(workloads)
-        decisions = self._estimate(workloads, entries, features)
+        decisions = self._estimate(workloads, self._choose_batch(workloads))
         if decisions and obs.enabled():
             # One estimate per decision per fleet device, kept or costed
             # (cost_model.configs by path: kept, batch, scalar).
@@ -472,42 +468,71 @@ class DecisionService:
         self,
         workloads: Sequence[Workload],
         entries: Sequence[CachedDecision],
-        features: np.ndarray,
         *,
         explored: bool = False,
     ) -> list[Decision]:
         """One :class:`Decision` per workload, with every (workload ×
-        device) row costed in a single :func:`estimate_rows` call."""
+        device) row it costs in a single :func:`estimate_rows` call.
+
+        A workload whose :attr:`~repro.runtime.deploy.Workload.kept_decision`
+        was built for this very cache entry and device tuple, under an
+        equal metric, gets its decision assembled from those parts: nothing
+        is decoded, costed, picked or validated again (the entry, specs,
+        configs and profile are frozen, so the parts are exact).  The
+        other workloads are built and keep their parts, except on a
+        bypassed cache, whose entries are new on every decide, and for
+        exploration probes.
+        """
         devices = self.fleet.devices
-        configs = self._decode_fleet(entries)
+        metric = self.metric
+        keep = self.cache_active and not explored
+        decisions: list = [None] * len(workloads)
+        build = []
+        for index, (workload, entry) in enumerate(zip(workloads, entries)):
+            kept = workload.kept_decision if keep else None
+            if kept and kept[0] is entry and kept[1] is devices and kept[2] == metric:
+                decision = decisions[index] = object.__new__(Decision)
+                vars(decision).update(kept[3], workload=workload)
+            else:
+                build.append(index)
+        if obs.enabled():  # one row per device, vs path="batch" | "scalar"
+            kept_rows = (len(workloads) - len(build)) * len(devices)
+            obs.counter("cost_model.configs", kept_rows, path="kept")
+        if not build:
+            return decisions
+        configs = self._decode_fleet([entries[index] for index in build])
         rows = [
-            (workload.profile, spec, config)
-            for workload, entry in zip(workloads, entries)
-            for spec, config in zip(devices, configs[id(entry)])
+            (workloads[index].profile, spec, config)
+            for index in build
+            for spec, config in zip(devices, configs[id(entries[index])])
         ]
         results = iter(estimate_rows(rows))
-        decisions = []
-        for workload, entry, row in zip(workloads, entries, features.tolist()):
+        for index in build:
+            workload, entry = workloads[index], entries[index]
             estimates = tuple(
                 DeviceEstimate(spec=spec, config=config, result=next(results))
                 for spec, config in zip(devices, configs[id(entry)])
             )
-            costs = [e.result.objective(self.metric) for e in estimates]
+            costs = [e.result.objective(metric) for e in estimates]
             chosen = select_chosen(
                 devices, costs, prefer_multicore=not entry.spec.is_gpu
             )
-            decisions.append(
-                Decision(
-                    workload=workload,
-                    estimates=estimates,
-                    chosen_index=chosen,
-                    runner_up_index=select_runner_up(devices, costs, chosen),
-                    vector=entry.vector,
-                    features=tuple(row),
-                    confidence=entry.confidence,
-                    explored=explored,
-                )
+            decision = decisions[index] = Decision(
+                workload=workload,
+                estimates=estimates,
+                chosen_index=chosen,
+                runner_up_index=select_runner_up(devices, costs, chosen),
+                vector=entry.vector,
+                features=tuple(workload.feature_row.tolist()),
+                confidence=entry.confidence,
+                explored=explored,
             )
+            if keep:
+                parts = {**vars(decision), "costs_ms": decision.costs_ms}
+                del parts["workload"]  # no reference cycle
+                object.__setattr__(
+                    workload, "kept_decision", (entry, devices, metric, parts)
+                )
         return decisions
 
     # -- auditing -----------------------------------------------------------

@@ -23,6 +23,9 @@ Both fleet policies satisfy ``makespan <= serial sum of chosen-device
 times``: each greedy step finishes no later than the chosen device's
 serial schedule would have (pinned by the engine test suite).  All
 policies are deterministic for a fixed batch order.
+
+Estimates are read by fleet position: the decision layer and the
+scheduler take their device order from one :class:`~repro.machine.fleet.Fleet`.
 """
 
 from __future__ import annotations
@@ -50,15 +53,25 @@ class DeviceState:
     items: int = 0  # queue depth: placements assigned so far
 
     def assign(
-        self, estimate: DeviceEstimate, *, not_before_ms: float = 0.0
+        self, time_ms: float, *, not_before_ms: float = 0.0
     ) -> tuple[float, float]:
-        """Queue one deployment; returns its (start, finish) times."""
+        """Queue one deployment of ``time_ms``; returns its (start, finish)
+        times."""
         start = max(self.busy_until_ms, not_before_ms)
-        finish = start + estimate.time_ms
+        finish = start + time_ms
         self.busy_until_ms = finish
-        self.busy_ms += estimate.time_ms
+        self.busy_ms += time_ms
         self.items += 1
         return start, finish
+
+
+def _misaligned(decision: Decision, states: "list[DeviceState]") -> ValueError:
+    """The error for a decision whose estimates are not the scheduler's
+    devices in the scheduler's order."""
+    return ValueError(
+        f"decision estimates {[e.spec.name for e in decision.estimates]} are "
+        f"not this scheduler's fleet {[s.spec.name for s in states]}, in order"
+    )
 
 
 class Scheduler:
@@ -73,7 +86,9 @@ class Scheduler:
         """Schedule a batch under one policy; placements in input order.
 
         Raises:
-            ValueError: for a policy outside :data:`POLICIES`.
+            ValueError: for a policy outside :data:`POLICIES`, or for a
+                decision whose estimates are not this fleet's devices in
+                fleet order.
         """
         with obs.span(
             "scheduler.place", policy=policy, batch=len(decisions)
@@ -104,17 +119,23 @@ class Scheduler:
 
     # -- policies ----------------------------------------------------------
 
-    def _states(self) -> dict[str, DeviceState]:
-        return {spec.name: DeviceState(spec) for spec in self.fleet.devices}
+    def _states(self) -> list[DeviceState]:
+        return [DeviceState(spec) for spec in self.fleet.devices]
 
     def _place_solo(self, decisions: "list[Decision]") -> list[Placement]:
         states = self._states()
         placements = []
         clock = 0.0  # serial execution: one workload at a time, fleet-wide
         for index, decision in enumerate(decisions):
-            estimate = decision.chosen
-            start, finish = states[estimate.spec.name].assign(
-                estimate, not_before_ms=clock
+            chosen = decision.chosen_index
+            estimate = decision.estimates[chosen]
+            if (
+                len(decision.estimates) != len(states)
+                or estimate.spec is not states[chosen].spec
+            ):
+                raise _misaligned(decision, states)
+            start, finish = states[chosen].assign(
+                decision.costs_ms[chosen], not_before_ms=clock
             )
             clock = finish
             placements.append(
@@ -136,23 +157,26 @@ class Scheduler:
         placements: list[Placement | None] = [None] * len(decisions)
         for index in order:
             decision = decisions[index]
-            best: tuple[float, int, DeviceState, DeviceEstimate] | None = None
-            for rank, state in enumerate(states.values()):
-                estimate = decision.estimate_for(state.spec.name)
-                finish = state.busy_until_ms + estimate.time_ms
+            estimates = decision.estimates
+            if len(estimates) != len(states):
+                raise _misaligned(decision, states)
+            costs = decision.costs_ms
+            chosen = decision.chosen_index
+            best: tuple[float, bool, int] | None = None
+            for rank, state in enumerate(states):
+                if estimates[rank].spec is not state.spec:
+                    raise _misaligned(decision, states)
                 # Tie-break: the predictor's chosen device wins, then the
-                # iteration rank keeps the result order-independent of
-                # float noise.
-                chosen_rank = 0 if estimate is decision.chosen else 1
-                candidate = (finish, chosen_rank, rank)
-                if best is None or candidate < best[:3]:
-                    best = (*candidate, state, estimate)  # type: ignore[assignment]
+                # rank keeps the result order-independent of float noise.
+                candidate = (state.busy_until_ms + costs[rank], rank != chosen, rank)
+                if best is None or candidate < best:
+                    best = candidate
             assert best is not None
-            _, _, _, state, estimate = best
-            start, finish = state.assign(estimate)
+            rank = best[2]
+            start, finish = states[rank].assign(costs[rank])
             placements[index] = Placement(
                 decision=decision,
-                deployed=estimate,
+                deployed=estimates[rank],
                 order=index,
                 start_ms=start,
                 finish_ms=finish,

@@ -442,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
 
     async def drive() -> OpenLoopReport:
         async with server:
-            for workload in pool:  # warm the decision cache / memo
+            for workload in pool:  # warm the decision cache and kept rows
                 await server.submit(workload)
             return await run_open_loop(
                 server, arrivals, pool, tenants=tenants, label=args.trace

@@ -53,7 +53,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro import obs
-from repro.core.encoding import encode_features_batch
 from repro.runtime.deploy import Workload
 from repro.runtime.engine.decision import DecisionService
 from repro.runtime.engine.engine import Engine
@@ -118,7 +117,10 @@ class ServerOverloadedError(RuntimeError):
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """The batching-window knobs every :class:`AdmissionWindow` shares."""
+    """The batching-window knobs every :class:`AdmissionWindow` shares.
+
+    None sizes a feature-row memo: each workload keeps its own encoded row.
+    """
 
     #: Flush as soon as this many requests are queued.
     max_batch: int = 256
@@ -129,10 +131,6 @@ class WindowConfig:
     #: absorbs between event loop turns; beyond it, requests are refused
     #: with a retry-after hint.
     queue_capacity: int = 8192
-    #: Distinct workload *objects* whose encoded feature row is memoized
-    #: (hot pools re-submit the same prepared Workload, so the encode pass
-    #: — the single largest per-request cost — amortizes to a dict hit).
-    feature_memo_capacity: int = 4096
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -262,8 +260,11 @@ class AdmissionWindow:
     """The batching window under both serving front ends.
 
     Owns admission (the bounded per-tenant queue and its retry-after
-    hint), the size and deadline flush triggers, the ``id(workload)``
-    feature-row memo, and completion accounting plus callback delivery.
+    hint), the size and deadline flush triggers, and completion
+    accounting plus callback delivery.  A sink reads each request's
+    feature row from its workload (:attr:`Workload.feature_row
+    <repro.runtime.deploy.Workload.feature_row>`), which encodes a
+    workload object once, however often it is submitted.
     A subclass supplies the flush sink, :meth:`_sink`, which takes one
     assembled batch and must hand every request of it to
     :meth:`_complete` — inline (:class:`DecisionServer`) or later from
@@ -291,9 +292,6 @@ class AdmissionWindow:
         #: Set when the sink can no longer complete what was admitted
         #: (a dead shard worker); every entry point then raises it.
         self._failure: BaseException | None = None
-        # id(workload) -> (workload, encoded row); the workload reference
-        # keeps the id stable, so the identity check below is exact.
-        self._feature_memo: dict[int, tuple[Workload, np.ndarray]] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -527,27 +525,6 @@ class AdmissionWindow:
         self._queued -= len(batch)
         return batch
 
-    def _rows(self, batch: list[_Request]) -> list[np.ndarray]:
-        """Each request's encoded feature row, via the per-workload memo."""
-        memo = self._feature_memo
-        rows = []
-        for request in batch:
-            workload = request.workload
-            entry = memo.get(id(workload))
-            if entry is None or entry[0] is not workload:
-                row = self._encode([workload])[0]
-                if len(memo) >= self.config.feature_memo_capacity:
-                    memo.clear()  # epoch reset: simplest bounded policy
-                memo[id(workload)] = (workload, row)
-            else:
-                row = entry[1]
-            rows.append(row)
-        return rows
-
-    def _encode(self, workloads: list[Workload]) -> np.ndarray:
-        """Feature rows for memo misses."""
-        return encode_features_batch([(w.bvars, w.ivars) for w in workloads])
-
     def _flush(self, reason: str) -> int:
         """Hand one assembled batch to the sink; returns its size."""
         self._cancel_timer()
@@ -641,9 +618,6 @@ class DecisionServer(AdmissionWindow):
         #: Runs ``"run"`` flushes: solo placement, execution and audit.
         self.engine = Engine(decisions, Scheduler(decisions.fleet), backend)
 
-    def _encode(self, workloads: list[Workload]) -> np.ndarray:
-        return self.decisions.encode(workloads)
-
     def _sink(self, batch: list[_Request], reason: str, flush_start: float) -> None:
         """Decide one assembled batch synchronously and complete it."""
         # Row-aligned request scope: every span below (flush, decide,
@@ -670,7 +644,8 @@ class DecisionServer(AdmissionWindow):
         """Decide one assembled batch according to the configured mode."""
         mode = self.config.mode
         if mode == "plan":
-            entries = self.decisions.choose_encoded(np.vstack(self._rows(batch)))
+            rows = np.array([request.workload.feature_row for request in batch])
+            entries = self.decisions.choose_encoded(rows)
             return [(entry.spec, entry.config) for entry in entries]
         workloads = [request.workload for request in batch]
         if mode == "decide":

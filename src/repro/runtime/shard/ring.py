@@ -47,8 +47,8 @@ def ring_key(features: "np.ndarray | Iterable[float] | bytes") -> bytes:
     property), so the raw float64 byte image is an exact identity — the
     same invariant the decision cache's
     :func:`~repro.runtime.serving.feature_keys_batch` relies on.
-    ``bytes`` pass through untouched (the router pre-computes them once
-    per memoized workload).
+    ``bytes`` pass through untouched (the router computes them once per
+    request row at flush time).
     """
     if isinstance(features, bytes):
         return features

@@ -81,9 +81,9 @@ class RouterConfig(WindowConfig):
     """Tuning knobs for one :class:`ShardRouter`.
 
     The window knobs (``max_batch``, ``flush_deadline_ms``,
-    ``queue_capacity``, ``feature_memo_capacity``) are the server's; a
-    flushed batch of ``max_batch`` splits into one block per owning
-    shard, about ``max_batch / shards`` requests each.
+    ``queue_capacity``) are the server's; a flushed batch of
+    ``max_batch`` splits into one block per owning shard, about
+    ``max_batch / shards`` requests each.
     """
 
     #: Worker processes to launch (ring members at startup).
@@ -387,7 +387,8 @@ class ShardRouter(AdmissionWindow):
         # shard -> (requests, unique rows, inverse); key -> (block, row)
         blocks: dict[str, tuple[list, list, list]] = {}
         slots: dict[bytes, tuple[tuple, int]] = {}
-        for request, row in zip(batch, self._rows(batch)):
+        for request in batch:
+            row = request.workload.feature_row
             key = row.tobytes()
             slot = slots.get(key)
             if slot is None:

@@ -141,14 +141,6 @@ class WorkloadProfile:
         """
         return {}
 
-    @cached_property
-    def kept_estimates(self) -> dict:
-        """The exact cost of this profile under the config it was last
-        costed with, per accelerator spec, kept and read by
-        :mod:`repro.accel.batch` for the decision layer; a cached
-        attribute like :attr:`cost_terms`."""
-        return {}
-
     @property
     def total_edges(self) -> float:
         """Edge traversals summed over phases."""

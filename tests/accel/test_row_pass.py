@@ -5,9 +5,8 @@ array pass per accelerator kind.  These tests compare it with scalar
 ``simulate`` by ``==`` (no tolerance) on mixed-spec fleets, on the
 inputs where NumPy and libm would round differently, and on the edge
 cases of the model, and with the terms the pass keeps per profile and
-per config and the estimates the decision layer keeps per profile; they
-also pin the decision layer's crossover between the scalar loop and the
-array pass, and the ceiling rule's no-copy path.
+per config; they also pin the decision layer's crossover between the
+scalar loop and the array pass, and the ceiling rule's no-copy path.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from repro.machine.fleet import synthetic_fleet
 from repro.machine.mvars import MachineConfig, OmpSchedule, clamp_config
 from repro.machine.specs import get_accelerator
 from repro.runtime.deploy import prepare_workload
-from repro.runtime.engine.decision import ARRAY_PASS_MIN_ROWS, estimate_rows
+from repro.runtime.engine.decision import ARRAY_PASS_MIN_ROWS
 from repro.validation.oracle import random_config, random_profile
 from repro.workload.phases import PhaseKind
 from repro.workload.profile import PhaseProfile, WorkloadProfile
@@ -78,12 +77,11 @@ def _edge_profile(items: float, total_bytes: float) -> WorkloadProfile:
     )
 
 
-def _assert_rows_exact(rows, cost=fleet_evaluate):
-    results = cost(rows)
+def _assert_rows_exact(rows):
+    results = fleet_evaluate(rows)
     assert len(results) == len(rows)
     for row, result in zip(rows, results):
         assert result == simulate(*row), row[1].name
-    return results
 
 
 def test_ten_thousand_mixed_spec_rows():
@@ -187,64 +185,6 @@ def test_kept_config_terms_follow_the_spec_object():
     assert (hash(config), repr(config)) == before
     assert config == twin == stale
     assert not replace(config).cost_terms
-
-
-def test_kept_estimates_follow_the_spec_and_config_objects():
-    """``estimate_rows`` keeps a profile's result per spec object, for the
-    config object it was last costed with there, and serves it only to
-    those very objects.  A same-named spec with half the cores, an equal
-    config that is another object, a copied profile and an estimate moved
-    under another spec's id are all costed again, equal to ``simulate``;
-    the kept estimates never show in the profile's ``==``, ``hash`` or
-    ``repr``."""
-    profile = make_profile()
-    before = (hash(profile), repr(profile))
-    spec = get_accelerator("xeonphi7120p")
-    half = replace(spec, cores=spec.cores // 2)
-    config = MachineConfig(
-        accelerator=spec.name, cores=spec.cores, threads_per_core=2, simd_width=8
-    )
-    assert simulate(profile, half, config) != simulate(profile, spec, config)
-
-    pair = [(profile, spec, config), (profile, half, config)]
-    first = _assert_rows_exact(pair, estimate_rows)
-    # Each spec object keeps its own estimate and serves that object.
-    assert all(a is b for a, b in zip(estimate_rows(pair), first))
-    # Equal configs that are other objects replace the kept estimate.
-    kept = first[0]
-    for twin in (replace(config), copy.deepcopy(config)):
-        costed = _assert_rows_exact([(profile, spec, twin)], estimate_rows)[0]
-        assert costed is not kept
-        assert estimate_rows([(profile, spec, twin)])[0] is costed
-        kept = costed
-    # A deep copy of the profile copies its estimates with copied specs.
-    copied = copy.deepcopy(profile)
-    copied_estimate = copied.kept_estimates[id(spec)][2]
-    costed = _assert_rows_exact([(copied, spec, config)], estimate_rows)[0]
-    assert costed is not copied_estimate
-    # An estimate left under an id that now names another spec object.
-    stale = replace(profile)
-    moved = _assert_rows_exact([(stale, half, config)], estimate_rows)[0]
-    stale.kept_estimates[id(spec)] = stale.kept_estimates.pop(id(half))
-    assert _assert_rows_exact([(stale, spec, config)], estimate_rows)[0] is not moved
-
-    assert (hash(profile), repr(profile)) == before
-    assert profile == copied == stale
-    assert not replace(profile).kept_estimates
-
-
-def test_one_kept_estimate_per_spec_object():
-    """Costed on one spec under 20 config objects, a profile keeps one
-    estimate, for the config it was costed with last."""
-    rng = np.random.default_rng(31)
-    profile = make_profile()
-    spec = get_accelerator("gtx750ti")
-    configs = [_continuous_config(spec, rng) for _ in range(20)]
-    results = [
-        _assert_rows_exact([(profile, spec, c)], estimate_rows)[0] for c in configs
-    ]
-    assert list(profile.kept_estimates) == [id(spec)]
-    assert estimate_rows([(profile, spec, configs[-1])])[0] is results[-1]
 
 
 @pytest.mark.parametrize(

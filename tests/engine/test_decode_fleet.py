@@ -6,14 +6,17 @@ names, decoding the vector onto the other devices only and keeping those
 configs in the entry, so a cache hit decodes nothing.  Every shortcut
 must give exactly what :func:`decode_config_for` gives for the row alone,
 on every device, including for cache hits and for a cache shared by two
-fleets with the same fingerprint.  A profile keeps the exact estimate of
-each such config, so a cache hit for a workload decided before costs no
-row either.
+fleets with the same fingerprint.  A workload keeps its encoded row and
+the parts of its last decision, so deciding it again under the same
+cache entry, device tuple and metric encodes, decodes, costs and builds
+nothing.
 """
 
 from __future__ import annotations
 
 import copy
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -27,14 +30,21 @@ from repro.core.encoding import (
     NUM_TARGETS,
     decode_config_batch,
     decode_config_for,
+    encode_features,
 )
 from repro.core.heteromap import HeteroMap
 from repro.core.online import DriftInjectedBackend
 from repro.machine.fleet import Fleet, synthetic_fleet
 from repro.machine.specs import DEFAULT_PAIR
+from repro.runtime import deploy
 from repro.runtime.deploy import prepare_workload
 from repro.runtime.engine import SimulatedBackend
-from repro.runtime.engine.decision import DecisionService
+from repro.runtime.engine.contracts import Decision, DeviceEstimate
+from repro.runtime.engine.decision import (
+    DecisionService,
+    select_chosen,
+    select_runner_up,
+)
 from repro.runtime.serving import DecisionCache
 
 #: The linear pair map below sends the first five to the GPU kind and the
@@ -250,9 +260,8 @@ def assert_estimates_equal_simulate(decisions) -> None:
 
 
 class TestKeptEstimates:
-    """A workload decided again from a cache hit costs no row: each of its
-    profile's rows meets the spec and config objects it was costed with,
-    whose exact result the profile keeps."""
+    """A workload decided again from a cache hit costs no row: its decision
+    is assembled from the parts it kept, estimates included."""
 
     def test_cache_hit_costs_no_row(self, deep_map, batch, monkeypatch):
         decisions = deep_map.decisions
@@ -291,7 +300,7 @@ class TestKeptEstimates:
 
     def test_drift_leaves_kept_estimates_unscaled(self, deep_map, batch):
         """A drift-injected backend scales what it executes, never the
-        estimates the profiles keep."""
+        estimates the workloads keep."""
         backend = DriftInjectedBackend(
             SimulatedBackend(), factor=4.0, start_after=2, kind="gpu"
         )
@@ -336,6 +345,189 @@ class TestKeptEstimates:
         assert first == {"kept": 0, "batch": rows, "scalar": 0}
         second = {path: both[path] - first[path] for path in both}
         assert second == {"kept": rows, "batch": 0, "scalar": 0}
+
+
+def count_building(monkeypatch) -> dict[str, int]:
+    """``DeviceEstimate`` and ``Decision`` objects built through their
+    ``__init__`` (and so ``Decision.__post_init__``), and feature rows
+    encoded, from here on."""
+    counts = {"estimates": 0, "decisions": 0, "encoded": 0}
+    for cls, name in ((DeviceEstimate, "estimates"), (Decision, "decisions")):
+
+        def counting(self, *args, _init=cls.__init__, _name=name, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    def encoding(bvars, ivars):
+        counts["encoded"] += 1
+        return encode_features(bvars, ivars)
+
+    monkeypatch.setattr(deploy, "encode_features", encoding)
+    return counts
+
+
+def assert_built_for(service: DecisionService, decisions) -> None:
+    """Each decision is what ``service`` builds for its workload now: the
+    current entry's vector, estimates on ``service``'s devices in fleet
+    order equal to ``simulate`` and decoded alone, and picks under
+    ``service``'s metric."""
+    entries = service.choose_encoded(
+        service.encode([decision.workload for decision in decisions])
+    )
+    devices = service.fleet.devices
+    for decision, entry in zip(decisions, entries):
+        assert np.array_equal(decision.vector, entry.vector)
+        assert tuple(e.spec for e in decision.estimates) == devices
+        costs = [e.result.objective(service.metric) for e in decision.estimates]
+        chosen = select_chosen(devices, costs, prefer_multicore=not entry.spec.is_gpu)
+        assert decision.chosen_index == chosen
+        assert decision.runner_up_index == select_runner_up(devices, costs, chosen)
+        assert decision.costs_ms == tuple(e.time_ms for e in decision.estimates)
+    assert_estimates_equal_simulate(decisions)
+    assert_configs_decode_alone(decisions)
+
+
+class _ProbeEverything:
+    """An exploration policy that probes every plan-tier row."""
+
+    def should_explore(self, confidence) -> bool:
+        return True
+
+
+@pytest.fixture(scope="module")
+def other_deep():
+    """deep128 on synthetic_fleet(4), trained from another seed."""
+    hetero = HeteroMap(synthetic_fleet(4), predictor="deep128", seed=6)
+    hetero.train(num_samples=24, seed=6)
+    return hetero
+
+
+class TestKeptDecisions:
+    """A workload decided again under the same cache entry, device tuple
+    and metric gets its decision assembled from the parts it kept: no row
+    is encoded, decoded or costed and no ``DeviceEstimate`` or
+    ``Decision`` is built.  Anything else builds afresh."""
+
+    def test_repeat_decide_builds_nothing(self, deep_map, batch, monkeypatch):
+        decisions = deep_map.decisions
+        decisions.clear_cache()
+        first = decisions.decide_batch(batch)
+        counts = count_building(monkeypatch)
+        costed = count_costing(monkeypatch)
+        decoded = count_decodes(monkeypatch)
+        second = decisions.decide_batch(batch)
+        assert counts == {"estimates": 0, "decisions": 0, "encoded": 0}
+        assert costed == {"simulate": 0, "pass": 0}
+        assert decoded == []
+        assert_same_decisions(second, first)
+        for a, b in zip(second, first):
+            assert a is not b
+            assert a.estimates is b.estimates
+            assert a.workload is b.workload
+            assert a.costs_ms == b.costs_ms
+            assert (a.confidence, a.explored) == (b.confidence, b.explored)
+            assert a == b  # field by field: the vector is the same object
+        assert_built_for(decisions, second)
+
+    @pytest.mark.parametrize(
+        "change",
+        ["clear_cache", "swap_predictor", "energy", "reversed", "probe", "replace"],
+    )
+    def test_each_change_builds_afresh(
+        self, deep_map, other_deep, batch, monkeypatch, change
+    ):
+        """A new entry (a cleared cache, a differently trained model), a
+        service with another metric or another device tuple sharing the
+        cache, an exploration probe and a ``replace`` copy of the workload
+        each build every decision again, as they would be built new."""
+        service = service_like(deep_map.decisions, deep_map.fleet, DecisionCache())
+        service.decide_batch(batch)  # keeps every workload's parts
+        kept = [workload.kept_decision for workload in batch]
+        assert all(parts is not None for parts in kept)
+        workloads = batch
+        if change == "clear_cache":
+            service.clear_cache()
+        elif change == "swap_predictor":
+            service.swap_predictor(other_deep.decisions.predictor)
+        elif change == "energy":
+            service = service_like(service, deep_map.fleet, service.cache)
+            service.metric = "energy"
+        elif change == "reversed":
+            fleet = Fleet(tuple(reversed(deep_map.fleet.devices)))
+            service = service_like(service, fleet, service.cache)
+        elif change == "replace":
+            workloads = [replace(workload) for workload in batch]
+        counts = count_building(monkeypatch)
+        if change == "probe":
+            again = []
+            estimate = DecisionService._estimate
+
+            def capturing(self, workloads, entries, **kwargs):
+                built = estimate(self, workloads, entries, **kwargs)
+                again.extend(built)
+                return built
+
+            monkeypatch.setattr(DecisionService, "_estimate", capturing)
+            service.exploration = _ProbeEverything()
+            service.plan_batch(batch)
+            assert all(decision.explored for decision in again)
+            # A probe keeps nothing.
+            assert all(w.kept_decision is parts for w, parts in zip(batch, kept))
+        else:
+            misses = service.cache.stats.misses
+            again = service.decide_batch(workloads)
+            if change in ("energy", "reversed", "replace"):
+                assert service.cache.stats.misses == misses  # the same entries
+        assert counts["decisions"] == len(batch)
+        assert counts["estimates"] == len(batch) * len(deep_map.fleet)
+        assert counts["encoded"] == (len(batch) if change == "replace" else 0)
+        assert_built_for(service, again)
+
+    def test_cart_keeps_nothing(self, trained, batch, monkeypatch):
+        """CART bypasses the cache, so every decide makes new entries that
+        no kept part could match: nothing is kept, and a repeat decide
+        builds every decision again."""
+        decisions = trained.decisions
+        assert not decisions.cache_active
+        fresh = [replace(workload) for workload in batch]
+        decisions.decide_batch(fresh)
+        assert all(workload.kept_decision is None for workload in fresh)
+        counts = count_building(monkeypatch)
+        decisions.decide_batch(fresh)
+        assert counts["decisions"] == len(batch)
+        assert counts["encoded"] == 0  # the rows are kept all the same
+        assert all(workload.kept_decision is None for workload in fresh)
+
+    def test_kept_parts_are_not_fields(self, deep_map, batch):
+        """``==``, ``hash``, ``repr`` and ``replace`` see only the fields."""
+        workload = replace(batch[0])
+        before = (hash(workload), repr(workload))
+        deep_map.decisions.decide_batch([workload])
+        assert workload.kept_decision is not None
+        assert not workload.feature_row.flags.writeable
+        assert (hash(workload), repr(workload)) == before
+        assert workload == batch[0]
+        copied = replace(workload)
+        assert "feature_row" not in vars(copied)
+        assert copied.kept_decision is None
+
+    def test_decided_copy_dies_without_the_collector(self, deep_map, batch):
+        """The kept parts never refer back to the workload, so a decided
+        workload is freed by reference counting alone."""
+        decisions = deep_map.decisions
+        workload = replace(batch[0])
+        decisions.decide_batch([workload])
+        decisions.decide_batch([workload])  # assembled from the kept parts
+        assert workload.kept_decision is not None
+        alive = weakref.ref(workload)
+        gc.disable()
+        try:
+            del workload
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestDecodeBatch:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.machine.fleet import Fleet
 from repro.runtime.engine import POLICIES, Scheduler
+from repro.runtime.engine.decision import DecisionService
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,24 @@ class TestPolicies:
     def test_empty_batch(self, scheduler):
         for policy in POLICIES:
             assert scheduler.place([], policy=policy) == []
+
+    def test_decisions_in_another_fleet_order_rejected(
+        self, trained, scheduler, batch
+    ):
+        """Estimates are read by fleet position: a decision from the
+        reversed fleet cannot be placed by the forward fleet's scheduler."""
+        service = trained.decisions
+        backward = DecisionService(
+            service.predictor,
+            Fleet(tuple(reversed(trained.fleet.devices))),
+            predictor_name=service.predictor_name,
+            metric=service.metric,
+        )
+        backward.overhead_ms = service.overhead_ms
+        decisions = backward.decide_batch(batch)
+        for policy in POLICIES:
+            with pytest.raises(ValueError, match="not this scheduler's fleet"):
+                scheduler.place(decisions, policy=policy)
 
 
 class TestSolo:

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import asyncio
 import gc
+from dataclasses import replace
 
 import pytest
 
 from repro import obs
+from repro.core.encoding import encode_features
 from repro.core.heteromap import HeteroMap
 from repro.errors import NotTrainedError
+from repro.machine.specs import DEFAULT_PAIR
+from repro.runtime import deploy
 from repro.runtime.deploy import prepare_workload
 from repro.runtime.server import (
     DecisionServer,
@@ -18,6 +22,7 @@ from repro.runtime.server import (
     ServerStats,
     low_latency_gc,
 )
+from repro.runtime.shard import RouterConfig, ShardRouter, ShardSpec
 from tests.engine.test_execution import CountingBackend
 
 
@@ -305,38 +310,36 @@ class TestCacheInteraction:
         assert cache.stats.lookups == cache.stats.hits + cache.stats.misses
         assert server.stats.flushes == 2
 
-    def test_feature_memo_skips_reencode(self, hetero, pool):
-        server = make_server(hetero, max_batch=1)
-        calls = []
-        original = server.decisions.encode
+    def test_feature_memo_skips_reencode(self, hetero, pool, monkeypatch):
+        """A workload submitted again is not encoded again: it keeps its
+        encoded row, in every server mode and through the shard router."""
+        encoded = []
 
-        def counting_encode(workloads):
-            calls.append(len(workloads))
-            return original(workloads)
+        def counting(bvars, ivars):
+            encoded.append(bvars)
+            return encode_features(bvars, ivars)
 
-        server.decisions.encode = counting_encode
-        try:
-            server.try_submit(pool[0])
-            server.try_submit(pool[0])
-            server.try_submit(pool[0])
-        finally:
-            server.decisions.encode = original
-        # Same workload object: encoded once, memo-hit afterwards.
-        assert len(calls) == 1
-
-    def test_memo_epoch_reset_bounded(self, hetero):
-        server = DecisionServer(
-            hetero.decisions,
-            ServerConfig(max_batch=1, queue_capacity=4, feature_memo_capacity=2),
-        )
-        workloads = [
-            prepare_workload("pagerank", "facebook"),
-            prepare_workload("bfs", "facebook"),
-            prepare_workload("sssp_bf", "usa-cal"),
+        monkeypatch.setattr(deploy, "encode_features", counting)
+        windows = [
+            make_server(hetero, max_batch=1, mode=mode)
+            for mode in ("plan", "decide", "run")
         ]
-        for workload in workloads:
-            server.try_submit(workload)
-        assert len(server._feature_memo) <= 2
+        router = ShardRouter(
+            ShardSpec(fleet=DEFAULT_PAIR, predictor="decision_tree", train_samples=1),
+            RouterConfig(shards=1, max_batch=1, queue_capacity=4),
+        )
+        router.launch()
+        try:
+            for window in (*windows, router):
+                workload = replace(pool[0])  # keeps no row yet
+                before = len(encoded)
+                for _ in range(3):
+                    assert window.try_submit(workload)
+                window.wait_idle()
+                assert window.stats.completed == 3
+                assert len(encoded) == before + 1
+        finally:
+            router.close()
 
 
 class TestModes:
