@@ -23,7 +23,6 @@ __all__ = [
     "NUM_TARGETS",
     "TARGET_NAMES",
     "encode_features",
-    "encode_features_batch",
     "encode_config",
     "decode_config_batch",
     "decode_config_for",
@@ -53,48 +52,29 @@ _SCHEDULE_TO_VALUE = {
     OmpSchedule.GUIDED: 1.0,
 }
 
-# Field defaults for the trusted constructor below, captured from a real
-# instance so they track the dataclass definition.
+# Field defaults for the decoder's configs, captured from a real instance
+# so they track the dataclass definition.
 _CONFIG_DEFAULTS = dict(MachineConfig(accelerator="").__dict__)
 
-
-def _trusted_config(**updates: object) -> MachineConfig:
-    """Construct a :class:`MachineConfig` without re-running validation.
-
-    ``__init__`` + ``__post_init__`` dominate the per-row cost of batched
-    decoding, yet every knob here is already clamped into its valid range
-    by the vectorized arithmetic (NaN, which clamping passes through, is
-    rejected up front) — the checks can never fire.  The result
-    is field-identical (``==`` and ``hash``) to a normally constructed
-    instance.  Only for decoder-internal use; anything building configs
-    from unchecked values must go through ``MachineConfig(...)``.
-    """
-    config = object.__new__(MachineConfig)
-    state = dict(_CONFIG_DEFAULTS)
-    state.update(updates)
-    config.__dict__.update(state)
-    return config
+#: The config fields the knob lists of each kind fill, in list order.
+_MULTICORE_FIELDS = (
+    "cores",
+    "threads_per_core",
+    "simd_width",
+    "blocktime_ms",
+    "omp_chunk",
+    "omp_schedule",
+    "placement_core",
+    "placement_thread",
+    "placement_offset",
+    "affinity",
+)
+_GPU_FIELDS = ("gpu_global_threads", "gpu_local_threads")
 
 
 def encode_features(bvars: BVariables, ivars: IVariables) -> np.ndarray:
     """17-element feature vector: B1..B13 then I1..I4."""
     return np.asarray(bvars.as_vector() + ivars.as_vector(), dtype=np.float64)
-
-
-def encode_features_batch(
-    pairs: "list[tuple[BVariables, IVariables]]",
-) -> np.ndarray:
-    """Stack (B, I) pairs into an ``(n, 17)`` feature matrix.
-
-    Row ``i`` is exactly ``encode_features(*pairs[i])``, so the batched
-    serving path sees bit-identical inputs to the scalar one.
-    """
-    if not pairs:
-        return np.empty((0, NUM_FEATURES), dtype=np.float64)
-    return np.asarray(
-        [bvars.as_vector() + ivars.as_vector() for bvars, ivars in pairs],
-        dtype=np.float64,
-    )
 
 
 def _log_frac(value: float, low: float, high: float) -> float:
@@ -181,31 +161,32 @@ def decode_config_for(
 def _decode_onto(
     vectors: np.ndarray, spec: AcceleratorSpec
 ) -> list[MachineConfig]:
-    """:func:`decode_config_for` on an already validated matrix."""
+    """:func:`decode_config_for` on an already validated matrix.
+
+    Each config is built without ``__init__``: every knob is already
+    clamped into its valid range by the vectorized arithmetic (NaN, which
+    clamping passes through, is rejected up front), so the checks could
+    never fire.  The result is field-identical (``==`` and ``hash``) to a
+    normally constructed instance.
+    """
+    if spec.is_gpu:
+        names, knob_lists = _GPU_FIELDS, _gpu_knob_lists(vectors, spec)
+    else:
+        names, knob_lists = _MULTICORE_FIELDS, _multicore_knob_lists(vectors, spec)
+    base = {**_CONFIG_DEFAULTS, "accelerator": spec.name}
     # Knobs are snapped to a discrete lattice, so many rows decode to the
     # same configuration; MachineConfig is frozen, so duplicate rows can
-    # share one instance — construction (the dominant per-row cost) runs
-    # once per *unique* decoded config.
+    # share one instance, keyed by the row's knob tuple.
     memo: dict[tuple, MachineConfig] = {}
     configs: list[MachineConfig] = []
-    if spec.is_gpu:
-        gp = _gpu_knob_lists(vectors, spec)
-        for row in range(vectors.shape[0]):
-            key = _gpu_key(gp, row)
-            config = memo.get(key)
-            if config is None:
-                config = _gpu_config(spec, gp, row)
-                memo[key] = config
-            configs.append(config)
-    else:
-        mc = _multicore_knob_lists(vectors, spec)
-        for row in range(vectors.shape[0]):
-            key = _multicore_key(mc, row)
-            config = memo.get(key)
-            if config is None:
-                config = _multicore_config(spec, mc, row)
-                memo[key] = config
-            configs.append(config)
+    for knobs in zip(*knob_lists):
+        config = memo.get(knobs)
+        if config is None:
+            config = memo[knobs] = object.__new__(MachineConfig)
+            state = vars(config)
+            state.update(base)
+            state.update(zip(names, knobs))
+        configs.append(config)
     return configs
 
 
@@ -229,7 +210,8 @@ def _validated_matrix(vectors: np.ndarray) -> np.ndarray:
 def _multicore_knob_lists(
     vectors: np.ndarray, multicore: AcceleratorSpec
 ) -> tuple[list, ...]:
-    """Multicore knobs (M2-M12) for every row, as plain-scalar lists.
+    """Multicore knobs (M2-M12) for every row, as plain-scalar lists in
+    :data:`_MULTICORE_FIELDS` order (the placement list fills M5-M7).
 
     Mirrors the scalar formulas exactly; ``tolist()`` up front keeps the
     per-row fan-out loops on plain Python scalars.
@@ -259,6 +241,7 @@ def _multicore_knob_lists(
         else (OmpSchedule.DYNAMIC if value < 0.75 else OmpSchedule.GUIDED)
         for value in vectors[:, 7].tolist()
     ]
+    placement = vectors[:, 5].tolist()
     return (
         cores.tolist(),
         tpc.tolist(),
@@ -266,7 +249,9 @@ def _multicore_knob_lists(
         blocktime.tolist(),
         chunk.tolist(),
         schedules,
-        vectors[:, 5].tolist(),  # placement
+        placement,
+        placement,
+        placement,
         vectors[:, 6].tolist(),  # affinity
     )
 
@@ -274,7 +259,8 @@ def _multicore_knob_lists(
 def _gpu_knob_lists(
     vectors: np.ndarray, gpu: AcceleratorSpec
 ) -> tuple[list, list]:
-    """GPU knobs (M19-M20) for every row, ceiling-clamped, as lists."""
+    """GPU knobs (M19-M20) for every row, ceiling-clamped, as lists in
+    :data:`_GPU_FIELDS` order."""
     gthreads = np.minimum(
         np.maximum(1, np.round(vectors[:, 8] * gpu.max_threads)),
         gpu.max_threads,
@@ -284,55 +270,6 @@ def _gpu_knob_lists(
         np.maximum(1, np.round(32.0 * (1024.0 / 32.0) ** local_frac)), 1024
     ).astype(np.int64)
     return gthreads.tolist(), lthreads.tolist()
-
-
-def _multicore_key(mc: tuple[list, ...], row: int) -> tuple:
-    cores, tpc, simd, blocktime, chunk, schedules, placement, affinity = mc
-    return (
-        cores[row],
-        tpc[row],
-        simd[row],
-        blocktime[row],
-        placement[row],
-        affinity[row],
-        schedules[row],
-        chunk[row],
-    )
-
-
-def _gpu_key(gp: tuple[list, list], row: int) -> tuple:
-    gthreads, lthreads = gp
-    return gthreads[row], lthreads[row]
-
-
-def _multicore_config(
-    multicore: AcceleratorSpec, mc: tuple[list, ...], row: int
-) -> MachineConfig:
-    cores, tpc, simd, blocktime, chunk, schedules, placement, affinity = mc
-    return _trusted_config(
-        accelerator=multicore.name,
-        cores=cores[row],
-        threads_per_core=tpc[row],
-        simd_width=simd[row],
-        blocktime_ms=blocktime[row],
-        placement_core=placement[row],
-        placement_thread=placement[row],
-        placement_offset=placement[row],
-        affinity=affinity[row],
-        omp_schedule=schedules[row],
-        omp_chunk=chunk[row],
-    )
-
-
-def _gpu_config(
-    gpu: AcceleratorSpec, gp: tuple[list, list], row: int
-) -> MachineConfig:
-    gthreads, lthreads = gp
-    return _trusted_config(
-        accelerator=gpu.name,
-        gpu_global_threads=gthreads[row],
-        gpu_local_threads=lthreads[row],
-    )
 
 
 def choice_signature(

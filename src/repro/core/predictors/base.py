@@ -41,16 +41,6 @@ class Predictor(abc.ABC):
     #: registry key, e.g. ``"deep128"``.
     name: str = ""
 
-    #: Whether the exact LRU decision cache pays off for this predictor.
-    #: The cache trades a batched forward pass for per-row key lookups;
-    #: for most models (matrix forwards, per-row analytical evaluation)
-    #: a hit is far cheaper than a recompute, but a predictor whose
-    #: vectorized batch predict is cheaper than the lookup itself should
-    #: set this to ``False`` so the serving layer routes every batch
-    #: straight through ``predict_batch`` (decisions are unchanged — the
-    #: cache is exact — only the path differs).
-    prefer_decision_cache: bool = True
-
     #: Whether a row's ``predict_batch`` output is independent of which
     #: other rows share the batch.  True for per-row evaluation (the
     #: fallback loop, tree walks); matrix models set this False because

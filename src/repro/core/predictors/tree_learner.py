@@ -195,11 +195,6 @@ class CartPredictor(LearnedPredictor):
 
     name = "cart"
 
-    # The flattened-array lockstep descent predicts a batch row in well
-    # under the cost of an LRU key build + lookup, so the decision layer
-    # bypasses the cache and always takes the batched forward.
-    prefer_decision_cache = False
-
     # The lockstep descent compares and gathers — no reductions — so a
     # row's leaf vector never depends on its batch mates.
     batch_shape_independent = True

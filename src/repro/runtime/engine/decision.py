@@ -231,17 +231,6 @@ class DecisionService:
 
     # -- planning (spec + config only) -------------------------------------
 
-    @property
-    def cache_active(self) -> bool:
-        """Whether batches actually consult the LRU decision cache.
-
-        False either because caching is disabled outright or because the
-        predictor's batched forward is cheaper than a cache hit
-        (``prefer_decision_cache = False``, e.g. CART) — bypassing is
-        decision-neutral since the cache is exact.
-        """
-        return self.cache is not None and self.predictor.prefer_decision_cache
-
     def plan_batch(
         self, workloads: Sequence[Workload]
     ) -> list[tuple[AcceleratorSpec, MachineConfig]]:
@@ -312,9 +301,9 @@ class DecisionService:
         Returns one :class:`CachedDecision` per input row, in order.
         Equal feature rows share a single prediction (first occurrence
         computes, the rest hit the freshly inserted cache entry or an
-        in-batch memo when the cache is disabled or bypassed).  The async
-        server's plan mode and the shard workers call this directly with
-        the feature rows the workloads keep.
+        in-batch memo when the cache is disabled).  The async server's
+        plan mode and the shard workers call this directly with the
+        feature rows the workloads keep.
 
         The plan tier is feature-pure, so decoding anchors on the fleet
         primaries; cache keys carry the fleet fingerprint, so a cache
@@ -345,7 +334,7 @@ class DecisionService:
             ids = obs.active_trace_ids()
             if len(ids) == len(keys):
                 row_traces = ids
-        cache = self.cache if self.cache_active else None
+        cache = self.cache
         decided: dict[tuple, CachedDecision | None] = {}
         miss_rows: list[int] = []
         for index, key in enumerate(keys):
@@ -378,30 +367,33 @@ class DecisionService:
                 # batching, and the shard router's bit-identity gate all
                 # rely on.
                 vectors = np.round(vectors, _CANONICAL_DECIMALS)
-            confidence: np.ndarray | None = None
+            confidences = [None] * len(miss_rows)
             if self.track_confidence:
                 # A pure side computation over the same miss rows; the
                 # vectors above are what decode, so decisions are
                 # untouched whether or not confidence is tracked.
-                confidence = self.predictor.confidence_batch(
+                confidences = self.predictor.confidence_batch(
                     miss_features
-                ).confidence
+                ).confidence.tolist()
             decoded = decode_config_batch(
                 vectors, self.fleet.primary_gpu, self.fleet.primary_multicore
             )
-            for slot, (row, (spec, config), vector) in enumerate(
-                zip(miss_rows, decoded, vectors)
+            # Each entry is built without __init__, from values already in
+            # checked form, and gets its own read-only copy of its row: a
+            # view would keep the whole flush matrix alive.
+            vectors = np.asarray(vectors, dtype=np.float64)
+            for row, (spec, config), vector, confidence in zip(
+                miss_rows, decoded, vectors, confidences
             ):
-                entry = CachedDecision(
+                vector = vector.copy()
+                vector.setflags(write=False)
+                entry = object.__new__(CachedDecision)
+                vars(entry).update(
                     spec=spec,
                     config=config,
                     vector=vector,
                     origin_trace=row_traces[row] if row_traces else None,
-                    confidence=(
-                        float(confidence[slot])
-                        if confidence is not None
-                        else None
-                    ),
+                    confidence=confidence,
                 )
                 decided[keys[row]] = entry
                 if cache is not None:
@@ -479,13 +471,13 @@ class DecisionService:
         equal metric, gets its decision assembled from those parts: nothing
         is decoded, costed, picked or validated again (the entry, specs,
         configs and profile are frozen, so the parts are exact).  The
-        other workloads are built and keep their parts, except on a
-        bypassed cache, whose entries are new on every decide, and for
-        exploration probes.
+        other workloads are built and keep their parts, except without a
+        cache, whose entries are new on every decide, and for exploration
+        probes.
         """
         devices = self.fleet.devices
         metric = self.metric
-        keep = self.cache_active and not explored
+        keep = self.cache is not None and not explored
         decisions: list = [None] * len(workloads)
         build = []
         for index, (workload, entry) in enumerate(zip(workloads, entries)):

@@ -8,13 +8,14 @@ facts make a much cheaper serving path possible:
    matrix pass instead of ``n`` scalar passes
    (:meth:`repro.core.predictors.base.Predictor.predict_batch`).
 2. The (B, I) feature space is *discretized* (Section III's 0.1-step
-   lattice), so two workloads with equal feature tuples are
+   lattice), so two workloads with equal feature rows are
    indistinguishable to the predictor — the full decision (accelerator,
    config, predicted M vector) can be memoized **exactly**.  A cache hit
    is bit-identical to a fresh prediction, not an approximation.
 
-:class:`DecisionCache` is that memo: an LRU map from the feature tuple to
-the decoded deployment plus the raw predicted vector (kept for
+:class:`DecisionCache` is that memo: an LRU map from the feature row's
+key (fleet fingerprint, predictor tag and the row's float64 bytes) to the
+decoded deployment plus the raw predicted vector (kept for
 decision-audit records on hits).  :meth:`HeteroMap.plan_batch` dedupes a
 batch through it, runs one batched forward for the misses, and fans the
 results back out.
@@ -41,7 +42,7 @@ __all__ = [
     "feature_keys_batch",
 ]
 
-#: Default number of distinct feature tuples retained.  The discretized
+#: Default number of distinct feature rows retained.  The discretized
 #: lattice is finite but large; 4096 entries comfortably covers the
 #: benchmark×dataset cross product many times over.
 DEFAULT_CAPACITY = 4096
@@ -75,14 +76,19 @@ def capacity_from_env(default: int = DEFAULT_CAPACITY) -> int:
 
 def feature_keys_batch(
     features: np.ndarray, *, fleet: str, predictor: str
-) -> list[tuple[float | str, ...]]:
+) -> list[tuple[str, str, bytes]]:
     """Canonical cache keys for a whole ``(n, 17)`` feature matrix.
 
     Feature rows are already discretized, so equal workloads produce
-    float-equal rows and the plain tuple is an exact key (no rounding or
-    hashing tricks needed).  One ``tolist()`` over the matrix converts
-    every element in a single C pass; this is the per-request key cost on
-    the serving hot path.
+    float-equal rows, and a row's float64 byte image is an exact key (no
+    rounding or hashing tricks needed): the shard ring's
+    :func:`~repro.runtime.shard.ring.ring_key` of the same row.  Adding
+    ``0.0`` first turns ``-0.0`` into ``0.0``, the one pair of values
+    that compare equal as floats with different bytes, so rows equal as
+    floats share a key.  One void view of the matrix yields every row's
+    bytes in a single C pass; ``bytes`` and ``str`` cache their hashes, so
+    a lookup hashes no float.  This is the per-request key cost on the
+    serving hot path.
 
     ``fleet`` namespaces each key with a fleet fingerprint
     (:attr:`repro.machine.fleet.Fleet.fingerprint`): decisions are only
@@ -97,7 +103,10 @@ def feature_keys_batch(
     which bumps the generation — must never serve one model's decision
     as the other's.
     """
-    return [(fleet, predictor, *row) for row in np.asarray(features).tolist()]
+    matrix = np.ascontiguousarray(features, dtype=np.float64) + 0.0
+    # One void element per row ("V136" for 17 features) lists as its bytes.
+    rows = matrix.view(f"V{matrix.itemsize * matrix.shape[1]}")
+    return [(fleet, predictor, row) for row in rows.ravel().tolist()]
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,10 @@ class CachedDecision:
     ``spec`` and ``config`` are the plan tier's deployment.  The decide
     tier also decodes ``vector`` onto every other fleet device and keeps
     those configs in :attr:`device_configs`, so a cache hit decides
-    without decoding again.
+    without decoding again.  The decision layer builds its entries
+    without ``__init__``, from values it already holds in checked form
+    (a read-only vector of its own); ``__post_init__`` is for any other
+    caller.
     """
 
     spec: AcceleratorSpec
@@ -162,7 +174,8 @@ class CacheStats:
 
 
 class DecisionCache:
-    """Exact LRU cache from discretized feature tuples to decisions.
+    """Exact LRU cache from feature keys (:func:`feature_keys_batch`) to
+    decisions.
 
     Least-recently-*used* eviction: both hits and inserts refresh an
     entry's recency, so hot workloads survive sweeps of one-off requests.
@@ -172,7 +185,7 @@ class DecisionCache:
         if capacity < 1:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
-        self._entries: OrderedDict[tuple[float, ...], CachedDecision] = (
+        self._entries: OrderedDict[tuple[str, str, bytes], CachedDecision] = (
             OrderedDict()
         )
         self.stats = CacheStats()
@@ -180,10 +193,10 @@ class DecisionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: tuple[float, ...]) -> bool:
+    def __contains__(self, key: tuple[str, str, bytes]) -> bool:
         return key in self._entries
 
-    def get(self, key: tuple[float, ...]) -> CachedDecision | None:
+    def get(self, key: tuple[str, str, bytes]) -> CachedDecision | None:
         """Look up a decision, refreshing its recency on a hit."""
         entry = self._entries.get(key)
         if entry is None:
@@ -193,7 +206,7 @@ class DecisionCache:
         self.stats.hits += 1
         return entry
 
-    def put(self, key: tuple[float, ...], entry: CachedDecision) -> None:
+    def put(self, key: tuple[str, str, bytes], entry: CachedDecision) -> None:
         """Insert (or refresh) a decision, evicting the LRU entry if full."""
         if key in self._entries:
             self._entries.move_to_end(key)

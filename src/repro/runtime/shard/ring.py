@@ -44,11 +44,13 @@ def ring_key(features: "np.ndarray | Iterable[float] | bytes") -> bytes:
     """Canonical key bytes for one discretized feature row.
 
     Equal workloads produce float-equal rows (the 0.1-grid dedupe
-    property), so the raw float64 byte image is an exact identity — the
-    same invariant the decision cache's
-    :func:`~repro.runtime.serving.feature_keys_batch` relies on.
-    ``bytes`` pass through untouched (the router computes them once per
-    request row at flush time).
+    property), so the raw float64 byte image is an exact identity.  The
+    decision cache keys on the same bytes
+    (:func:`~repro.runtime.serving.feature_keys_batch`, which also folds
+    ``-0.0`` into ``0.0``; encoded rows never hold ``-0.0``, so a
+    workload's ring key is its cache key's row bytes).  ``bytes`` pass
+    through untouched (the router takes them once per request row at
+    flush time).
     """
     if isinstance(features, bytes):
         return features

@@ -16,7 +16,9 @@ the seeded-replay contract of :mod:`repro.validation.fuzz`:
   which decodes each kind's rows on their own, gives every row exactly
   what :func:`repro.core.encoding.decode_config_for` gives for it inside
   the whole matrix, the identity that lets the decision layer reuse a
-  cached entry's config for its own device;
+  cached entry's config for its own device; and every decoded config,
+  built without ``__init__``, equals its validated reconstruction field
+  for field;
 * **permutation invariance** — a fleet's fingerprint and primaries never
   depend on device-list order, so neither do cache keys or decisions.
 
@@ -112,10 +114,13 @@ def check_decode_agreement(vectors: np.ndarray, fleet: Fleet) -> None:
     onto it; :func:`decode_config_for` of the same device over the whole
     matrix must give each row the *exact same* configuration (no
     tolerance — the decision layer reuses the first for the entry's own
-    device and takes the second for every other device).
+    device and takes the second for every other device).  The decoders
+    build configs without ``__init__``, so each one must also equal its
+    validated reconstruction (:func:`dataclasses.replace`) field for field.
 
     Raises:
-        OracleMismatchError: on any row where the two decoders disagree.
+        OracleMismatchError: on any row where the two decoders disagree,
+            or any config that differs from its reconstruction.
     """
     gpu, multicore = fleet.primary_gpu, fleet.primary_multicore
     paired = decode_config_batch(vectors, gpu, multicore)
@@ -130,6 +135,14 @@ def check_decode_agreement(vectors: np.ndarray, fleet: Fleet) -> None:
                 f"decode divergence on {spec.name} row {row}: "
                 f"decode_config_for={solo!r} != decode_config_batch={config!r}"
             )
+    for name, configs in per_device.items():
+        for row, config in enumerate(configs):
+            rebuilt = replace(config)
+            if vars(config) != vars(rebuilt):
+                raise OracleMismatchError(
+                    f"decoded config on {name} row {row} is not its validated "
+                    f"reconstruction: {vars(config)} != {vars(rebuilt)}"
+                )
 
 
 def check_permutation_identity(

@@ -18,7 +18,6 @@ from repro.core.encoding import (
     decode_config_for,
     encode_config,
     encode_features,
-    encode_features_batch,
 )
 from repro.features.bvars import BVariables
 from repro.features.ivars import IVariables
@@ -148,30 +147,8 @@ def test_property_decode_always_valid(values):
 
 
 class TestBatchEncoding:
-    """The batched encode/decode paths must agree with the scalar ones
+    """The batched decode paths must agree with the one-row decode
     bit-for-bit — the serving cache's exactness depends on it."""
-
-    def _pairs(self, count=24, seed=3):
-        rng = np.random.default_rng(seed)
-        pairs = []
-        for _ in range(count):
-            values = np.round(rng.random(13), 1)
-            total = values[:5].sum() or 1.0
-            values[:5] /= total
-            bvars = BVariables(*[float(v) for v in values])
-            ivars = IVariables(*[float(v) for v in np.round(rng.random(4), 1)])
-            pairs.append((bvars, ivars))
-        return pairs
-
-    def test_encode_batch_matches_stacked_scalar(self):
-        pairs = self._pairs()
-        batch = encode_features_batch(pairs)
-        stacked = np.vstack([encode_features(b, i) for b, i in pairs])
-        assert batch.shape == (len(pairs), NUM_FEATURES)
-        assert np.array_equal(batch, stacked)
-
-    def test_encode_batch_empty(self):
-        assert encode_features_batch([]).shape == (0, NUM_FEATURES)
 
     def test_decode_batch_matches_looped_scalar(self):
         vectors = np.random.default_rng(9).random((50, NUM_TARGETS))
@@ -195,6 +172,19 @@ class TestBatchEncoding:
         vectors = np.tile(np.full(NUM_TARGETS, 0.4), (3, 1))
         decoded = decode_config_batch(vectors, GPU, PHI)
         assert decoded[0][1] is decoded[1][1] is decoded[2][1]
+
+    def test_configs_equal_their_validated_reconstruction(self):
+        """Decoded configs skip ``__init__``; each holds exactly the state
+        a validated construction gives, on both kinds."""
+        vectors = np.random.default_rng(11).random((64, NUM_TARGETS))
+        vectors[:8] = np.round(vectors[:8], 1)  # lattice rows share configs
+        decoded = [config for _, config in decode_config_batch(vectors, GPU, PHI)]
+        for spec in (GPU, PHI):
+            decoded += decode_config_for(vectors, spec)
+        for config in decoded:
+            rebuilt = dataclasses.replace(config)
+            assert vars(config) == vars(rebuilt)
+            assert hash(config) == hash(rebuilt)
 
 
 class TestNonFiniteVectors:
@@ -224,3 +214,6 @@ class TestNonFiniteVectors:
         # replace() re-runs MachineConfig's validation on every field.
         assert dataclasses.replace(config) == config
         assert decode_config_for(vector[None], spec) == [config]
+        for kind in (GPU, PHI):
+            decoded = decode_config_for(vector[None], kind)[0]
+            assert vars(decoded) == vars(dataclasses.replace(decoded))

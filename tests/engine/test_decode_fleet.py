@@ -120,7 +120,7 @@ def cached_map(request):
     """A map whose predictor goes through the decision cache."""
     hetero = HeteroMap(request.param, predictor="linear", seed=5)
     hetero.train(num_samples=24, seed=5)
-    assert hetero.decisions.cache_active
+    assert hetero.decisions.cache is not None
     return hetero
 
 
@@ -172,7 +172,7 @@ class TestDecideBatch:
         assert_same_decisions(decisions, expected)
 
     def test_cart_pair(self, trained, batch):
-        """The engine fixture: CART on the pair, cache bypassed."""
+        """The engine fixture: CART on the pair."""
         assert_configs_decode_alone(trained.decisions.decide_batch(batch))
 
 
@@ -249,7 +249,7 @@ def deep_map():
     """deep128 on synthetic_fleet(4), through the decision cache."""
     hetero = HeteroMap(synthetic_fleet(4), predictor="deep128", seed=5)
     hetero.train(num_samples=24, seed=5)
-    assert hetero.decisions.cache_active
+    assert hetero.decisions.cache is not None
     return hetero
 
 
@@ -289,9 +289,9 @@ class TestKeptEstimates:
         assert_estimates_equal_simulate(again)
 
     def test_cart_costs_every_row(self, trained, batch, monkeypatch):
-        """CART bypasses the cache, so every decode makes new configs."""
-        decisions = trained.decisions
-        assert not decisions.cache_active
+        """Without a cache every decide makes new entries and configs, so
+        every row is costed."""
+        decisions = service_like(trained.decisions, trained.fleet, None)
         first = decisions.decide_batch(batch)
         counts = count_costing(monkeypatch)
         again = decisions.decide_batch(batch)
@@ -486,11 +486,10 @@ class TestKeptDecisions:
         assert_built_for(service, again)
 
     def test_cart_keeps_nothing(self, trained, batch, monkeypatch):
-        """CART bypasses the cache, so every decide makes new entries that
-        no kept part could match: nothing is kept, and a repeat decide
-        builds every decision again."""
-        decisions = trained.decisions
-        assert not decisions.cache_active
+        """Without a cache every decide makes new entries that no kept part
+        could match: nothing is kept, and a repeat decide builds every
+        decision again."""
+        decisions = service_like(trained.decisions, trained.fleet, None)
         fresh = [replace(workload) for workload in batch]
         decisions.decide_batch(fresh)
         assert all(workload.kept_decision is None for workload in fresh)
@@ -499,6 +498,27 @@ class TestKeptDecisions:
         assert counts["decisions"] == len(batch)
         assert counts["encoded"] == 0  # the rows are kept all the same
         assert all(workload.kept_decision is None for workload in fresh)
+
+    def test_cart_repeat_decide_builds_nothing(self, trained, batch, monkeypatch):
+        """CART decides through the cache like every predictor, so its
+        repeat decide is assembled from the kept parts; after a promotion
+        (``swap_predictor``) every decision is built afresh."""
+        service = service_like(trained.decisions, trained.fleet, DecisionCache())
+        workloads = [replace(workload) for workload in batch]
+        first = service.decide_batch(workloads)
+        counts = count_building(monkeypatch)
+        costed = count_costing(monkeypatch)
+        second = service.decide_batch(workloads)
+        assert counts == {"estimates": 0, "decisions": 0, "encoded": 0}
+        assert costed == {"simulate": 0, "pass": 0}
+        assert_same_decisions(second, first)
+        service.swap_predictor(service.predictor)
+        again = service.decide_batch(workloads)
+        rows = len(trained.fleet) * len(batch)
+        assert counts == {"estimates": rows, "decisions": len(batch), "encoded": 0}
+        assert sum(costed.values()) == rows
+        assert_same_decisions(again, first)
+        assert_built_for(service, again)
 
     def test_kept_parts_are_not_fields(self, deep_map, batch):
         """``==``, ``hash``, ``repr`` and ``replace`` see only the fields."""

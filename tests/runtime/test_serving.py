@@ -6,17 +6,24 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.encoding import NUM_FEATURES, encode_features
 from repro.core.heteromap import HeteroMap
 from repro.errors import NotTrainedError
+from repro.features.ivars import ivars_from_meta
+from repro.features.profiles import benchmark_names, get_profile
+from repro.graph.datasets import dataset_names, get_dataset
 from repro.machine.mvars import MachineConfig
 from repro.machine.specs import get_accelerator
 from repro.obs.config import ObsConfig
 from repro.runtime.deploy import prepare_workload
+from repro.runtime.engine.decision import DecisionService
 from repro.runtime.serving import (
     CachedDecision,
     DecisionCache,
     feature_keys_batch,
 )
+from repro.runtime.shard import ring_key
+from repro.workload.synthetic import generate_samples
 
 GPU = get_accelerator("gtx750ti")
 PHI = get_accelerator("xeonphi7120p")
@@ -53,6 +60,81 @@ class TestFeatureKey:
         matrix = np.array([[0.1, 0.2], [0.3, 0.4]])
         batch = feature_keys_batch(matrix, fleet="ffff", predictor="deep16#g0")
         assert batch == [_key(row) for row in matrix]
+
+
+def _table_i_rows() -> np.ndarray:
+    """The feature rows of the 81 Table I benchmark x dataset pairs."""
+    return np.array(
+        [
+            encode_features(get_profile(b), ivars_from_meta(get_dataset(d).paper))
+            for b in benchmark_names()
+            for d in dataset_names()
+        ]
+    )
+
+
+def _synthetic_rows() -> np.ndarray:
+    """4,096 seeded synthetic training-style feature rows."""
+    return np.array(
+        [encode_features(s.bvars, s.ivars) for s in generate_samples(4096, seed=1)]
+    )
+
+
+def _grid_rows(seed: int) -> np.ndarray:
+    """0.1-grid rows, many repeated, with zeros signed at random."""
+    rng = np.random.default_rng(seed)
+    distinct = np.round(rng.integers(-2, 3, size=(48, NUM_FEATURES)) * 0.1, 1)
+    rows = distinct[rng.integers(0, len(distinct), size=512)]
+    rows[(rows == 0.0) & (rng.random(rows.shape) < 0.5)] = -0.0
+    return rows
+
+
+def _groups(keys) -> list[list[int]]:
+    """Row indices grouped by equal key, in first-occurrence order."""
+    groups: dict = {}
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
+    return list(groups.values())
+
+
+class TestFeatureKeyBytes:
+    """A key carries the row's float64 bytes, with ``-0.0`` folded into
+    ``0.0``, so it groups rows exactly as float equality does."""
+
+    def test_negative_zero_shares_the_zero_key(self):
+        row = np.round(np.random.default_rng(2).random(NUM_FEATURES), 1)
+        row[[0, 7]] = 0.0
+        negative = row.copy()
+        negative[[0, 7]] = -0.0
+        assert negative.tobytes() != row.tobytes()
+        assert _key(negative) == _key(row)
+        assert _key(negative)[2] == row.tobytes()
+
+    def test_rows_one_element_apart_differ(self):
+        row = np.round(np.random.default_rng(3).random(NUM_FEATURES), 1)
+        for column in range(NUM_FEATURES):
+            other = row.copy()
+            other[column] += 0.1
+            assert _key(other) != _key(row)
+
+    def test_row_bytes_are_the_ring_key(self):
+        matrix = _table_i_rows()
+        keys = feature_keys_batch(matrix, fleet="ffff", predictor="cart#g0")
+        assert [key[2] for key in keys] == [ring_key(row) for row in matrix]
+
+    @pytest.mark.parametrize("source", ["table_i", "synthetic", "grid0", "grid1"])
+    def test_groups_match_float_tuples(self, source):
+        """The keys split rows into exactly the groups the float tuples
+        ``(fleet, predictor, *row)`` did."""
+        if source == "table_i":
+            matrix = _table_i_rows()
+        elif source == "synthetic":
+            matrix = _synthetic_rows()
+        else:
+            matrix = _grid_rows(int(source[-1]))
+        keys = feature_keys_batch(matrix, fleet="ffff", predictor="deep16#g0")
+        tuples = [("ffff", "deep16#g0", *row) for row in matrix.tolist()]
+        assert _groups(keys) == _groups(tuples)
 
 
 class TestDecisionCache:
@@ -145,9 +227,8 @@ class TestDecisionCache:
 
 @pytest.fixture(scope="module")
 def trained():
-    # A cache-preferring predictor: CART opts out of the decision cache
-    # (prefer_decision_cache = False), so the cache-path tests below use a
-    # small MLP instead.  CART's bypass has its own tests (TestCacheBypass).
+    # A small MLP, whose batch-shape rounding the cache-path tests also
+    # cover; CART's cache path has its own tests (TestCacheBypass).
     hetero = HeteroMap.with_default_pair(predictor="deep16", seed=5)
     hetero.train(num_samples=40, seed=5)
     return hetero
@@ -264,36 +345,58 @@ class TestPlanBatch:
 
 
 class TestCacheBypass:
-    """CART opts out of the LRU cache: its batched descent beats a hit."""
+    """CART once bypassed the cache; it now decides through it like every
+    predictor, and since the cache is exact its decisions do not change."""
 
-    def test_cart_prefers_batched_forward(self, trained_cart):
-        assert trained_cart.predictor.prefer_decision_cache is False
-        assert trained_cart.decisions.cache_active is False
-        # The cache object still exists (decide()-style callers may want
-        # it later) but plan_batch must not touch it.
-        assert trained_cart.decision_cache is not None
+    def test_bypass_leaves_cache_untouched(self, trained_cart, monkeypatch):
+        """A repeated CART ``plan_batch`` hits the cache and is served the
+        very entry objects the first call computed."""
+        seen = []
+        choose = DecisionService.choose_encoded
 
-    def test_cache_preferring_predictor_stays_cached(self, trained):
-        assert trained.predictor.prefer_decision_cache is True
-        assert trained.decisions.cache_active is True
+        def recording(self, features):
+            seen.append(choose(self, features))
+            return seen[-1]
 
-    def test_bypass_leaves_cache_untouched(self, trained_cart):
-        trained_cart.decision_cache.clear()
-        before = (
-            trained_cart.decision_cache.stats.hits,
-            trained_cart.decision_cache.stats.misses,
-        )
+        monkeypatch.setattr(DecisionService, "choose_encoded", recording)
+        cache = trained_cart.decision_cache
+        cache.clear()
         trained_cart.plan_batch(ITEMS)
+        hits, misses = cache.stats.hits, cache.stats.misses
+        assert len(cache) == 3  # one entry per distinct row
         trained_cart.plan_batch(ITEMS)
-        after = (
-            trained_cart.decision_cache.stats.hits,
-            trained_cart.decision_cache.stats.misses,
-        )
-        assert after == before
-        assert len(trained_cart.decision_cache) == 0
+        assert cache.stats.misses == misses
+        assert cache.stats.hits == hits + 3
+        first, second = seen
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_entries_own_read_only_rows(self, trained_cart):
+        """Each computed entry holds its own read-only copy of its
+        predicted row, never a view of the batch's matrix."""
+        decisions = trained_cart.decisions
+        decisions.clear_cache()
+        features = decisions.encode([prepare_workload(*item) for item in ITEMS])
+        entries = decisions.choose_encoded(features)
+        predicted = decisions.predictor.predict_batch(features)
+        for entry, row in zip(entries, predicted):
+            assert entry.vector.base is None
+            assert not entry.vector.flags.writeable
+            assert np.array_equal(entry.vector, row)
+        assert entries[0] is entries[2]  # the duplicate pair
+
+    def test_negative_zero_row_hits_the_zero_entry(self, trained_cart):
+        decisions = trained_cart.decisions
+        row = decisions.encode([prepare_workload("bfs", "facebook")])
+        assert (row == 0.0).any()
+        first = decisions.choose_encoded(row)[0]
+        negative = row.copy()
+        negative[row == 0.0] = -0.0
+        hits = trained_cart.decision_cache.stats.hits
+        assert decisions.choose_encoded(negative)[0] is first
+        assert trained_cart.decision_cache.stats.hits == hits + 1
 
     def test_bypass_decisions_match_repeat_calls(self, trained_cart):
-        """Bypassing is decision-neutral: repeat batches agree exactly."""
+        """The cache is decision-neutral: repeat batches agree exactly."""
         first = trained_cart.plan_batch(ITEMS)
         second = trained_cart.plan_batch(ITEMS)
         for (spec_a, config_a), (spec_b, config_b) in zip(first, second):

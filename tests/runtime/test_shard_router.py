@@ -22,7 +22,6 @@ import time
 
 import pytest
 
-from repro.core.encoding import encode_features_batch
 from repro.core.heteromap import HeteroMap
 from repro.machine.specs import DEFAULT_PAIR
 from repro.runtime.deploy import prepare_workload
@@ -230,10 +229,10 @@ class TestMembership:
                 )
             # max_batch=8: three flushes shipped, six requests still queued.
             assert router.pending > 0
-            key = encode_features_batch([(pool[0].bvars, pool[0].ivars)])[0]
-            owner = router.ring.lookup(key.tobytes())
+            key = pool[0].feature_row.tobytes()
+            owner = router.ring.lookup(key)
             router.remove_shard(owner)
-            assert router.ring.lookup(key.tobytes()) != owner
+            assert router.ring.lookup(key) != owner
             router.wait_idle()
             assert len(results) == len(requests)
             for i, (spec, config) in enumerate(expected):
