@@ -147,9 +147,9 @@ def decode_config_for(
     accelerator bit is *ignored* and every row's knobs are decoded onto
     ``spec`` using its own architectural parameters.  The knob arithmetic
     (rounding, log ramps, ceiling clamps) runs vectorized over the whole
-    matrix and is elementwise, so a row decodes the same alone or inside
-    any matrix; only the final :class:`MachineConfig` construction is
-    per-row.  For a device of the opposite kind to the M1 bit this is
+    matrix and is elementwise, and a one-row matrix computes the same
+    values on Python floats, so a row decodes the same alone or inside
+    any matrix.  For a device of the opposite kind to the M1 bit this is
     bit-identical to re-decoding the vector with the bit flipped (the
     pre-fleet runner-up path) — pinned by the fleet property tests,
     because the N=2 fleet must reproduce the historical pair decisions
@@ -164,11 +164,13 @@ def _decode_onto(
     """:func:`decode_config_for` on an already validated matrix.
 
     Each config is built without ``__init__``: every knob is already
-    clamped into its valid range by the vectorized arithmetic (NaN, which
+    clamped into its valid range by the knob arithmetic (NaN, which
     clamping passes through, is rejected up front), so the checks could
     never fire.  The result is field-identical (``==`` and ``hash``) to a
     normally constructed instance.
     """
+    if len(vectors) == 1:
+        return [_decode_row(vectors.tolist()[0], spec)]
     if spec.is_gpu:
         names, knob_lists = _GPU_FIELDS, _gpu_knob_lists(vectors, spec)
     else:
@@ -188,6 +190,55 @@ def _decode_onto(
             state.update(zip(names, knobs))
         configs.append(config)
     return configs
+
+
+def _decode_row(row: list[float], spec: AcceleratorSpec) -> MachineConfig:
+    """One validated row's config on ``spec``, with no knob arrays.
+
+    The knob lists' formulas on Python floats, for one request's row.
+    Products, sums, clamps, comparisons and half-to-even ``round`` are
+    exact IEEE operations in Python as in NumPy, so each knob is the same
+    value; the power terms stay NumPy calls (:func:`_power`).
+    """
+    if spec.is_gpu:
+        knobs = (
+            min(max(1, round(row[8] * spec.max_threads)), spec.max_threads),
+            min(max(1, round(32.0 * _power(1024.0 / 32.0, row[9]))), 1024),
+        )
+        names = _GPU_FIELDS
+    else:
+        tpc_span = max(spec.threads_per_core - 1, 1)
+        simd_span = math.log2(max(spec.simd_width, 2))
+        simd = round(_power(2.0, row[3] * simd_span))
+        schedule = row[7]
+        knobs = (
+            min(max(1, round(row[1] * spec.cores)), spec.cores),
+            min(max(1, round(1 + row[2] * tpc_span)), max(1, spec.threads_per_core)),
+            min(max(1, simd), max(1, spec.simd_width)),
+            min(1000.0, max(1.0, _power(10.0, row[4] * 3.0))),
+            max(1, round(16.0 * _power(1024.0 / 16.0, row[10]))),
+            OmpSchedule.STATIC
+            if schedule < 0.25
+            else (OmpSchedule.DYNAMIC if schedule < 0.75 else OmpSchedule.GUIDED),
+            row[5],
+            row[5],
+            row[5],
+            row[6],
+        )
+        names = _MULTICORE_FIELDS
+    config = object.__new__(MachineConfig)
+    state = vars(config)
+    state.update(_CONFIG_DEFAULTS, accelerator=spec.name)
+    state.update(zip(names, knobs))
+    return config
+
+
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent`` as the knob lists compute it: NumPy's array
+    ``power`` with a scalar base, here over one element.  Python's ``**``
+    calls libm, which rounds about 1 in 18 results differently where
+    NumPy's ``power`` runs its AVX-512 loop."""
+    return np.power(base, [exponent]).item()
 
 
 def _validated_matrix(vectors: np.ndarray) -> np.ndarray:

@@ -106,13 +106,6 @@ class ExplorationPolicy:
         #: Lifetime probes granted (monotone).
         self.probes = 0
 
-    @property
-    def budget_remaining(self) -> int | None:
-        """Probes left under the lifetime budget (``None`` = unlimited)."""
-        if self.config.budget is None:
-            return None
-        return max(0, self.config.budget - self.probes)
-
     def should_explore(self, confidence: float | None) -> bool:
         """Whether one plan-tier row earns a probe (consumes budget)."""
         if confidence is None or confidence >= self.config.confidence_threshold:

@@ -195,8 +195,8 @@ class CartPredictor(LearnedPredictor):
 
     name = "cart"
 
-    # The lockstep descent compares and gathers — no reductions — so a
-    # row's leaf vector never depends on its batch mates.
+    # Each row walks the tree on its own, so its leaf vector never
+    # depends on its batch mates.
     batch_shape_independent = True
 
     def __init__(self, *, max_depth: int = 8, min_samples: int = 8) -> None:
@@ -206,12 +206,12 @@ class CartPredictor(LearnedPredictor):
         self.max_depth = int(max_depth)
         self.min_samples = int(min_samples)
         self._root: _Node | None = None
-        # Flattened tree (built by _flatten) for vectorized batch descent.
-        self._node_feature = np.empty(0, dtype=np.int64)
-        self._node_threshold = np.empty(0, dtype=np.float64)
-        self._node_left = np.empty(0, dtype=np.int64)
-        self._node_right = np.empty(0, dtype=np.int64)
-        self._node_leaf = np.empty(0, dtype=np.int64)
+        # Flattened tree (built by _flatten) for the per-row walk.
+        self._node_feature: list[int] = []
+        self._node_threshold: list[float] = []
+        self._node_left: list[int] = []
+        self._node_right: list[int] = []
+        self._node_leaf: list[int] = []
         self._leaf_values = np.empty((0, 0), dtype=np.float64)
         self._leaf_spread = np.empty(0, dtype=np.float64)
         self._leaf_count = np.empty(0, dtype=np.int64)
@@ -269,7 +269,7 @@ class CartPredictor(LearnedPredictor):
         self._flatten()
 
     def _flatten(self) -> None:
-        """Lower the node tree into parallel arrays for vectorized descent.
+        """Lower the node tree into parallel lists for the per-row walk.
 
         ``_node_feature[i]``/``_node_threshold[i]`` describe split node
         ``i``; ``_node_left``/``_node_right`` hold child indices; leaves
@@ -307,34 +307,31 @@ class CartPredictor(LearnedPredictor):
 
         assert self._root is not None
         visit(self._root)
-        self._node_feature = np.asarray(feature, dtype=np.int64)
-        self._node_threshold = np.asarray(threshold, dtype=np.float64)
-        self._node_left = np.asarray(left, dtype=np.int64)
-        self._node_right = np.asarray(right, dtype=np.int64)
-        self._node_leaf = np.asarray(leaf, dtype=np.int64)
+        self._node_feature = feature
+        self._node_threshold = threshold
+        self._node_left = left
+        self._node_right = right
+        self._node_leaf = leaf
         self._leaf_values = np.vstack(leaf_values)
         self._leaf_spread = np.asarray(leaf_spread, dtype=np.float64)
         self._leaf_count = np.asarray(leaf_count, dtype=np.int64)
 
     def _leaf_rows(self, features: np.ndarray) -> np.ndarray:
-        """Vectorized descent: all rows walk the tree in lockstep, one
-        gather + comparison per tree level instead of a Python loop per
-        row.  Returns each row's ``_leaf_values`` row index; comparisons
-        are identical to a node walk, so batched and scalar lookups agree
-        bit-for-bit."""
-        node = np.zeros(features.shape[0], dtype=np.int64)
-        active = np.flatnonzero(self._node_feature[node] >= 0)
-        while active.size:
-            current = node[active]
-            split_feature = self._node_feature[current]
-            go_left = (
-                features[active, split_feature] <= self._node_threshold[current]
-            )
-            node[active] = np.where(
-                go_left, self._node_left[current], self._node_right[current]
-            )
-            active = active[self._node_feature[node[active]] >= 0]
-        return self._node_leaf[node]
+        """Each row's ``_leaf_values`` row index, walking each row down
+        the node lists in Python.
+
+        Each step compares ``value <= threshold`` on float64 values, as
+        the fit's partition does, so NaN goes right.
+        """
+        feature, threshold = self._node_feature, self._node_threshold
+        left, right, leaf = self._node_left, self._node_right, self._node_leaf
+        landed = []
+        for row in features.tolist():
+            node = 0
+            while (split := feature[node]) >= 0:
+                node = left[node] if row[split] <= threshold[node] else right[node]
+            landed.append(leaf[node])
+        return np.array(landed, dtype=np.int64)
 
     def _predict(self, features: np.ndarray) -> np.ndarray:
         return self._leaf_values[self._leaf_rows(features)]

@@ -167,11 +167,6 @@ class CacheStats:
         """Total number of :meth:`DecisionCache.get` calls."""
         return self.hits + self.misses
 
-    @property
-    def hit_ratio(self) -> float:
-        """Hits over lookups (0.0 when nothing was looked up yet)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class DecisionCache:
     """Exact LRU cache from feature keys (:func:`feature_keys_batch`) to

@@ -1,4 +1,5 @@
-"""CART fuzz component: the screened split search vs a per-candidate loop.
+"""CART fuzz component: the screened split search vs a per-candidate loop,
+and the per-row walk vs a descent of the fitted node tree.
 
 :class:`~repro.core.predictors.tree_learner.CartPredictor` picks each
 node's split by exactly re-scoring the short list
@@ -7,10 +8,15 @@ per-candidate loop it replaced, which scores every (feature, threshold)
 candidate exactly, stays here as the reference:
 
 * **bit-identity** — a screened fit and a reference fit of the same
-  matrices have equal ``_node_*`` and ``_leaf_*`` arrays (``np.array_equal``,
-  no tolerance);
+  matrices have equal ``_node_*`` lists and ``_leaf_*`` arrays
+  (``np.array_equal``, no tolerance);
 * **soundness** — at every node of the reference tree, the reference's
-  split is inside the screen's shortlist.
+  split is inside the screen's shortlist;
+* **descent agreement** — the walk down the flattened node lists lands
+  each of the case's rows on the leaf that descending the fitted
+  ``_Node`` tree reaches, and so do edge rows built from the first one:
+  each split's feature set to exactly its threshold, to NaN and to
+  ``-0.0``.
 
 Matrices mix 0.1-step columns (as the encoder emits), continuous ones and
 half-thousandth ones, plus duplicated and mirrored (``x`` and ``1 - x``)
@@ -38,6 +44,7 @@ __all__ = [
     "TREE_ARRAYS",
     "ReferenceCart",
     "check_cart_fit",
+    "check_descents",
     "random_cart_matrices",
     "reference_split",
     "run_cart_case",
@@ -46,7 +53,8 @@ __all__ = [
 #: Largest matrix a fuzz case fits.
 MAX_ROWS = 300
 
-#: The fitted arrays a screened and a reference tree must share.
+#: The fitted node lists and leaf arrays a screened and a reference tree
+#: must share.
 TREE_ARRAYS = (
     "_node_feature",
     "_node_threshold",
@@ -147,6 +155,45 @@ def check_cart_fit(
     return screened, reference
 
 
+def check_descents(predictor: CartPredictor, features: np.ndarray) -> None:
+    """The walk must land every row on the leaf the fitted tree gives it.
+
+    The reference descends the ``_Node`` objects the fit built, not the
+    flattened lists the walk reads, and compares the leaf's payload
+    (mean vector, M1 spread and population), all that prediction and
+    confidence read.  Beside ``features``, each
+    split node adds three copies of the first row with the node's
+    feature set to its threshold (a tie, which goes left), to NaN (which
+    goes right) and to ``-0.0``.
+
+    Raises:
+        OracleMismatchError: on the first row the two descents part on.
+    """
+    probes = [features]
+    for feature, threshold in zip(predictor._node_feature, predictor._node_threshold):
+        if feature >= 0:
+            edges = np.repeat(features[:1], 3, axis=0)
+            edges[:, feature] = (threshold, np.nan, -0.0)
+            probes.append(edges)
+    rows = np.vstack(probes)
+    walked = predictor._leaf_rows(rows).tolist()
+    for index, (row, leaf) in enumerate(zip(rows.tolist(), walked)):
+        node = predictor._root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        if not (
+            np.array_equal(predictor._leaf_values[leaf], node.value)
+            and predictor._leaf_spread[leaf] == node.spread
+            and predictor._leaf_count[leaf] == node.count
+        ):
+            raise OracleMismatchError(
+                f"CART walk/node-tree divergence on row {index} of {len(rows)} "
+                f"({row!r}): leaf {leaf} holds "
+                f"{predictor._leaf_values[leaf].tolist()!r}, the node tree's "
+                f"{node.value.tolist()!r}"
+            )
+
+
 def _column(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, str]:
     """One feature column: 0.1-step, continuous, or half-thousandths,
     which round half-to-even, so some values sit past the midpoint
@@ -207,12 +254,16 @@ def random_cart_matrices(
 
 
 def run_cart_case(seed: int) -> str:
-    """One CART fuzz case: screened vs reference fit on seeded matrices.
+    """One CART fuzz case: screened vs reference fit on seeded matrices,
+    then the screened tree's walk against its node tree on the same rows.
+    It draws nothing more than the fit, so a recorded
+    ``REPRO_FUZZ_SEED`` line replays the same case.
 
     Raises:
         OracleMismatchError: on any violation.
     """
     rng = np.random.default_rng(seed)
     features, targets, settings, description = random_cart_matrices(rng)
-    _, reference = check_cart_fit(features, targets, **settings)
+    screened, reference = check_cart_fit(features, targets, **settings)
+    check_descents(screened, features)
     return f"{description}: {reference.searches} split searches"

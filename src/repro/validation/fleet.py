@@ -16,9 +16,10 @@ the seeded-replay contract of :mod:`repro.validation.fuzz`:
   which decodes each kind's rows on their own, gives every row exactly
   what :func:`repro.core.encoding.decode_config_for` gives for it inside
   the whole matrix, the identity that lets the decision layer reuse a
-  cached entry's config for its own device; and every decoded config,
-  built without ``__init__``, equals its validated reconstruction field
-  for field;
+  cached entry's config for its own device; each row decoded alone, on
+  Python floats, equals its row of either batch decode on every device
+  of the fleet; and every decoded config, built without ``__init__``,
+  equals its validated reconstruction field for field;
 * **permutation invariance** — a fleet's fingerprint and primaries never
   depend on device-list order, so neither do cache keys or decisions.
 
@@ -114,19 +115,23 @@ def check_decode_agreement(vectors: np.ndarray, fleet: Fleet) -> None:
     onto it; :func:`decode_config_for` of the same device over the whole
     matrix must give each row the *exact same* configuration (no
     tolerance — the decision layer reuses the first for the entry's own
-    device and takes the second for every other device).  The decoders
-    build configs without ``__init__``, so each one must also equal its
-    validated reconstruction (:func:`dataclasses.replace`) field for field.
+    device and takes the second for every other device).  A one-row
+    matrix takes each decoder's Python-float form, so every row decoded
+    alone must give the same fields, of the same types, as its row of the
+    batch decode, by both decoders and on every device of ``fleet``.  The
+    decoders build configs without ``__init__``, so each one must also
+    equal its validated reconstruction (:func:`dataclasses.replace`)
+    field for field.
 
     Raises:
         OracleMismatchError: on any row where the two decoders disagree,
-            or any config that differs from its reconstruction.
+            a row decoded alone differs from its batch row, or a config
+            differs from its reconstruction.
     """
     gpu, multicore = fleet.primary_gpu, fleet.primary_multicore
     paired = decode_config_batch(vectors, gpu, multicore)
     per_device = {
-        spec.name: decode_config_for(vectors, spec)
-        for spec in (gpu, multicore)
+        spec.name: decode_config_for(vectors, spec) for spec in fleet.devices
     }
     for row, (spec, config) in enumerate(paired):
         solo = per_device[spec.name][row]
@@ -135,14 +140,34 @@ def check_decode_agreement(vectors: np.ndarray, fleet: Fleet) -> None:
                 f"decode divergence on {spec.name} row {row}: "
                 f"decode_config_for={solo!r} != decode_config_batch={config!r}"
             )
-    for name, configs in per_device.items():
-        for row, config in enumerate(configs):
+        alone_spec, alone = decode_config_batch(
+            vectors[row : row + 1], gpu, multicore
+        )[0]
+        if alone_spec is not spec or _fields(alone) != _fields(config):
+            raise OracleMismatchError(
+                f"one-row decode_config_batch divergence on row {row}: "
+                f"{alone_spec.name} {alone!r} != {spec.name} {config!r}"
+            )
+    for spec in fleet.devices:
+        for row, config in enumerate(per_device[spec.name]):
+            alone = decode_config_for(vectors[row : row + 1], spec)[0]
+            if _fields(alone) != _fields(config):
+                raise OracleMismatchError(
+                    f"one-row decode_config_for divergence on {spec.name} row "
+                    f"{row}: {alone!r} != {config!r}"
+                )
             rebuilt = replace(config)
             if vars(config) != vars(rebuilt):
                 raise OracleMismatchError(
-                    f"decoded config on {name} row {row} is not its validated "
-                    f"reconstruction: {vars(config)} != {vars(rebuilt)}"
+                    f"decoded config on {spec.name} row {row} is not its "
+                    f"validated reconstruction: {vars(config)} != {vars(rebuilt)}"
                 )
+
+
+def _fields(config) -> dict[str, tuple[type, object]]:
+    """A config's fields with their types, so an ``int`` knob never equals
+    a ``float`` one."""
+    return {name: (type(value), value) for name, value in vars(config).items()}
 
 
 def check_permutation_identity(

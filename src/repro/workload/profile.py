@@ -108,11 +108,6 @@ class PhaseProfile:
         """Bytes across all addressing classes."""
         return self.seq_bytes + self.rand_bytes + self.indirect_bytes
 
-    @property
-    def total_ops(self) -> float:
-        """Integer plus floating-point operations."""
-        return self.int_ops + self.fp_ops
-
 
 @dataclass(frozen=True)
 class WorkloadProfile:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import encoding
 from repro.core.encoding import (
     NUM_FEATURES,
     NUM_TARGETS,
@@ -21,8 +23,9 @@ from repro.core.encoding import (
 )
 from repro.features.bvars import BVariables
 from repro.features.ivars import IVariables
+from repro.machine.fleet import synthetic_fleet
 from repro.machine.mvars import MachineConfig, OmpSchedule
-from repro.machine.specs import get_accelerator
+from repro.machine.specs import ACCELERATORS, get_accelerator
 
 GPU = get_accelerator("gtx750ti")
 PHI = get_accelerator("xeonphi7120p")
@@ -31,6 +34,54 @@ PHI = get_accelerator("xeonphi7120p")
 def _decode_one(vector):
     """The one-row decode: ``decode_config_batch`` on a 1-row matrix."""
     return decode_config_batch(np.asarray(vector)[None], GPU, PHI)[0]
+
+
+def _state(config):
+    """A config's fields with their types, so an ``int`` knob never
+    equals a ``float`` one."""
+    return {name: (type(value), value) for name, value in vars(config).items()}
+
+
+def boundary_matrix():
+    """About 4,000 prediction rows: 2,000 random ones, then boundary rows.
+
+    Each boundary row is a random row with one column set to a value the
+    decoder rounds or cuts at: knobs half-way between two machine values
+    (``(k + 0.5) / cores``, ``(k + 0.5) / max_threads`` and the log
+    ramps' half-way points, on the registered devices), the schedule cuts
+    0.25 and 0.75 and M1 at 0.5 with the floats either side, and 0, 1,
+    ±inf and ``-0.0`` in every column.
+    """
+    rng = np.random.default_rng(9)
+    specs = list(ACCELERATORS.values())
+    multicores = [spec for spec in specs if not spec.is_gpu]
+    columns: dict[int, list[float]] = {column: [] for column in range(NUM_TARGETS)}
+    for spec in multicores:
+        columns[1] += [(k + 0.5) / spec.cores for k in range(spec.cores)]
+        span = max(spec.threads_per_core - 1, 1)
+        columns[2] += [(k + 0.5) / span for k in range(span)]
+        simd_span = math.log2(max(spec.simd_width, 2))
+        columns[3] += [
+            math.log2(k + 0.5) / simd_span for k in range(1, spec.simd_width)
+        ]
+    for spec in specs:
+        if spec.is_gpu:
+            columns[8] += [
+                (k + 0.5) / spec.max_threads for k in range(0, spec.max_threads, 37)
+            ]
+    columns[9] += [math.log2((k + 0.5) / 32) / 5 for k in range(32, 1024, 3)]
+    columns[10] += [math.log2((k + 0.5) / 16) / 6 for k in range(16, 1024, 3)]
+    for cut in (0.25, 0.75):
+        columns[7] += [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)]
+    columns[0] += [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
+    for values in columns.values():
+        values += [0.0, 1.0, np.inf, -np.inf, -0.0]
+    rows = [rng.random((2000, NUM_TARGETS))]
+    for column, values in columns.items():
+        block = rng.random((len(values), NUM_TARGETS))
+        block[:, column] = values
+        rows.append(block)
+    return np.vstack(rows)
 
 
 class TestEncodeFeatures:
@@ -151,12 +202,63 @@ class TestBatchEncoding:
     bit-for-bit — the serving cache's exactness depends on it."""
 
     def test_decode_batch_matches_looped_scalar(self):
-        vectors = np.random.default_rng(9).random((50, NUM_TARGETS))
-        decoded = decode_config_batch(vectors, GPU, PHI)
-        for vector, (spec, config) in zip(vectors, decoded):
-            alone_spec, alone_config = _decode_one(vector)
-            assert spec is alone_spec
-            assert config == alone_config
+        """A one-row matrix decodes on Python floats; each row alone gives
+        its batch row's spec and fields, of the same types, on every pair
+        of registered devices."""
+        vectors = boundary_matrix()
+        gpus = [spec for spec in ACCELERATORS.values() if spec.is_gpu]
+        multicores = [spec for spec in ACCELERATORS.values() if not spec.is_gpu]
+        for gpu in gpus:
+            for multicore in multicores:
+                decoded = decode_config_batch(vectors, gpu, multicore)
+                for row, (spec, config) in enumerate(decoded):
+                    alone = decode_config_batch(vectors[row : row + 1], gpu, multicore)
+                    assert alone[0][0] is spec
+                    assert _state(alone[0][1]) == _state(config)
+
+    def test_decode_for_matches_looped_scalar(self):
+        vectors = boundary_matrix()
+        for spec in synthetic_fleet(8).devices:
+            decoded = decode_config_for(vectors, spec)
+            for row, config in enumerate(decoded):
+                alone = decode_config_for(vectors[row : row + 1], spec)
+                assert _state(alone[0]) == _state(config)
+
+    def test_one_row_decode_builds_no_knob_lists(self, monkeypatch):
+        calls = []
+        for name in ("_multicore_knob_lists", "_gpu_knob_lists"):
+
+            def counted(*args, _name=name, _original=getattr(encoding, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(encoding, name, counted)
+        vector = np.full(NUM_TARGETS, 0.5)
+        for accel in (0.2, 0.8):
+            vector[0] = accel
+            decode_config_batch(vector[None], GPU, PHI)
+            for spec in (GPU, PHI):
+                decode_config_for(vector[None], spec)
+        assert calls == []
+        decode_config_batch(np.vstack([vector, vector]), GPU, PHI)
+        assert calls == ["_multicore_knob_lists"]
+
+    def test_one_row_errors_match_the_batch(self):
+        vector = np.full(NUM_TARGETS, 0.5)
+        vector[3] = np.nan
+        decoders = (
+            lambda matrix: decode_config_batch(matrix, GPU, PHI),
+            lambda matrix: decode_config_for(matrix, GPU),
+            lambda matrix: decode_config_for(matrix, PHI),
+        )
+        for decode in decoders:
+            for matrix in (vector[None], np.vstack([vector, vector])):
+                with pytest.raises(
+                    ValueError, match="^prediction matrix holds NaN entries$"
+                ):
+                    decode(matrix)
+            with pytest.raises(ValueError, match=r"^expected an \(n, 11\) "):
+                decode(np.full(NUM_TARGETS, 0.5))
 
     def test_decode_batch_empty(self):
         assert decode_config_batch(np.empty((0, NUM_TARGETS)), GPU, PHI) == []

@@ -78,12 +78,6 @@ class TestExplorationPolicy:
         grants = [policy.should_explore(0.1) for _ in range(5)]
         assert grants == [True, True, False, False, False]
         assert policy.probes == 2
-        assert policy.budget_remaining == 0
-
-    def test_budget_remaining_unlimited(self):
-        policy = ExplorationPolicy(ExplorationConfig(rate=1.0))
-        policy.should_explore(0.1)
-        assert policy.budget_remaining is None
 
     def test_seeded_draws_replay(self):
         config = ExplorationConfig(rate=0.5)

@@ -147,7 +147,6 @@ class TestDecisionCache:
         assert cache.get(key) is entry
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
-        assert cache.stats.hit_ratio == 0.5
 
     def test_lru_eviction_order(self):
         cache = DecisionCache(capacity=2)

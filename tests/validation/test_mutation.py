@@ -2,17 +2,22 @@
 
 A deliberate perturbation injected into the *batch* cost model must be
 caught by the differential oracle, a deliberate perturbation of a
-kernel by the invariant registry, and a zero rounding bound in the CART
-split screen by the ``cart`` component — each with a failure message
-that reprints the exact ``REPRO_FUZZ_SEED`` replay one-liner.
+kernel by the invariant registry, a zero rounding bound in the CART
+split screen or a walk that sends NaN left by the ``cart`` component,
+and a one-row decode whose powers round one ULP up by the ``fleet``
+component — each with a failure message that reprints the exact
+``REPRO_FUZZ_SEED`` replay one-liner.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 import repro.accel.batch as batch
+import repro.core.encoding as encoding
 import repro.core.predictors.tree_learner as tree_learner
 from repro.errors import OracleMismatchError
 from repro.kernels.base import KernelResult
@@ -81,6 +86,42 @@ def test_cart_zero_bound_mutation_is_caught(monkeypatch):
     message = str(excinfo.value)
     assert f"{SEED_ENV_VAR}={excinfo.value.case_seed}" in message
     assert "--component cart --cases 1" in message
+
+
+def test_cart_walk_mutation_is_caught(monkeypatch):
+    """A walk that reads NaN as -inf sends it left, where the fitted node
+    tree sends it right: the ``cart`` component's NaN edge rows must see
+    it."""
+    walk = tree_learner.CartPredictor._leaf_rows
+
+    def nan_left(self, features):
+        return walk(self, np.nan_to_num(features, nan=-np.inf))
+
+    monkeypatch.setattr(tree_learner.CartPredictor, "_leaf_rows", nan_left)
+    with pytest.raises(FuzzFailure) as excinfo:
+        for seed in range(50):
+            run_case("cart", seed)
+    message = str(excinfo.value)
+    assert "walk/node-tree divergence" in message
+    assert "--component cart --cases 1" in message
+
+
+def test_one_row_decode_mutation_is_caught(monkeypatch):
+    """A one-row power one ULP off the batch's, as libm's ``**`` is on
+    about 1 in 18 inputs where NumPy's ``power`` is SIMD: the ``fleet``
+    component's one-row decode check must see it on any host."""
+    power = encoding._power
+
+    def ulp_up(base, exponent):
+        return math.nextafter(power(base, exponent), math.inf)
+
+    monkeypatch.setattr(encoding, "_power", ulp_up)
+    with pytest.raises(FuzzFailure) as excinfo:
+        for seed in range(50):
+            run_case("fleet", seed)
+    message = str(excinfo.value)
+    assert "one-row decode_config" in message
+    assert "--component fleet --cases 1" in message
 
 
 def test_failing_seed_replays_identically(monkeypatch):
