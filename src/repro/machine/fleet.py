@@ -164,21 +164,6 @@ class Fleet:
                 return spec
         raise KeyError(f"no device {name!r} in fleet {list(self.names)}")
 
-    def index_of(self, name: str) -> int:
-        """Fleet-order index of a device.
-
-        Raises:
-            KeyError: for a name outside the fleet.
-        """
-        for index, spec in enumerate(self.devices):
-            if spec.name == name:
-                return index
-        raise KeyError(f"no device {name!r} in fleet {list(self.names)}")
-
-    def of_kind(self, *, gpu: bool) -> tuple[AcceleratorSpec, ...]:
-        """Devices of one M1 kind, fleet order."""
-        return self.gpus if gpu else self.multicores
-
     # -- identity ----------------------------------------------------------
 
     @cached_property

@@ -27,8 +27,12 @@ palette: each row takes one of 1–4 target rows on the 0.1 grid, as the
 training database's oracle configs repeat.  Palettes give pure nodes
 whose parent score is a rounding residue just above zero, and splits
 whose sides have equal means, the cases the split search's two early
-exits decide.  Violations raise :class:`OracleMismatchError`,
-replayable via the standard ``REPRO_FUZZ_SEED`` one-liner.
+exits decide.  Some cases copy a block of their first rows up to three
+more times, as a refit replicates its buffer.  Those copies, and the
+rows grid columns and palette targets repeat, are what the screen
+weights: it scores each node's distinct rows once, weighted by their
+counts.  Violations raise :class:`OracleMismatchError`, replayable via
+the standard ``REPRO_FUZZ_SEED`` one-liner.
 """
 
 from __future__ import annotations
@@ -109,8 +113,11 @@ class ReferenceCart(CartPredictor):
         self.missed: list[tuple[int, float]] = []
 
     def _split(
-        self, features: np.ndarray, targets: np.ndarray
+        self, features: np.ndarray, targets: np.ndarray, *carried: np.ndarray
     ) -> tuple[int, float] | None:
+        """The reference split of the node's full rows; the distinct rows
+        :meth:`CartPredictor._build` carries beside them go unread, since
+        :func:`screen_splits` finds its own from the full rows."""
         split = reference_split(features, targets, self.min_samples)
         self.searches += 1
         if split is not None and split not in screen_splits(
@@ -233,11 +240,14 @@ def random_cart_matrices(
     else:
         palette = rng.integers(0, 11, size=(int(rng.integers(1, 5)), outputs)) / 10.0
         targets = palette[rng.integers(0, len(palette), size=rows)]
+    replicated = ""
     if rng.random() < 0.3:
         block = int(rng.integers(1, rows + 1))
         copies = min(3, (MAX_ROWS - rows) // block)
         features = np.vstack([features] + [features[:block]] * copies)
         targets = np.vstack([targets] + [targets[:block]] * copies)
+        replicated = f", first {block} rows copied {copies} more times"
+    distinct = len({tuple(row) for row in np.hstack([features, targets]).tolist()})
     settings = {
         "max_depth": int(rng.integers(1, 9)),
         "min_samples": int(rng.integers(1, 13)),
@@ -245,7 +255,7 @@ def random_cart_matrices(
     kinds = "+".join(sorted({kind for _, kind in drawn}))
     description = (
         f"{features.shape[0]}x{features.shape[1]} ({kinds}, {mirrored} "
-        f"mirrored), {outputs} outputs "
+        f"mirrored{replicated}; {distinct} distinct rows), {outputs} outputs "
         f"({('uniform', 'bits', 'offset 1e4', 'palette')[shape]}), "
         f"depth<={settings['max_depth']}, "
         f"min_samples={settings['min_samples']}"

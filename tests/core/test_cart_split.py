@@ -27,6 +27,51 @@ def grid(rng, rows, columns):
     return rng.integers(0, 11, size=(rows, columns)) / 10.0
 
 
+def refit_shape():
+    """A base block plus a buffer block stacked four times, targets on
+    the 0.1 grid, as the online adapter refits.  Base rows take one of
+    three target rows, picked by two features, as the training
+    database's oracle configs repeat."""
+    rng = np.random.default_rng(0)
+    palette = rng.integers(0, 11, size=(3, 11)) / 10.0
+    base, buffer = grid(rng, 120, 17), grid(rng, 32, 17)
+    base_targets = palette[(base[:, 0] > 0.4) + (base[:, 1] > 0.6).astype(int)]
+    buffer_targets = rng.integers(0, 11, size=(32, 11)) / 10.0
+    features = np.vstack([base] + [buffer] * 4)
+    targets = np.vstack([base_targets] + [buffer_targets] * 4)
+    return features, targets
+
+
+def distinct_rows(features, targets):
+    """How many distinct rows ``[features | targets]`` holds; Python
+    floats compare ``-0.0`` equal to ``0.0``."""
+    return len({tuple(row) for row in np.hstack([features, targets]).tolist()})
+
+
+def screened_nodes(monkeypatch, features, targets):
+    """Fit a default CART and record each screened node: its full rows,
+    the distinct feature rows and weighted matrix the fit screened, and
+    the shortlist the screen kept.  ``_split`` builds no child, so the
+    screen a split search runs belongs to the node it was called for."""
+    nodes = []
+    split, screen = CartPredictor._split, tree_learner._screen
+
+    def recorded_split(self, features, targets, distinct, weighted):
+        nodes.append({"features": features, "targets": targets})
+        return split(self, features, targets, distinct, weighted)
+
+    def recorded_screen(distinct, weighted, min_samples):
+        result = screen(distinct, weighted, min_samples)
+        nodes[-1].update(distinct=distinct, weighted=weighted, shortlist=result[0])
+        return result
+
+    monkeypatch.setattr(CartPredictor, "_split", recorded_split)
+    monkeypatch.setattr(tree_learner, "_screen", recorded_screen)
+    CartPredictor().fit(features, targets)
+    monkeypatch.undo()
+    return [node for node in nodes if "shortlist" in node]
+
+
 class TestFittedArrays:
     def test_compared_arrays_cover_every_fitted_array(self):
         rng = np.random.default_rng(0)
@@ -179,17 +224,8 @@ class TestEarlyExits:
         assert screened.depth() == 1
 
     def test_refit_shape_takes_both_exits(self, monkeypatch):
-        """A base block plus a buffer block stacked four times, targets on
-        the 0.1 grid, as the online adapter refits.  Base rows take one of
-        three target rows, picked by two features, as the training
-        database's oracle configs repeat."""
-        rng = np.random.default_rng(0)
-        palette = rng.integers(0, 11, size=(3, 11)) / 10.0
-        base, buffer = grid(rng, 120, 17), grid(rng, 32, 17)
-        base_targets = palette[(base[:, 0] > 0.4) + (base[:, 1] > 0.6).astype(int)]
-        buffer_targets = rng.integers(0, 11, size=(32, 11)) / 10.0
-        features = np.vstack([base] + [buffer] * 4)
-        targets = np.vstack([base_targets] + [buffer_targets] * 4)
+        """The online adapter's refit shape (:func:`refit_shape`)."""
+        features, targets = refit_shape()
 
         splits, shortlists, rescored = [], [], []
         split, screen, best = CartPredictor._split, tree_learner._screen, best_split
@@ -215,4 +251,70 @@ class TestEarlyExits:
         pure = len(splits) - len(shortlists)
         certified = shortlists.count(1) - rescored.count(1)
         assert pure > 0 and certified > 0
+        check_cart_fit(features, targets)
+
+
+class TestDistinctRows:
+    """The fit screens each node's distinct rows once, weighted by how
+    often each repeats; the exact steps keep the full rows."""
+
+    @pytest.fixture(params=["retrain", "refit"])
+    def repeated(self, request):
+        if request.param == "retrain":
+            return request.getfixturevalue("retrain_matrices")
+        return refit_shape()
+
+    def test_fit_screens_what_screen_splits_keeps(self, repeated, monkeypatch):
+        """At every node the distinct rows the fit carries down are what
+        deduping the node's full rows gives, in the same order, and the
+        shortlist equals :func:`screen_splits` on those full rows, so the
+        reference's soundness check covers the fit's screen."""
+        features, targets = repeated
+        nodes = screened_nodes(monkeypatch, features, targets)
+        assert len(nodes) > 1
+        assert any(len(node["distinct"]) < len(node["features"]) for node in nodes[1:])
+        for node in nodes:
+            rows, outputs = node["features"], node["targets"]
+            distinct, weighted = tree_learner._distinct(rows, outputs)
+            assert np.array_equal(node["distinct"], distinct)
+            assert np.array_equal(node["weighted"], weighted)
+            assert node["shortlist"] == screen_splits(rows, outputs, 8)
+
+    def test_root_screens_each_distinct_row_once(self, repeated, monkeypatch):
+        features, targets = repeated
+        root = screened_nodes(monkeypatch, features, targets)[0]
+        assert len(root["features"]) == len(features)
+        assert len(root["distinct"]) == distinct_rows(features, targets) < len(features)
+
+    def test_signed_zeros_merge(self, monkeypatch):
+        """Rows that differ only in the sign of a zero are one row."""
+        rng = np.random.default_rng(14)
+        features = grid(rng, 60, 5)
+        targets = rng.integers(0, 11, size=(60, 3)) / 10.0
+        assert distinct_rows(features, targets) == 60
+        features = np.vstack([features, np.where(features == 0.0, -0.0, features)])
+        targets = np.vstack([targets, np.where(targets == 0.0, -0.0, targets)])
+        assert np.signbit(features).any() and np.signbit(targets).any()
+        root = screened_nodes(monkeypatch, features, targets)[0]
+        assert len(root["distinct"]) == 60
+        assert set(root["weighted"][:, -1].tolist()) == {2.0}
+        check_cart_fit(features, targets)
+
+    def test_copies_of_one_row_fit_one_leaf(self):
+        rng = np.random.default_rng(15)
+        features = np.repeat(grid(rng, 1, 17), 40, axis=0)
+        targets = np.repeat(rng.random((1, 11)), 40, axis=0)
+        assert screen_splits(features, targets, 1) == []
+        screened, _ = check_cart_fit(features, targets)
+        assert screened.depth() == 0
+        assert screened._leaf_count.tolist() == [40]
+
+    def test_no_repeated_row(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        features, targets = rng.random((150, 6)), rng.random((150, 4))
+        nodes = screened_nodes(monkeypatch, features, targets)
+        assert len(nodes) > 1
+        for node in nodes:
+            assert len(node["distinct"]) == len(node["features"])
+            assert set(node["weighted"][:, -1].tolist()) == {1.0}
         check_cart_fit(features, targets)

@@ -3,10 +3,11 @@
 A deliberate perturbation injected into the *batch* cost model must be
 caught by the differential oracle, a deliberate perturbation of a
 kernel by the invariant registry, a zero rounding bound in the CART
-split screen or a walk that sends NaN left by the ``cart`` component,
-and a one-row decode whose powers round one ULP up by the ``fleet``
-component — each with a failure message that reprints the exact
-``REPRO_FUZZ_SEED`` replay one-liner.
+split screen, a screen that ignores how often a row repeats or a walk
+that sends NaN left by the ``cart`` component, and a one-row decode
+whose powers round one ULP up by the ``fleet`` component — each with a
+failure message that reprints the exact ``REPRO_FUZZ_SEED`` replay
+one-liner.
 """
 
 from __future__ import annotations
@@ -80,6 +81,28 @@ def test_cart_zero_bound_mutation_is_caught(monkeypatch):
     where a mirrored column ties the exact scores, the later feature can
     win the screen and the tree diverges from the reference."""
     monkeypatch.setattr(tree_learner, "_BOUND_SAFETY", 0.0)
+    with pytest.raises(FuzzFailure) as excinfo:
+        for seed in range(50):
+            run_case("cart", seed)
+    message = str(excinfo.value)
+    assert f"{SEED_ENV_VAR}={excinfo.value.case_seed}" in message
+    assert "--component cart --cases 1" in message
+
+
+def test_cart_unweighted_screen_mutation_is_caught(monkeypatch):
+    """A screen that counts each distinct row once, whatever its count,
+    misjudges the cases whose rows repeat (a copied block, grid columns,
+    palette targets): the ``cart`` component must see it."""
+    distinct = tree_learner._distinct
+
+    def unweighted(features, targets):
+        rows, weighted = distinct(features, targets)
+        counts = weighted[:, -1:]
+        values = weighted[:, :-2] / counts
+        norms = (values * values).sum(axis=1, keepdims=True)
+        return rows, np.hstack([values, norms, np.ones_like(counts)])
+
+    monkeypatch.setattr(tree_learner, "_distinct", unweighted)
     with pytest.raises(FuzzFailure) as excinfo:
         for seed in range(50):
             run_case("cart", seed)
