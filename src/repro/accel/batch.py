@@ -1,21 +1,25 @@
-"""Vectorized evaluation of the accelerator cost model.
+"""The accelerator cost model as one formula, and its evaluations.
 
-:func:`repro.accel.simulator.simulate` costs one ``(profile, spec,
-config)`` deployment per call and stays the reference.  :func:`_pass` is
-the one array formulation of the same model: each element is a *row*, one
-phase of one deployment, and the terms it reads are per-row columns.  A
-pass covers one accelerator kind, so the GPU/multicore branches stay plain
-``if`` statements.  It serves :func:`batch_evaluate` (one workload on a
-config set such as the M lattice) and :func:`evaluate_kind` (any mix of
-deployments of one kind, e.g. every (workload × device) pair of a decide
-batch).
+:func:`_pass` is the model's one formulation: each element is a *row*,
+one phase of one deployment, and the terms it reads are that row's
+columns.  It takes its five operations that are not arithmetic
+(minimum, maximum, abs, the square root and a fill) as an argument, so
+the same code runs on NumPy row arrays and on one row of Python floats.
+A pass covers one accelerator kind, so the GPU/multicore branches stay
+plain ``if`` statements.  It serves :func:`repro.accel.simulator.simulate`
+(one deployment, one float row per phase), :func:`batch_evaluate` (one
+workload on a config set such as the M lattice) and :func:`evaluate_kind`
+(any mix of deployments of one kind, e.g. every (workload × device) pair
+of a decide batch).
 
-Results equal :func:`simulate` bit for bit: only IEEE-exact elementwise
-operations (``+ - * /``, ``minimum``, ``maximum``, ``abs``, ``where``)
-run in NumPy, since NumPy's SIMD ``power`` and ``log10`` round unlike
-libm on a few percent of inputs; ``x ** 0.8``, ``x ** 0.5``, ``log10``
-and the config-independent row terms (:func:`_row`) are Python floats;
-every expression keeps the scalar operand order; and phases add in phase
+The per-phase model (:func:`~repro.accel.cost_model.evaluate_cost` and
+:func:`~repro.accel.energy.evaluate_energy`) is the reference, and every
+evaluation equals it bit for bit: only IEEE-exact elementwise operations
+(``+ - * /``, ``minimum``, ``maximum``, ``abs``, ``where``) run in NumPy,
+since NumPy's SIMD ``power`` and ``log10`` round unlike libm on a few
+percent of inputs; ``x ** 0.8``, ``x ** 0.5``, ``log10`` and the
+config-independent row terms (:func:`_row`) are Python floats; every
+expression keeps the reference's operand order; and phases add in phase
 order, missing ones as exact zeros.
 """
 
@@ -49,7 +53,6 @@ from repro.accel.cost_model import (
 )
 from repro import obs
 from repro.accel.energy import EnergyResult
-from repro.accel.simulator import SimulationResult
 from repro.errors import SimulationError
 from repro.machine.mvars import MachineConfig, OmpSchedule, clamp_config, total_threads
 from repro.machine.space import iter_configs
@@ -58,6 +61,7 @@ from repro.workload.phases import PhaseKind
 from repro.workload.profile import WorkloadProfile
 
 __all__ = [
+    "SimulationResult",
     "ConfigTable",
     "BatchResult",
     "lattice_table",
@@ -67,7 +71,53 @@ __all__ = [
     "fleet_evaluate",
 ]
 
-# Spec × profile terms: scalars for a lattice, per-row arrays otherwise.
+
+@dataclass(frozen=True)
+class SimulationResult:
+    """Outcome of running a workload on one accelerator configuration."""
+
+    accelerator: str
+    config: MachineConfig
+    cost: WorkloadCost
+    energy: EnergyResult
+
+    @property
+    def time_s(self) -> float:
+        """Completion time in seconds."""
+        return self.cost.time_s
+
+    @property
+    def time_ms(self) -> float:
+        """Completion time in milliseconds."""
+        return self.cost.time_s * 1e3
+
+    @property
+    def energy_j(self) -> float:
+        """Energy in joules."""
+        return self.energy.energy_j
+
+    @property
+    def utilization(self) -> float:
+        """Core-busy fraction in [0, 1]."""
+        return self.cost.utilization
+
+    def objective(self, metric: str) -> float:
+        """Scalar objective for tuning: lower is better.
+
+        Raises:
+            SimulationError: for unknown metric names.
+        """
+        if metric == "time":
+            return self.time_s
+        if metric == "energy":
+            return self.energy_j
+        if metric == "edp":  # energy-delay product
+            return self.energy_j * self.time_s
+        raise SimulationError(f"unknown objective metric {metric!r}")
+
+
+# Spec × profile terms: scalars for a lattice or one row, per-row arrays
+# otherwise.
 _Deploy = namedtuple(
     "_Deploy",
     "int_peak fp_peak needed max_threads footprint_pressure saturation bw_base"
@@ -97,7 +147,7 @@ _KIND_FLAGS = {
 }
 # The schedule factor as 1.0 + weight * skew + overhead: a static
 # schedule's 0.0 adds exactly nothing, and None stands for the dynamic
-# chunk penalty (the scalar model treats AUTO as DYNAMIC).
+# chunk penalty (the reference treats AUTO as DYNAMIC).
 _SCHEDULE_TERMS = {
     OmpSchedule.STATIC: (0.5, 0.0),
     OmpSchedule.GUIDED: (0.2, _SCHED_GUIDED_OVERHEAD),
@@ -106,14 +156,14 @@ _SCHEDULE_TERMS = {
 }
 
 
-def _deploy_row(spec: AcceleratorSpec, profile: WorkloadProfile) -> tuple:
+def _deploy_row(spec: AcceleratorSpec, profile: WorkloadProfile) -> _Deploy:
     iterations = max(1, profile.num_iterations)
     if spec.is_gpu:
         saturation = spec.cores * min(spec.latency_hiding, 2.0)
         launch_us = _GPU_LAUNCH_US
     else:
         saturation, launch_us = spec.cores * 0.5, _MC_LAUNCH_US
-    return (
+    return _Deploy(
         spec.cores * spec.clock_ghz * 1e9 * spec.ipc,
         (spec.dp_tflops + 0.03 * spec.sp_tflops) * 1e12,
         spec.cores * spec.latency_hiding,
@@ -132,7 +182,7 @@ def _deploy_row(spec: AcceleratorSpec, profile: WorkloadProfile) -> tuple:
     )
 
 
-def _config_row(spec: AcceleratorSpec, config: MachineConfig) -> tuple:
+def _config_row(spec: AcceleratorSpec, config: MachineConfig) -> _Config:
     threads = float(total_threads(config, spec))
     cores = min(config.cores, spec.cores)
     tpc = min(config.threads_per_core, spec.threads_per_core)
@@ -145,7 +195,7 @@ def _config_row(spec: AcceleratorSpec, config: MachineConfig) -> tuple:
         active = min(1.0, threads / spec.max_threads)
     else:
         active = min(1.0, cores / spec.cores)
-    return (
+    return _Config(
         threads,
         max(threads, 1.0),
         width,
@@ -171,22 +221,56 @@ def _matrix(rows: list[tuple]) -> np.ndarray:
     return np.ascontiguousarray(np.array(rows, dtype=np.float64).T)
 
 
-def _libm(fn, values: np.ndarray, levels=None) -> np.ndarray:
-    """``fn`` applied with Python floats, so it rounds exactly like libm.
-
-    ``levels`` = (first, inverse) says axis-1 entries repeat: ``fn`` then
-    runs once per distinct column and the result is expanded back.
-    """
-    if levels is not None:
-        first, inverse = levels
-        return _libm(fn, values[:, first])[:, inverse]
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` applied with Python floats, so it rounds exactly like libm."""
     flat = [fn(value) for value in values.ravel().tolist()]
     return np.array(flat).reshape(values.shape)
 
 
-def _row(gpu: bool, phase, profile: WorkloadProfile, spec: AcceleratorSpec) -> tuple:
+def _sqrt(x: float) -> float:
+    """libm's ``pow(x, 0.5)``, the reference's square root (not ``sqrt``,
+    which rounds differently on about 0.09% of inputs)."""
+    return x ** 0.5
+
+
+def _bare(like, value):
+    """A one-row fill: the value itself."""
+    return value
+
+
+#: :func:`_pass`'s (minimum, maximum, abs, sqrt, fill) on one row of
+#: Python floats: the reference's own operations.
+_ONE_ROW = (min, max, abs, _sqrt, _bare)
+
+
+def _row_ops(levels=None) -> tuple:
+    """:func:`_pass`'s (minimum, maximum, abs, sqrt, fill) on row arrays.
+
+    ``levels`` = (first, inverse) says rows are laid out as (phases,
+    configs) whose configs repeat a few thread counts: the square root
+    then runs once per distinct column and is expanded back.
+    """
+    if levels is None:
+        def sqrt(values):
+            return _libm(_sqrt, values)
+    else:
+        first, inverse = levels
+
+        def sqrt(values):
+            grid = values.reshape(-1, len(inverse))
+            return _libm(_sqrt, grid[:, first])[:, inverse].reshape(values.shape)
+
+    return np.minimum, np.maximum, np.abs, sqrt, np.full_like
+
+
+#: :func:`_pass`'s operations on row arrays whose rows repeat nothing
+#: (:func:`evaluate_kind`).
+_ROWS = _row_ops()
+
+
+def _row(gpu: bool, phase, profile: WorkloadProfile, spec: AcceleratorSpec) -> _Rows:
     """The config-independent terms of one phase row (``_Rows``), taken
-    with Python floats in the scalar model's expressions and order."""
+    with Python floats in the reference's expressions and order."""
     items, skew = phase.items, phase.work_skew
     total = phase.total_bytes
     data_parallel, push_pop = _KIND_FLAGS[phase.kind]
@@ -198,7 +282,7 @@ def _row(gpu: bool, phase, profile: WorkloadProfile, spec: AcceleratorSpec) -> t
     miss = 1.0 - _cache_hit(spec, profile, phase, items_per_iteration)
     rw_share = phase.shared_rw_bytes / total if total else 0.0
     contention = profile.contention
-    return (
+    return _Rows(
         max_par,
         items_per_iteration,
         _divergence_divisor(spec, phase),
@@ -208,7 +292,7 @@ def _row(gpu: bool, phase, profile: WorkloadProfile, spec: AcceleratorSpec) -> t
         skew,
         edges_per_item,
         # Zero off data-parallel rows: 1.0 + (width - 1.0) * 0.0 is the
-        # scalar model's SIMD efficiency of exactly 1.0 there.
+        # reference's SIMD efficiency of exactly 1.0 there.
         phase.seq_bytes / total if total and data_parallel else 0.0,
         1.0 - 0.5 * skew,
         phase.seq_bytes * _SEQ_MISS,
@@ -226,97 +310,106 @@ def _row(gpu: bool, phase, profile: WorkloadProfile, spec: AcceleratorSpec) -> t
     )
 
 
-def _pass(gpu: bool, row: _Rows, deploy: _Deploy, config: _Config, levels=None):
+def _pass(gpu: bool, ops: tuple, row, deploy, config):
     """:func:`~repro.accel.cost_model._phase_cost` over rows of one kind.
 
-    ``row`` holds the :func:`_row` terms of every row; the rest of the
-    model follows the scalar code expression by expression, in its
-    operand order.  Returns the (compute, memory, sync, overhead, busy,
-    stall) seconds of every row.  ``levels`` marks rows laid out as
-    (phases, configs) whose configs repeat thread counts (see
-    :func:`_libm`).
+    ``row``, ``deploy`` and ``config`` are the :data:`_Rows`,
+    :data:`_Deploy` and :data:`_Config` terms, each a tuple of per-row
+    columns or of scalars; ``ops`` is :data:`_ONE_ROW` for one row of
+    Python floats or :func:`_row_ops` for row arrays.  The rest of the
+    model follows the reference expression by expression, in its operand
+    order.  Returns the (compute, memory, sync, overhead, busy, stall)
+    seconds of every row.
     """
-    useful = np.maximum(1.0, np.minimum(config.threads, row.max_par))
+    minimum, maximum, absolute, sqrt, full = ops
+    (
+        max_par, items_per_iteration, divisor, int_ops, fp_ops, skew_waste,
+        skew, edges_per_item, simd_addressable, simd_tail, seq_traffic,
+        irregular_traffic, irregular_share, item_bytes, conflicted, atomics,
+        barrier_s, memory_factor, preferred, placement_weight, rw_share,
+        affinity_weight,
+    ) = row
+    (
+        int_peak, fp_peak, needed, max_threads, footprint_pressure,
+        saturation, bw_base, latency, atomic_cost, coherent_factor,
+        iterations, contention, overhead, _, _,
+    ) = deploy
+    # A multicore's ``hide`` and ``outstanding`` are config terms; a GPU
+    # takes both from its useful threads below.
+    (
+        threads, threads_floor, width, width_m1, skew_weight,
+        schedule_overhead, rate_base, fp_base, placement, affinity,
+        blocktime, local_factor, local_div, outstanding, barrier_factor,
+        hide, _,
+    ) = config
+    useful = maximum(1.0, minimum(threads, max_par))
 
     # ---- compute ------------------------------------------------------
-    granularity = row.items_per_iteration / useful
+    granularity = items_per_iteration / useful
     grain_eff = granularity / (granularity + _GRAIN_ITEMS)
-    thread_pressure = useful / deploy.max_threads
+    thread_pressure = useful / max_threads
     if gpu:
-        hide = np.minimum(1.0, useful / deploy.needed)
-        occupancy = np.maximum(hide, thread_pressure)
-        int_rate = deploy.int_peak * occupancy
-        fp_rate = np.maximum(deploy.fp_peak * occupancy, 1e8)
-        work_factor = row.skew_waste
+        hide = minimum(1.0, useful / needed)
+        occupancy = maximum(hide, thread_pressure)
+        int_rate = int_peak * occupancy
+        fp_rate = maximum(fp_peak * occupancy, 1e8)
+        work_factor = skew_waste
     else:
-        hide = config.hide
-        density_fill = np.minimum(1.0, row.edges_per_item / config.width)
-        fill = _SIMD_MAX_FILL * density_fill * row.simd_addressable * row.simd_tail
-        simd_eff = 1.0 + config.width_m1 * fill
-        parallel_cap = np.minimum(1.0, useful / config.threads_floor)
-        int_rate = config.rate_base * parallel_cap * simd_eff
-        fp_rate = np.maximum(config.fp_base * simd_eff, 1e8)
-        work_factor = 1.0 + config.skew_weight * row.skew + config.schedule_overhead
-    int_rate = int_rate / row.divisor
-    fp_rate = fp_rate / row.divisor
+        density_fill = minimum(1.0, edges_per_item / width)
+        fill = _SIMD_MAX_FILL * density_fill * simd_addressable * simd_tail
+        simd_eff = 1.0 + width_m1 * fill
+        parallel_cap = minimum(1.0, useful / threads_floor)
+        int_rate = rate_base * parallel_cap * simd_eff
+        fp_rate = maximum(fp_base * simd_eff, 1e8)
+        work_factor = 1.0 + skew_weight * skew + schedule_overhead
+    int_rate = int_rate / divisor
+    fp_rate = fp_rate / divisor
     compute_s = (
-        (row.int_ops / int_rate + row.fp_ops / fp_rate)
-        * work_factor / np.maximum(grain_eff, 1e-3)
+        (int_ops / int_rate + fp_ops / fp_rate)
+        * work_factor / maximum(grain_eff, 1e-3)
     )
 
     # ---- memory -------------------------------------------------------
     gain = _CONGESTION_GAIN_GPU if gpu else _CONGESTION_GAIN_MC
     congestion = (
-        gain * thread_pressure * row.irregular_share * row.item_bytes
-        * deploy.footprint_pressure
+        gain * thread_pressure * irregular_share * item_bytes * footprint_pressure
     )
     if gpu:
-        congestion = congestion * config.local_factor
-    ratio = useful / deploy.saturation
-    if levels is not None:
-        ratio = ratio.reshape(-1, len(levels[1]))
-    bw_ramp = np.minimum(
-        1.0, _libm(lambda x: x ** 0.5, ratio, levels).reshape(useful.shape)
-    )
-    effective_bw = deploy.bw_base * np.maximum(bw_ramp, 0.05) / (1.0 + congestion)
-    outstanding = useful if gpu else config.outstanding
-    random_bw = np.minimum(effective_bw, outstanding * 64.0 / deploy.latency)
+        congestion = congestion * local_factor
+        outstanding = useful
+    bw_ramp = minimum(1.0, sqrt(useful / saturation))
+    effective_bw = bw_base * maximum(bw_ramp, 0.05) / (1.0 + congestion)
+    random_bw = minimum(effective_bw, outstanding * 64.0 / latency)
     memory_s = (
-        row.seq_traffic / effective_bw
-        + row.irregular_traffic / np.maximum(random_bw, 1.0)
+        seq_traffic / effective_bw + irregular_traffic / maximum(random_bw, 1.0)
     )
     if gpu:
-        memory_s = memory_s * row.memory_factor
+        memory_s = memory_s * memory_factor
     else:
         memory_s = memory_s * (
-            1.0 + row.placement_weight * np.abs(config.placement - row.preferred)
+            1.0 + placement_weight * absolute(placement - preferred)
         )
 
     # ---- synchronization ----------------------------------------------
-    collision = np.minimum(1.0, useful / row.items_per_iteration)
-    drain_width = np.maximum(1.0, np.minimum(useful, row.items_per_iteration))
-    serialized = row.conflicted * collision / drain_width
-    streamed = (row.atomics - row.conflicted * collision) * _ATOMIC_BYTES
-    streamed = streamed * deploy.coherent_factor
-    sync_s = serialized * deploy.atomic_cost * 1e-9 + streamed / deploy.bw_base
-    sync_s = sync_s + row.barrier_s * config.barrier_factor
+    collision = minimum(1.0, useful / items_per_iteration)
+    drain_width = maximum(1.0, minimum(useful, items_per_iteration))
+    serialized = conflicted * collision / drain_width
+    streamed = (atomics - conflicted * collision) * _ATOMIC_BYTES
+    streamed = streamed * coherent_factor
+    sync_s = serialized * atomic_cost * 1e-9 + streamed / bw_base
+    sync_s = sync_s + barrier_s * barrier_factor
     if not gpu:
-        sync_s = sync_s * (1.0 + 0.4 * np.abs(config.blocktime - deploy.contention))
-        sync_s = sync_s * (
-            1.0 + row.affinity_weight * np.abs(config.affinity - row.rw_share)
-        )
+        sync_s = sync_s * (1.0 + 0.4 * absolute(blocktime - contention))
+        sync_s = sync_s * (1.0 + affinity_weight * absolute(affinity - rw_share))
 
     # ---- fixed overheads and utilization accounting -------------------
     if gpu:
-        groups = useful / config.local_div
-        overhead_s = (
-            deploy.overhead
-            + deploy.iterations * groups * _GPU_GROUP_DISPATCH_US * 1e-6
-        )
+        groups = useful / local_div
+        overhead_s = overhead + iterations * groups * _GPU_GROUP_DISPATCH_US * 1e-6
     else:
-        overhead_s = np.full_like(useful, deploy.overhead)
-    busy = compute_s + hide * np.minimum(memory_s, compute_s)
-    stall = np.maximum(memory_s - compute_s, 0.0) * (1.0 - hide) + sync_s
+        overhead_s = full(useful, overhead)
+    busy = compute_s + hide * minimum(memory_s, compute_s)
+    stall = maximum(memory_s - compute_s, 0.0) * (1.0 - hide) + sync_s
     return compute_s, memory_s, sync_s, overhead_s, busy, stall
 
 
@@ -345,8 +438,8 @@ class ConfigTable:
     """A set of machine configurations for one spec, as pass columns.
 
     One entry per configuration (lattice order when built from the
-    lattice), clamped by the ceiling rule exactly as :func:`simulate`
-    does; the cached :func:`lattice_table` takes their terms once.
+    lattice), clamped by the ceiling rule exactly as the reference
+    clamps; the cached :func:`lattice_table` takes their terms once.
     """
 
     spec: AcceleratorSpec
@@ -523,13 +616,13 @@ def batch_evaluate(
     # enough for the cache; a one-phase block keeps its terms scalar.
     phases, n = len(profile.phases), len(table)
     statics = [_row(spec.is_gpu, phase, profile, spec) for phase in profile.phases]
-    deploy = _Deploy(*_deploy_row(spec, profile))
-    step, blocks = max(1, _BLOCK_ROWS // n), []
+    deploy = _deploy_row(spec, profile)
+    ops, step, blocks = _row_ops(table.levels), max(1, _BLOCK_ROWS // n), []
     for start in range(0, phases, step):
         block = statics[start : start + step]
         terms = block[0] if len(block) == 1 else np.repeat(_matrix(block), n, 1)
         columns = table.columns(len(block))
-        blocks.append(_pass(spec.is_gpu, _Rows(*terms), deploy, columns, table.levels))
+        blocks.append(_pass(spec.is_gpu, ops, terms, deploy, columns))
     grid = [
         (np.concatenate(part) if len(part) > 1 else part[0]).reshape(phases, n)
         for part in zip(*blocks)
@@ -560,18 +653,19 @@ Deployment = tuple[WorkloadProfile, AcceleratorSpec, MachineConfig]
 
 def _profile_terms(profile: WorkloadProfile, spec: AcceleratorSpec) -> tuple:
     """``profile``'s :func:`_row` terms on ``spec`` as a (fields, phases)
-    matrix, its :func:`_deploy_row` and its phase-kind strings, taken
-    once per (profile, spec).
+    matrix and as one tuple per phase, its :func:`_deploy_row` and its
+    phase-kind strings, taken once per (profile, spec).
 
     They are kept in ``profile.cost_terms`` under ``id(spec)``.  An entry
     holds its spec and counts only for that very object, so a reused id
     or a copied profile's entries are taken again.
     """
     terms = profile.cost_terms.get(id(spec))
-    if terms is None or terms[3] is not spec:
-        rows = [_row(spec.is_gpu, phase, profile, spec) for phase in profile.phases]
+    if terms is None or terms[4] is not spec:
+        gpu = spec.is_gpu
+        rows = tuple(_row(gpu, phase, profile, spec) for phase in profile.phases)
         kinds = tuple(phase.kind.value for phase in profile.phases)
-        terms = (_matrix(rows), _deploy_row(spec, profile), kinds, spec)
+        terms = (_matrix(rows), rows, _deploy_row(spec, profile), kinds, spec)
         profile.cost_terms[id(spec)] = terms
     return terms
 
@@ -594,7 +688,7 @@ def _config_terms(config: MachineConfig, spec: AcceleratorSpec) -> tuple:
 
 def evaluate_kind(gpu: bool, rows: Sequence[Deployment]) -> list[SimulationResult]:
     """One pass over every phase of deployments that share an M1 kind
-    (``gpu``), each result equal to :func:`simulate`."""
+    (``gpu``), each result equal to the reference."""
     kept = [_profile_terms(profile, spec) for profile, spec, _ in rows]
     kept_configs = [_config_terms(config, spec) for _, spec, config in rows]
     lengths = np.array([len(profile.phases) for profile, _, _ in rows])
@@ -602,16 +696,17 @@ def evaluate_kind(gpu: bool, rows: Sequence[Deployment]) -> list[SimulationResul
     deployment_of = np.repeat(np.arange(len(rows)), lengths)
     first_row = np.repeat(np.cumsum(lengths) - lengths, lengths)
     phase_of = np.arange(len(deployment_of)) - first_row
-    deploy = _matrix([deploy_row for _, deploy_row, _, _ in kept])
+    deploy = _matrix([deploy_row for _, _, deploy_row, _, _ in kept])
     terms = _matrix([config_row for _, config_row, _ in kept_configs])
     # Missing phases stay exact zeros in the (6, phases, deployments) grid.
     grid = np.zeros((6, lengths.max(), len(rows)))
     grid[:, phase_of, deployment_of] = np.stack(
         _pass(
             gpu,
-            _Rows(*np.concatenate([entry[0] for entry in kept], axis=1)),
-            _Deploy(*deploy[:, deployment_of]),
-            _Config(*terms[:, deployment_of]),
+            _ROWS,
+            np.concatenate([entry[0] for entry in kept], axis=1),
+            deploy[:, deployment_of],
+            terms[:, deployment_of],
         )
     )
     totals = _fold(grid, _Deploy(*deploy), _Config(*terms).span_active)
@@ -622,7 +717,7 @@ def evaluate_kind(gpu: bool, rows: Sequence[Deployment]) -> list[SimulationResul
     for (_, spec, _), profile_terms, (config, _, _), parts, stream_s, *sums in per_row:
         time_s, busy_s, stall_s, _, power, energy = sums
         phase_costs = tuple(
-            PhaseCost(kind, *costs) for kind, costs in zip(profile_terms[2], parts)
+            PhaseCost(kind, *costs) for kind, costs in zip(profile_terms[3], parts)
         )
         cost = WorkloadCost(spec.name, phase_costs, stream_s, time_s, busy_s, stall_s)
         energy_result = EnergyResult(spec.name, power, energy)
@@ -647,7 +742,7 @@ def fleet_evaluate(rows: Sequence[Deployment]) -> list[SimulationResult]:
 
     Each accelerator kind is costed in one :func:`evaluate_kind` pass
     over all its phases, whatever the mix of workloads and specs, and
-    every result equals :func:`simulate`.
+    every result equals the reference.
 
     Returns:
         One :class:`SimulationResult` per deployment, input order.

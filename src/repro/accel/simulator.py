@@ -1,66 +1,30 @@
 """Top-level accelerator simulator: time + energy + utilization.
 
-Wraps the cost and energy models into the single entry point the runtime,
-tuner, and training pipeline use.
+:func:`simulate` is the single entry point the runtime, tuner, and
+training pipeline use to cost one deployment.  It runs the cost model's
+one formula, :func:`repro.accel.batch._pass`, once per phase on Python
+floats, from the terms :mod:`repro.accel.batch` keeps per (profile, spec)
+and per (config, spec), so a deployment costed before, by either
+evaluation, takes no term again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro import obs
-from repro.accel.cost_model import WorkloadCost, evaluate_cost
-from repro.accel.energy import EnergyResult, evaluate_energy
-from repro.errors import SimulationError
-from repro.machine.mvars import MachineConfig, clamp_config
+from repro.accel.batch import (
+    SimulationResult,
+    _ONE_ROW,
+    _config_terms,
+    _pass,
+    _profile_terms,
+)
+from repro.accel.cost_model import PhaseCost, WorkloadCost
+from repro.accel.energy import EnergyResult
+from repro.machine.mvars import MachineConfig
 from repro.machine.specs import AcceleratorSpec
 from repro.workload.profile import WorkloadProfile
 
 __all__ = ["SimulationResult", "simulate"]
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    """Outcome of running a workload on one accelerator configuration."""
-
-    accelerator: str
-    config: MachineConfig
-    cost: WorkloadCost
-    energy: EnergyResult
-
-    @property
-    def time_s(self) -> float:
-        """Completion time in seconds."""
-        return self.cost.time_s
-
-    @property
-    def time_ms(self) -> float:
-        """Completion time in milliseconds."""
-        return self.cost.time_s * 1e3
-
-    @property
-    def energy_j(self) -> float:
-        """Energy in joules."""
-        return self.energy.energy_j
-
-    @property
-    def utilization(self) -> float:
-        """Core-busy fraction in [0, 1]."""
-        return self.cost.utilization
-
-    def objective(self, metric: str) -> float:
-        """Scalar objective for tuning: lower is better.
-
-        Raises:
-            SimulationError: for unknown metric names.
-        """
-        if metric == "time":
-            return self.time_s
-        if metric == "energy":
-            return self.energy_j
-        if metric == "edp":  # energy-delay product
-            return self.energy_j * self.time_s
-        raise SimulationError(f"unknown objective metric {metric!r}")
 
 
 def simulate(
@@ -72,13 +36,31 @@ def simulate(
 
     The configuration is clamped to the machine's maxima first (the
     paper's ceiling rule), so callers may pass equation outputs directly.
+    Phases fold in phase order from 0.0, as
+    :func:`~repro.accel.cost_model.evaluate_cost` folds them, and the
+    result equals that per-phase reference with
+    :func:`~repro.accel.energy.evaluate_energy` by ``==``.
     """
     if obs.enabled():
         obs.counter("cost_model.evals", path="scalar")
         obs.counter("cost_model.configs", path="scalar")
-    config = clamp_config(config, spec)
-    cost = evaluate_cost(profile, spec, config)
-    energy = evaluate_energy(cost, spec, config)
-    return SimulationResult(
-        accelerator=spec.name, config=config, cost=cost, energy=energy
+    _, rows, deploy, kinds, _ = _profile_terms(profile, spec)
+    config, terms, _ = _config_terms(config, spec)
+    gpu = spec.is_gpu
+    phase_costs = []
+    time_s = busy_s = stall_s = 0.0
+    for kind, row in zip(kinds, rows):
+        compute, memory, sync, overhead, busy, stall = _pass(
+            gpu, _ONE_ROW, row, deploy, terms
+        )
+        phase_costs.append(PhaseCost(kind, compute, memory, sync, overhead))
+        time_s += max(compute, memory) + sync + overhead
+        busy_s += busy
+        stall_s += stall
+    time_s += deploy.streaming
+    cost = WorkloadCost(
+        spec.name, tuple(phase_costs), deploy.streaming, time_s, busy_s, stall_s
     )
+    power = deploy.idle_watts + terms.span_active * (0.4 + 0.6 * cost.utilization)
+    energy = EnergyResult(spec.name, power, power * time_s)
+    return SimulationResult(spec.name, config, cost, energy)

@@ -190,10 +190,3 @@ class DeepPredictor(LearnedPredictor):
         return ConfidenceReport.from_uncertainty(
             outputs.std(axis=0), scale=self.CONFIDENCE_SCALE, source="ensemble"
         )
-
-    @property
-    def num_parameters(self) -> int:
-        """Total weight + bias count (reported next to Table IV)."""
-        return sum(w.size for w in self._weights) + sum(
-            b.size for b in self._biases
-        )

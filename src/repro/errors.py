@@ -70,4 +70,4 @@ class InvariantViolation(ValidationError):
 
 
 class OracleMismatchError(ValidationError):
-    """Raised when the batch cost model diverges from the scalar reference."""
+    """Raised when an optimized path diverges from its reference."""

@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 from repro.errors import UnknownAcceleratorError
-from repro.machine.specs import DEFAULT_PAIR, AcceleratorSpec, get_accelerator
+from repro.machine.specs import AcceleratorSpec, get_accelerator
 
 __all__ = ["DEFAULT_FLEET_BASES", "Fleet", "spec_fingerprint", "synthetic_fleet"]
 
@@ -113,11 +113,6 @@ class Fleet:
             for item in names
         )
         return cls(devices)
-
-    @classmethod
-    def default_pair(cls) -> "Fleet":
-        """The paper's primary setup as the N=2 degenerate fleet."""
-        return cls.from_names(DEFAULT_PAIR)
 
     # -- structure ---------------------------------------------------------
 

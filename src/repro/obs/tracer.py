@@ -192,13 +192,3 @@ class Tracer:
         if self._emit is not None:
             self._emit(record)
         return record
-
-    def totals_by_name(self) -> dict[str, tuple[int, float]]:
-        """``{span name: (call count, total seconds)}`` over all records."""
-        totals: dict[str, tuple[int, float]] = {}
-        with self._lock:
-            records = list(self.records)
-        for record in records:
-            count, seconds = totals.get(record.name, (0, 0.0))
-            totals[record.name] = (count + 1, seconds + record.duration_s)
-        return totals

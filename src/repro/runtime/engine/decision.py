@@ -24,9 +24,9 @@ path bit-identical to the historical pair path — decoding the predicted
 vector onto the opposite device with its own parameters is exactly what
 the old "flip the M1 bit and re-decode" produced.  A batch's (workload ×
 device) rows are costed by :func:`estimate_rows`: one array pass per
-accelerator kind with enough rows, the scalar :func:`simulate` below
-that; both equal direct simulation exactly, so which one ran never
-shows in a decision.
+accelerator kind with enough rows, a :func:`simulate` loop below that;
+both evaluate the cost model's one formula and equal its per-phase
+reference exactly, so which one ran never shows in a decision.
 
 Cache entries hold the feature-keyed (spec, config, vector) triple and,
 once a decide has needed them, the vector's configs on the other fleet
@@ -80,9 +80,9 @@ _CANONICAL_DECIMALS = 9
 
 
 #: Rows of one accelerator kind from which one array pass costs no more
-#: than a loop of scalar :func:`simulate` calls, for profiles the pass has
-#: costed before on the same devices (DESIGN §5 has the timings).
-ARRAY_PASS_MIN_ROWS = 8
+#: than a loop of :func:`simulate` calls, for profiles costed before on
+#: the same devices (DESIGN §5 has the timings).
+ARRAY_PASS_MIN_ROWS = 32
 
 
 def estimate_rows(rows: Sequence[Deployment]) -> list[SimulationResult]:
@@ -90,7 +90,7 @@ def estimate_rows(rows: Sequence[Deployment]) -> list[SimulationResult]:
 
     A kind with at least :data:`ARRAY_PASS_MIN_ROWS` rows takes one
     :func:`~repro.accel.batch.evaluate_kind` pass; a smaller kind loops
-    over this module's :func:`simulate`, which is faster for it.  Every
+    over this module's :func:`simulate`, which is cheaper for it.  Every
     row is costed: a workload decided again from the same cache entry
     never reaches this function, since its decision is assembled from the
     parts it keeps (:meth:`DecisionService._estimate`).

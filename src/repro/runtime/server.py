@@ -187,25 +187,6 @@ class ServerStats:
     #: serve artifact's per-tenant p99 lines are derived from.
     tenant_latencies_ms: dict[str, list[float]] = field(default_factory=dict)
 
-    def latency_percentile(self, q: float) -> float:
-        """The q-th percentile of decision latency in ms (0 when empty)."""
-        if not self.latencies_ms:
-            return 0.0
-        return float(np.percentile(self.latencies_ms, q))
-
-    def tenant_latency_percentile(self, tenant: str, q: float) -> float:
-        """One tenant's q-th latency percentile in ms (0 when unseen)."""
-        samples = self.tenant_latencies_ms.get(tenant)
-        if not samples:
-            return 0.0
-        return float(np.percentile(samples, q))
-
-    def queue_wait_percentile(self, q: float) -> float:
-        """The q-th percentile of queue wait in ms (0 when empty)."""
-        if not self.queue_waits_ms:
-            return 0.0
-        return float(np.percentile(self.queue_waits_ms, q))
-
     @property
     def mean_batch(self) -> float:
         """Mean flush occupancy (0.0 before the first flush)."""

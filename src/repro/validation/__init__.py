@@ -5,13 +5,14 @@ The correctness-tooling layer the perf roadmap stands on.  Its parts:
 * :mod:`repro.validation.invariants` — a registry of metamorphic and
   algebraic checks per kernel, run against randomized generator graphs
   (:mod:`repro.validation.generators`).
-* :mod:`repro.validation.oracle` — a differential oracle pinning the
-  vectorized batch cost model to the scalar ``simulate`` reference and
-  the tuning layer's argmin to scalar brute force.
+* :mod:`repro.validation.oracle` — the per-phase cost-model reference
+  (``reference_simulate``) every evaluation must equal, and a
+  differential oracle pinning the lattice pass to it and the tuning
+  layer's argmin to a brute-force scan of it.
 * :mod:`repro.validation.fleet` — the fleet component: multi-workload
-  row sets costed by the array pass equal to a scalar loop, again from
-  the terms it kept, decode bit-identity, and permutation-invariant
-  fleet identities.
+  row sets costed by the array pass, the decision layer and ``simulate``
+  equal to the reference, again from the terms they kept, decode
+  bit-identity, and permutation-invariant fleet identities.
 * :mod:`repro.validation.cart` — the CART component: screened split
   search bit-identical to the per-candidate reference loop, whose split
   is always in the screen's shortlist.
@@ -61,6 +62,7 @@ from repro.validation.oracle import (
     random_config,
     random_config_table,
     random_profile,
+    reference_simulate,
     run_oracle_case,
 )
 from repro.validation.seeds import (
@@ -102,6 +104,7 @@ __all__ = [
     "random_config_table",
     "random_fleet",
     "random_profile",
+    "reference_simulate",
     "reference_split",
     "registered_benchmarks",
     "replay_command",

@@ -5,13 +5,15 @@ the seeded-replay contract of :mod:`repro.validation.fuzz`:
 
 * **exact costing** — 1–64 ``(profile, spec, config)`` rows over several
   workloads on a random 2–6 device fleet, costed by
-  :func:`repro.accel.batch.fleet_evaluate` and by the decision layer's
-  ``estimate_rows`` (so both sides of its array-pass crossover), equal a
-  scalar :func:`~repro.accel.simulator.simulate` loop; so do a second
-  pass over the same objects, which reads the terms the first one kept
-  per profile and per config, a third over equal copies of the configs,
-  which take their config terms afresh, and one config object costed on
-  every device of its kind, which keeps a clamped copy per device;
+  :func:`repro.accel.batch.fleet_evaluate`, by the decision layer's
+  ``estimate_rows`` (so both sides of its array-pass crossover) and by a
+  :func:`~repro.accel.simulator.simulate` loop, equal the per-phase
+  reference (:func:`~repro.validation.oracle.reference_simulate`); so do
+  a second pass over the same objects, which reads the terms the first
+  one kept per profile and per config, a third over equal copies of the
+  configs, which take their config terms afresh, and one config object
+  costed on every device of its kind, which keeps a clamped copy per
+  device;
 * **decode agreement** — :func:`~repro.core.encoding.decode_config_batch`,
   which decodes each kind's rows on their own, gives every row exactly
   what :func:`repro.core.encoding.decode_config_for` gives for it inside
@@ -39,7 +41,7 @@ from repro.core.encoding import NUM_TARGETS, decode_config_batch, decode_config_
 from repro.errors import OracleMismatchError
 from repro.machine.fleet import Fleet, synthetic_fleet
 from repro.runtime.engine.decision import estimate_rows
-from repro.validation.oracle import random_config, random_profile
+from repro.validation.oracle import random_config, random_profile, reference_simulate
 
 __all__ = [
     "MAX_FLEET_SIZE",
@@ -88,19 +90,23 @@ def random_fleet(
 
 
 def check_fleet_rows(rows: "list[Deployment]") -> None:
-    """Array-path costing of ``rows`` (``fleet_evaluate`` and the decision
-    layer's ``estimate_rows``) vs a scalar simulate loop, by ``==``.
+    """``fleet_evaluate``, the decision layer's ``estimate_rows`` and a
+    ``simulate`` loop vs the per-phase reference, by ``==``.
 
     Raises:
         OracleMismatchError: on the first row whose results differ.
     """
-    scalar = [simulate(*row) for row in rows]
-    passes = fleet_evaluate(rows), estimate_rows(rows)
-    for costed in passes:
-        for index, (got, want) in enumerate(zip(costed, scalar)):
+    reference = [reference_simulate(*row) for row in rows]
+    passes = {
+        "fleet_evaluate": fleet_evaluate(rows),
+        "estimate_rows": estimate_rows(rows),
+        "simulate": [simulate(*row) for row in rows],
+    }
+    for name, costed in passes.items():
+        for index, (got, want) in enumerate(zip(costed, reference)):
             if got != want:
                 raise OracleMismatchError(
-                    f"fleet/scalar divergence on {rows[index][1].name} row "
+                    f"{name}/reference divergence on {rows[index][1].name} row "
                     f"#{index} of {len(rows)}: time_s {got.time_s!r} vs "
                     f"{want.time_s!r}"
                 )

@@ -1,9 +1,10 @@
 """Seeded fuzz driver: ``python -m repro.validation.fuzz``.
 
 Round-robins the fuzz components — ``kernels`` (invariant registry on
-randomized generator graphs), ``oracle`` (differential batch/scalar
-cost model), ``fleet`` (per-device argmin vs scalar loop + fleet
-identity properties), ``calibration`` (confidence-report validity,
+randomized generator graphs), ``oracle`` (lattice pass vs the
+per-phase cost model), ``fleet`` (array pass, one-row loop and
+``simulate`` vs the per-phase model + fleet identity properties),
+``calibration`` (confidence-report validity,
 coverage monotonicity, exploration-off bit-identity), and ``cart``
 (screened CART split search vs the per-candidate loop) — under a
 wall-clock budget and per-component case cap, with two tiers:
@@ -140,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.validation.fuzz",
         description=(
             "Seeded property-based fuzzing of the kernel invariants and "
-            "the batch/scalar differential cost-model oracle."
+            "the differential cost-model oracles."
         ),
     )
     parser.add_argument(

@@ -1,18 +1,22 @@
-"""Differential oracle: batch cost model vs the scalar reference.
+"""Differential oracle: the cost model's evaluations vs the per-phase
+reference.
 
-The vectorized evaluator (:mod:`repro.accel.batch`) re-expresses the cost
-and energy math of :func:`repro.accel.simulator.simulate` as array
-expressions; every later perf PR that touches either path leans on this
-oracle.  A fuzz case draws a randomized workload profile, an accelerator
-spec, and a randomized set of M configurations (deliberately sampled
-*off* the tuning lattice as well as on it, so the ceiling-rule clamping
-is exercised), then asserts
+:func:`reference_simulate` costs a deployment with the per-phase model
+(:func:`~repro.accel.cost_model.evaluate_cost` and
+:func:`~repro.accel.energy.evaluate_energy`), which no serving path runs.
+Every evaluation of the model's one formula, :func:`repro.accel.batch._pass`
+(``simulate``, ``batch_evaluate``, ``evaluate_kind``), must equal it,
+and every change to the formula leans on this oracle.  A
+fuzz case draws a randomized workload profile, an accelerator spec, and
+a randomized set of M configurations (deliberately sampled *off* the
+tuning lattice as well as on it, so the ceiling-rule clamping is
+exercised), then asserts
 
-* ``batch_evaluate`` equals ``simulate`` exactly (``==``) for time,
+* ``batch_evaluate`` equals the reference exactly (``==``) for time,
   energy, and utilization on every configuration, and
 * the batch argmin (used by :mod:`repro.tuning.exhaustive`) is the
-  configuration a brute-force scalar scan picks, for a randomly chosen
-  objective metric.
+  configuration a brute-force scan of the reference picks, for a
+  randomly chosen objective metric.
 
 Mismatches raise :class:`OracleMismatchError` naming the profile seed,
 spec, config index, and the offending quantity.
@@ -22,10 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accel.batch import ConfigTable, batch_evaluate
-from repro.accel.simulator import SimulationResult, simulate
+from repro.accel.batch import ConfigTable, SimulationResult, batch_evaluate
+from repro.accel.cost_model import evaluate_cost
+from repro.accel.energy import evaluate_energy
 from repro.errors import OracleMismatchError
-from repro.machine.mvars import MachineConfig, OmpSchedule
+from repro.machine.mvars import MachineConfig, OmpSchedule, clamp_config
 from repro.machine.space import iter_configs
 from repro.machine.specs import ACCELERATORS, AcceleratorSpec
 from repro.tuning.exhaustive import best_on_accelerator
@@ -33,6 +38,7 @@ from repro.workload.profile import WorkloadProfile, build_profile
 from repro.workload.synthetic import generate_samples
 
 __all__ = [
+    "reference_simulate",
     "random_config",
     "random_config_table",
     "random_profile",
@@ -44,6 +50,25 @@ __all__ = [
 
 _METRICS = ("time", "energy", "edp")
 _SCHEDULE_CHOICES = tuple(OmpSchedule)
+
+
+def reference_simulate(
+    profile: WorkloadProfile, spec: AcceleratorSpec, config: MachineConfig
+) -> SimulationResult:
+    """``profile`` on ``spec`` under ``config``, costed by the per-phase
+    model: the ceiling rule, then
+    :func:`~repro.accel.cost_model.evaluate_cost` and
+    :func:`~repro.accel.energy.evaluate_energy`.
+
+    Every evaluation of the cost model must equal it by ``==``.  It keeps
+    nothing, so each call costs every term afresh.
+    """
+    config = clamp_config(config, spec)
+    cost = evaluate_cost(profile, spec, config)
+    energy = evaluate_energy(cost, spec, config)
+    return SimulationResult(
+        accelerator=spec.name, config=config, cost=cost, energy=energy
+    )
 
 
 def random_profile(rng: np.random.Generator) -> WorkloadProfile:
@@ -105,14 +130,14 @@ def random_config_table(
 def check_batch_equivalence(
     profile: WorkloadProfile, spec: AcceleratorSpec, table: ConfigTable
 ) -> None:
-    """Assert batch == scalar, exactly, for every config in ``table``.
+    """Assert batch == reference, exactly, for every config in ``table``.
 
     Raises:
         OracleMismatchError: on any difference.
     """
     result = batch_evaluate(profile, spec, table)
     for index, config in enumerate(result.configs):
-        reference = simulate(profile, spec, config)
+        reference = reference_simulate(profile, spec, config)
         pairs = (
             ("time_s", float(result.time_s[index]), reference.time_s),
             ("energy_j", float(result.energy_j[index]), reference.energy_j),
@@ -132,11 +157,12 @@ def _scalar_argmin(
     configs: tuple[MachineConfig, ...],
     metric: str,
 ) -> tuple[int, SimulationResult]:
-    """Brute-force scalar scan: first strict minimum, in table order."""
+    """Brute-force scan of the reference: first strict minimum, in table
+    order."""
     best_index = 0
     best: SimulationResult | None = None
     for index, config in enumerate(configs):
-        candidate = simulate(profile, spec, config)
+        candidate = reference_simulate(profile, spec, config)
         if best is None or candidate.objective(metric) < best.objective(metric):
             best_index, best = index, candidate
     assert best is not None  # ConfigTable guarantees >= 1 config
@@ -149,7 +175,7 @@ def check_argmin_equivalence(
     table: ConfigTable,
     metric: str,
 ) -> None:
-    """Assert the batch argmin is the brute-force scalar scan's pick.
+    """Assert the batch argmin is the brute-force reference scan's pick.
 
     Raises:
         OracleMismatchError: when the two pick different configs.
@@ -170,7 +196,7 @@ def check_exhaustive_against_scalar(
     metric: str = "time",
 ) -> None:
     """Cross-check :func:`repro.tuning.exhaustive.best_on_accelerator`
-    against a full scalar sweep of the spec's lattice.
+    against a full reference sweep of the spec's lattice.
 
     Raises:
         OracleMismatchError: when the tuning-layer optimum differs from
@@ -194,10 +220,10 @@ def run_oracle_case(seed: int) -> str:
     Draws (profile, spec, config table, metric), then runs the batch
     equivalence and argmin cross-checks; GPU specs (whose lattices are
     small) additionally cross-check the tuning layer's full-lattice
-    optimum against scalar brute force.
+    optimum against a brute-force reference sweep.
 
     Raises:
-        OracleMismatchError: on any batch/scalar divergence.
+        OracleMismatchError: on any batch/reference divergence.
     """
     rng = np.random.default_rng(seed)
     profile = random_profile(rng)

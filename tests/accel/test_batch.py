@@ -1,11 +1,12 @@
-"""Equivalence suite: the vectorized batch evaluator vs the scalar model.
+"""Equivalence suite: the lattice pass and ``simulate`` vs the per-phase model.
 
-The batch path reimplements the cost/energy math as array expressions;
-these tests pin it to the scalar reference (`simulate`) exactly (``==``)
-for time, energy, and utilization — across the full lattice of every
-accelerator spec, on randomized profiles, and on explicit config lists —
-so the vectorization can never silently drift from the model the
-figures validate.
+The batch path evaluates the cost model's formula over a config set as
+array expressions, and ``simulate`` evaluates it on one row of Python
+floats; these tests pin both to the per-phase reference
+(``reference_simulate``) exactly (``==``) for time, energy, and
+utilization — across the full lattice of every accelerator spec, on
+randomized profiles, and on explicit config lists — so neither
+evaluation can silently drift from the model the figures validate.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.machine.space import iter_configs, lattice_size, thread_sweep_configs
 from repro.machine.specs import ACCELERATORS, get_accelerator
 from repro.workload.phases import PhaseKind
 from repro.workload.profile import KernelTrace, PhaseTrace, build_profile
+from repro.validation.oracle import reference_simulate
 from repro.workload.synthetic import generate_samples
 
 from tests.accel.test_cost_model import make_profile
@@ -49,13 +51,15 @@ def _random_profiles(num: int, seed: int):
 
 
 def _assert_matches_scalar(profile, spec, result):
-    """Every lattice point of ``result`` equals simulate() exactly."""
+    """Every lattice point of ``result``, and ``simulate`` of it, equals
+    the per-phase reference exactly."""
     for i, config in enumerate(result.configs):
-        ref = simulate(profile, spec, config)
+        ref = reference_simulate(profile, spec, config)
         assert result.time_s[i] == ref.time_s
         assert result.energy_j[i] == ref.energy_j
         assert result.utilization[i] == ref.utilization
         assert result.materialize(i) == ref
+        assert simulate(profile, spec, config) == ref
 
 
 class TestFullLatticeEquivalence:
@@ -131,7 +135,7 @@ class TestBatchResultHelpers:
             best = result.argbest("time")
             scan_best, scan_value = None, float("inf")
             for i, config in enumerate(iter_configs(spec)):
-                value = simulate(profile, spec, config).time_s
+                value = reference_simulate(profile, spec, config).time_s
                 if value < scan_value:
                     scan_best, scan_value = i, value
             assert best == scan_best
@@ -198,7 +202,8 @@ class TestSweepSpeed:
     def test_batch_pass_beats_the_scalar_loop_tenfold(self):
         """The reason the batch evaluator exists: one pass over
         xeonphi7120p's whole lattice must run at least 10x faster than
-        one ``simulate`` call per config (about 170x on a 2-CPU Xeon)."""
+        one ``simulate`` call per config, even when each call reads the
+        config's kept terms (about 95x on a 2-CPU Xeon)."""
         spec = get_accelerator("xeonphi7120p")
         profile = _mixed_phase_profile()
         configs = list(iter_configs(spec))

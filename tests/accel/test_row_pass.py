@@ -1,35 +1,46 @@
-"""Exactness suite for the row-axis array pass (``fleet_evaluate``).
+"""Exactness suite for the cost model's row evaluations.
 
 The fleet path costs arbitrary ``(profile, spec, config)`` rows in one
-array pass per accelerator kind.  These tests compare it with scalar
-``simulate`` by ``==`` (no tolerance) on mixed-spec fleets, on the
-inputs where NumPy and libm would round differently, and on the edge
-cases of the model, and with the terms the pass keeps per profile and
+array pass per accelerator kind (``fleet_evaluate``), and ``simulate``
+costs one deployment on Python floats; both run the same formula.
+These tests compare each with the per-phase reference
+(``reference_simulate``) by ``==`` (no tolerance) on mixed-spec fleets,
+on the inputs where NumPy and libm would round differently, and on the
+edge cases of the model, and with the terms both keep per profile and
 per config; they also pin the decision layer's crossover between the
-scalar loop and the array pass, and the ceiling rule's no-copy path.
+one-row loop and the array pass, and the ceiling rule's no-copy path.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.accel.batch import fleet_evaluate
+import repro.accel.batch as batch_module
+from repro.accel.batch import batch_evaluate, fleet_evaluate
 from repro.accel.simulator import simulate
 from repro.core.heteromap import HeteroMap
 from repro.machine.fleet import synthetic_fleet
-from repro.machine.mvars import MachineConfig, OmpSchedule, clamp_config
+from repro.machine.mvars import (
+    MachineConfig,
+    OmpSchedule,
+    clamp_config,
+    default_config,
+    total_threads,
+)
 from repro.machine.specs import get_accelerator
 from repro.runtime.deploy import prepare_workload
 from repro.runtime.engine.decision import ARRAY_PASS_MIN_ROWS
-from repro.validation.oracle import random_config, random_profile
+from repro.validation.oracle import random_config, random_profile, reference_simulate
 from repro.workload.phases import PhaseKind
 from repro.workload.profile import PhaseProfile, WorkloadProfile
 
 from tests.accel.test_cost_model import make_profile
+from tests.engine.test_decode_fleet import count_costing
 
 FLEET8 = synthetic_fleet(8).devices
 
@@ -77,11 +88,21 @@ def _edge_profile(items: float, total_bytes: float) -> WorkloadProfile:
     )
 
 
-def _assert_rows_exact(rows):
-    results = fleet_evaluate(rows)
+def _assert_rows_exact(rows, simulate_first=False):
+    """``fleet_evaluate`` and a ``simulate`` loop equal the reference on
+    every row; ``simulate_first`` runs the loop first, so it meets the
+    kept terms (or a stale entry) before the pass does."""
+    if simulate_first:
+        one_row = [simulate(*row) for row in rows]
+        results = fleet_evaluate(rows)
+    else:
+        results = fleet_evaluate(rows)
+        one_row = [simulate(*row) for row in rows]
     assert len(results) == len(rows)
-    for row, result in zip(rows, results):
-        assert result == simulate(*row), row[1].name
+    for row, result, alone in zip(rows, results, one_row):
+        reference = reference_simulate(*row)
+        assert result == reference, row[1].name
+        assert alone == reference, row[1].name
 
 
 def test_ten_thousand_mixed_spec_rows():
@@ -121,28 +142,38 @@ def test_phase_counts_fold_through_padding():
 
 
 def test_kept_terms_follow_the_spec_object():
-    """The pass keeps a profile's phase terms per spec object in
-    ``profile.cost_terms``; another spec of the same name, a copied
-    profile and an entry under a reused id are all costed afresh, and
-    the kept terms never show in the profile's ``==``, ``hash`` or
-    ``repr``."""
+    """The pass and ``simulate`` keep a profile's phase terms per spec
+    object in ``profile.cost_terms``; another spec of the same name, a
+    copied profile and an entry under a reused id are all costed afresh,
+    whichever evaluation meets them first, and the kept terms never show
+    in the profile's ``==``, ``hash`` or ``repr``."""
+    for simulate_first in (False, True):
+        _check_kept_profile_terms(simulate_first)
+
+
+def _check_kept_profile_terms(simulate_first):
     rng = np.random.default_rng(29)
     profile = make_profile()
     before = (hash(profile), repr(profile))
     spec = get_accelerator("xeonphi7120p")
     bigger = replace(spec, cache_mb=spec.cache_mb * 8)
     config = _continuous_config(spec, rng)
-    assert simulate(profile, bigger, config) != simulate(profile, spec, config)
+    assert reference_simulate(profile, bigger, config) != reference_simulate(
+        profile, spec, config
+    )
 
-    _assert_rows_exact([(profile, spec, config)])
-    _assert_rows_exact([(profile, spec, config), (profile, bigger, config)])
+    def exact(rows):
+        _assert_rows_exact(rows, simulate_first)
+
+    exact([(profile, spec, config)])
+    exact([(profile, spec, config), (profile, bigger, config)])
     twin = copy.deepcopy(profile)
-    _assert_rows_exact([(twin, spec, config), (twin, bigger, config)])
+    exact([(twin, spec, config), (twin, bigger, config)])
     # An entry left under an id that now names another spec object.
     stale = replace(profile)
-    _assert_rows_exact([(stale, bigger, config)])
+    exact([(stale, bigger, config)])
     stale.cost_terms[id(spec)] = stale.cost_terms.pop(id(bigger))
-    _assert_rows_exact([(stale, spec, config)])
+    exact([(stale, spec, config)])
 
     assert (hash(profile), repr(profile)) == before
     assert profile == twin == stale
@@ -150,11 +181,17 @@ def test_kept_terms_follow_the_spec_object():
 
 
 def test_kept_config_terms_follow_the_spec_object():
-    """The pass keeps a config's clamped form and ``_config_row`` per spec
-    object in ``config.cost_terms``; a same-named spec with a lower
-    ceiling, a copied config and an entry under a reused id are all
-    costed afresh, and the kept terms never show in the config's ``==``,
+    """The pass and ``simulate`` keep a config's clamped form and
+    ``_config_row`` per spec object in ``config.cost_terms``; a
+    same-named spec with a lower ceiling, a copied config and an entry
+    under a reused id are all costed afresh, whichever evaluation meets
+    them first, and the kept terms never show in the config's ``==``,
     ``hash`` or ``repr``."""
+    for simulate_first in (False, True):
+        _check_kept_config_terms(simulate_first)
+
+
+def _check_kept_config_terms(simulate_first):
     profile = make_profile()
     spec = get_accelerator("xeonphi7120p")
     config = MachineConfig(
@@ -170,21 +207,54 @@ def test_kept_config_terms_follow_the_spec_object():
     lower = replace(spec, cores=spec.cores // 2)
     assert clamp_config(config, spec) is config
     assert clamp_config(config, lower) != config
-    assert simulate(profile, lower, config) != simulate(profile, spec, config)
+    assert reference_simulate(profile, lower, config) != reference_simulate(
+        profile, spec, config
+    )
 
-    _assert_rows_exact([(profile, spec, config)])
-    _assert_rows_exact([(profile, spec, config), (profile, lower, config)])
+    def exact(rows):
+        _assert_rows_exact(rows, simulate_first)
+
+    exact([(profile, spec, config)])
+    exact([(profile, spec, config), (profile, lower, config)])
     twin = copy.deepcopy(config)
-    _assert_rows_exact([(profile, spec, twin), (profile, lower, twin)])
+    exact([(profile, spec, twin), (profile, lower, twin)])
     # An entry left under an id that now names another spec object.
     stale = replace(config)
-    _assert_rows_exact([(profile, lower, stale)])
+    exact([(profile, lower, stale)])
     stale.cost_terms[id(spec)] = stale.cost_terms.pop(id(lower))
-    _assert_rows_exact([(profile, spec, stale)])
+    exact([(profile, spec, stale)])
 
     assert (hash(config), repr(config)) == before
     assert config == twin == stale
     assert not replace(config).cost_terms
+
+
+def test_simulate_again_takes_no_term(monkeypatch):
+    """A second ``simulate`` of the very same profile, spec and config
+    objects builds no phase, deploy or config term and clamps nothing,
+    and equals the first."""
+    rng = np.random.default_rng(31)
+    profile = random_profile(rng)
+    rows = [(profile, spec, _continuous_config(spec, rng)) for spec in FLEET8]
+    first = [simulate(*row) for row in rows]
+    calls = []
+
+    def counting(name):
+        original = getattr(batch_module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        return counted
+
+    for name in ("_row", "_deploy_row", "_config_row", "clamp_config"):
+        monkeypatch.setattr(batch_module, name, counting(name))
+    assert [simulate(*row) for row in rows] == first
+    assert calls == []
+    # The counters see a copy that keeps nothing.
+    simulate(replace(profile), *rows[0][1:])
+    assert {"_row", "_deploy_row"} <= set(calls)
 
 
 @pytest.mark.parametrize(
@@ -265,6 +335,66 @@ def test_streaming_overflow_footprints():
     assert all(result.cost.streaming_s > 0 for result in fleet_evaluate(rows))
 
 
+def _ramp_profile(max_par: float) -> WorkloadProfile:
+    """One phase whose useful threads are ``max_par`` under any config
+    with more threads (one edge per item, so a GPU adds none)."""
+    items = 1e7
+    phase = PhaseProfile(
+        kind=PhaseKind.PARETO,
+        items=items,
+        edges=items,
+        max_parallelism=max_par,
+        work_skew=0.3,
+        int_ops=1e8,
+        fp_ops=1e6,
+        seq_bytes=4e8,
+        rand_bytes=2e8,
+        indirect_bytes=1e8,
+        shared_ro_bytes=2e8,
+        shared_rw_bytes=1e8,
+        local_bytes=0.0,
+        atomics=1e5,
+        barriers=10.0,
+    )
+    return WorkloadProfile(
+        benchmark="ramp",
+        graph_name="ramp",
+        phases=(phase,),
+        num_iterations=10,
+        footprint_bytes=1e9,
+        contention=0.2,
+    )
+
+
+def test_square_root_rounding_inputs():
+    """Bandwidth-ramp ratios on which a correctly rounded square root
+    differs from libm's ``pow(x, 0.5)``, the reference's ``x ** 0.5``.
+    They are about 0.09% of inputs, so random thread counts rarely reach
+    one; the row pass, ``simulate`` and the lattice pass (which takes
+    the root once per distinct thread count) must round them as the
+    reference does."""
+    rng = np.random.default_rng(37)
+    rows = []
+    for spec in FLEET8:
+        config = default_config(spec)
+        if spec.is_gpu:
+            saturation = spec.cores * min(spec.latency_hiding, 2.0)
+        else:
+            saturation = spec.cores * 0.5
+        top = min(saturation, float(total_threads(config, spec)))
+        found = 0
+        while found < 6:
+            useful = top * rng.uniform(0.01, 1.0)
+            ratio = useful / saturation
+            if useful >= 1.0 and math.sqrt(ratio) != ratio ** 0.5:
+                rows.append((_ramp_profile(useful), spec, config))
+                found += 1
+    _assert_rows_exact(rows)
+    for profile, spec, config in rows:
+        table = batch_evaluate(profile, spec, [config])
+        assert table.materialize(0) == reference_simulate(profile, spec, config)
+
+
 def test_libm_sensitive_continuous_values():
     """Dense blocktime, chunk and useful/saturation sweeps: the inputs on
     which NumPy's SIMD power and log10 round differently from libm."""
@@ -296,8 +426,8 @@ def test_single_row_and_empty_inputs():
 # -- the decision layer's crossover ---------------------------------------
 
 
-def _same_decision(a, b):
-    assert a.workload is b.workload
+def _same_decision(a, b, same_workload=True):
+    assert a.workload is b.workload if same_workload else a.workload == b.workload
     assert a.estimates == b.estimates
     assert a.chosen_index == b.chosen_index
     assert a.runner_up_index == b.runner_up_index
@@ -319,25 +449,32 @@ def workloads():
     pairs = [
         (benchmark, dataset)
         for benchmark in ("pagerank", "bfs", "sssp_bf", "connected_components")
-        for dataset in ("facebook", "cage14", "usa-cal")
+        for dataset in ("facebook", "cage14", "usa-cal", "livejournal", "twitter")
     ]
     return [prepare_workload(b, d) for b, d in pairs]
 
 
-def test_decisions_equal_across_the_crossover(fleet_map, workloads):
+def test_decisions_equal_across_the_crossover(fleet_map, workloads, monkeypatch):
     """Batches just below and just above the crossover (two devices per
-    kind, so a workload adds two rows to each kind) decide alike, and
-    alike with one-workload decides."""
+    kind, so a workload adds two rows to each kind) take the one-row loop
+    and the array pass, and decide alike, and alike with one-workload
+    decides.  Each batch decides ``replace`` copies of the workloads,
+    which keep no decision parts, so every row is costed."""
     per_kind = len(fleet_map.fleet.gpus)
     below = -(-ARRAY_PASS_MIN_ROWS // per_kind) - 1
     above = below + 1
     assert below * per_kind < ARRAY_PASS_MIN_ROWS <= above * per_kind
     assert len(workloads) > above
     decisions = fleet_map.decisions
-    scalar = decisions.decide_batch(workloads[:below])
-    array = decisions.decide_batch(workloads[:above])
+    devices = len(fleet_map.fleet)
+    counts = count_costing(monkeypatch)
+    scalar = decisions.decide_batch([replace(w) for w in workloads[:below]])
+    assert counts == {"simulate": below * devices, "pass": 0}
+    counts = count_costing(monkeypatch)
+    array = decisions.decide_batch([replace(w) for w in workloads[:above]])
+    assert counts == {"simulate": 0, "pass": above * devices}
     for a, b in zip(scalar, array):
-        _same_decision(a, b)
+        _same_decision(a, b, same_workload=False)
     whole = decisions.decide_batch(workloads)
     for workload, decision in zip(workloads, whole):
         _same_decision(decisions.decide(workload), decision)

@@ -119,14 +119,6 @@ class TestLearnability:
         probe = np.full(NUM_FEATURES, 0.5)
         assert np.allclose(a.predict_vector(probe), b.predict_vector(probe))
 
-    def test_deep_parameter_count_grows_with_width(self):
-        x, y = toy_dataset(n=40)
-        small = DeepPredictor(16, epochs=5, seed=0)
-        large = DeepPredictor(128, epochs=5, seed=0)
-        small.fit(x, y)
-        large.fit(x, y)
-        assert large.num_parameters > small.num_parameters
-
     def test_cart_depth_bounded(self):
         predictor = CartPredictor(max_depth=3, min_samples=4)
         x, y = toy_dataset(n=200)

@@ -41,6 +41,7 @@ from repro.runtime.deploy import prepare_workload
 from repro.runtime.engine import SimulatedBackend
 from repro.runtime.engine.contracts import Decision, DeviceEstimate
 from repro.runtime.engine.decision import (
+    ARRAY_PASS_MIN_ROWS,
     DecisionService,
     select_chosen,
     select_runner_up,
@@ -321,7 +322,8 @@ class TestKeptEstimates:
 
     def test_rows_counted_by_path(self, deep_map, batch):
         """``cost_model.configs`` counts each decide's rows as kept, array
-        pass or scalar ``simulate``; together they are ``engine.estimates``."""
+        pass or scalar ``simulate``; together they are ``engine.estimates``.
+        A first decide's rows take the path their count per kind selects."""
         decisions = deep_map.decisions
         decisions.clear_cache()
         state = obs.configure(obs.ObsConfig(enabled=True))
@@ -342,7 +344,9 @@ class TestKeptEstimates:
         finally:
             obs.reset()
         first, both = counted
-        assert first == {"kept": 0, "batch": rows, "scalar": 0}
+        per_kind = len(batch) * len(deep_map.fleet.gpus)
+        path = "batch" if per_kind >= ARRAY_PASS_MIN_ROWS else "scalar"
+        assert first == {"kept": 0, "batch": 0, "scalar": 0, path: rows}
         second = {path: both[path] - first[path] for path in both}
         assert second == {"kept": rows, "batch": 0, "scalar": 0}
 
@@ -553,8 +557,8 @@ class TestKeptDecisions:
 class TestDecodeBatch:
     """Each row on its own kind, equal to decoding the row alone."""
 
-    GPU = Fleet.default_pair().primary_gpu
-    MULTICORE = Fleet.default_pair().primary_multicore
+    GPU = Fleet.from_names(DEFAULT_PAIR).primary_gpu
+    MULTICORE = Fleet.from_names(DEFAULT_PAIR).primary_multicore
 
     @pytest.mark.parametrize("kinds", ["gpu", "multicore", "mixed", "empty"])
     def test_rows_decode_as_alone(self, kinds):

@@ -15,11 +15,6 @@ from repro.machine.specs import DEFAULT_PAIR, get_accelerator, with_memory_gb
 
 
 class TestConstruction:
-    def test_default_pair_is_the_n2_fleet(self):
-        fleet = Fleet.default_pair()
-        assert fleet.names == DEFAULT_PAIR
-        assert len(fleet) == 2
-
     def test_from_names_accepts_specs_and_strings(self):
         fleet = Fleet.from_names(["gtx750ti", get_accelerator("cpu40core")])
         assert fleet.names == ("gtx750ti", "cpu40core")
@@ -76,7 +71,7 @@ class TestFingerprint:
         assert a.fingerprint == b.fingerprint
 
     def test_different_devices_differ(self):
-        a = Fleet.default_pair()
+        a = Fleet.from_names(DEFAULT_PAIR)
         b = Fleet.from_names(["gtx970", "xeonphi7120p"])
         assert a.fingerprint != b.fingerprint
 

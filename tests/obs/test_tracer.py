@@ -87,14 +87,6 @@ class TestAttributes:
         (record,) = enabled_obs.tracer.records
         assert record.attrs["error"] == "ValueError"
 
-    def test_totals_by_name(self, enabled_obs):
-        for _ in range(3):
-            with obs.span("repeat"):
-                pass
-        count, total = enabled_obs.tracer.totals_by_name()["repeat"]
-        assert count == 3
-        assert total == pytest.approx(3.0)
-
 
 class TestJsonlExport:
     def test_span_events_stream_in_completion_order(self, jsonl_obs):

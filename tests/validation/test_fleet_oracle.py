@@ -11,6 +11,7 @@ from repro.accel.simulator import simulate
 from repro.core.encoding import NUM_TARGETS
 from repro.errors import OracleMismatchError
 from repro.machine.fleet import Fleet, synthetic_fleet
+from repro.machine.specs import DEFAULT_PAIR
 from repro.validation.fleet import (
     MAX_FLEET_SIZE,
     check_decode_agreement,
@@ -106,7 +107,7 @@ class TestDecodeAgreement:
     def test_random_vectors_agree(self):
         rng = np.random.default_rng(21)
         vectors = rng.uniform(0.0, 1.0, size=(16, NUM_TARGETS))
-        check_decode_agreement(vectors, Fleet.default_pair())
+        check_decode_agreement(vectors, Fleet.from_names(DEFAULT_PAIR))
 
     def test_m1_boundary_rows_agree(self):
         # Rows pinned at the 0.5 decision boundary and the extremes.

@@ -5,9 +5,9 @@ caught by the differential oracle, a deliberate perturbation of a
 kernel by the invariant registry, a zero rounding bound in the CART
 split screen, a screen that ignores how often a row repeats or a walk
 that sends NaN left by the ``cart`` component, and a one-row decode
-whose powers round one ULP up by the ``fleet`` component — each with a
-failure message that reprints the exact ``REPRO_FUZZ_SEED`` replay
-one-liner.
+whose powers, or a one-row cost whose square root, round one ULP up by
+the ``fleet`` component — each with a failure message that reprints the
+exact ``REPRO_FUZZ_SEED`` replay one-liner.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import repro.accel.batch as batch
+import repro.accel.simulator as simulator
 import repro.core.encoding as encoding
 import repro.core.predictors.tree_learner as tree_learner
 from repro.errors import OracleMismatchError
@@ -144,6 +145,27 @@ def test_one_row_decode_mutation_is_caught(monkeypatch):
             run_case("fleet", seed)
     message = str(excinfo.value)
     assert "one-row decode_config" in message
+    assert "--component fleet --cases 1" in message
+
+
+def test_one_row_cost_mutation_is_caught(monkeypatch):
+    """A square root one ULP up in ``simulate``'s one-row operations only
+    (the array passes take theirs per element in ``_libm``): the
+    ``fleet`` component, which compares ``simulate`` and the decision
+    layer's one-row loop with the per-phase reference, must see it."""
+    minimum, maximum, absolute, sqrt, fill = simulator._ONE_ROW
+
+    def ulp_up(x):
+        return math.nextafter(sqrt(x), math.inf)
+
+    monkeypatch.setattr(
+        simulator, "_ONE_ROW", (minimum, maximum, absolute, ulp_up, fill)
+    )
+    with pytest.raises(FuzzFailure) as excinfo:
+        for seed in range(50):
+            run_case("fleet", seed)
+    message = str(excinfo.value)
+    assert "/reference divergence" in message
     assert "--component fleet --cases 1" in message
 
 
