@@ -6,11 +6,11 @@ columns.  It takes its five operations that are not arithmetic
 (minimum, maximum, abs, the square root and a fill) as an argument, so
 the same code runs on NumPy row arrays and on one row of Python floats.
 A pass covers one accelerator kind, so the GPU/multicore branches stay
-plain ``if`` statements.  It serves :func:`repro.accel.simulator.simulate`
-(one deployment, one float row per phase), :func:`batch_evaluate` (one
-workload on a config set such as the M lattice) and :func:`evaluate_kind`
-(any mix of deployments of one kind, e.g. every (workload × device) pair
-of a decide batch).
+plain ``if`` statements.  It serves two evaluations:
+:func:`repro.accel.simulator.simulate` (one deployment, one float row
+per phase, which also costs every (workload × device) row of a decide)
+and :func:`batch_evaluate` (one workload on a config set such as the M
+lattice).
 
 The per-phase model (:func:`~repro.accel.cost_model.evaluate_cost` and
 :func:`~repro.accel.energy.evaluate_energy`) is the reference, and every
@@ -20,7 +20,7 @@ since NumPy's SIMD ``power`` and ``log10`` round unlike libm on a few
 percent of inputs; ``x ** 0.8``, ``x ** 0.5``, ``log10`` and the
 config-independent row terms (:func:`_row`) are Python floats; every
 expression keeps the reference's operand order; and phases add in phase
-order, missing ones as exact zeros.
+order.
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ __all__ = [
     "BatchResult",
     "lattice_table",
     "batch_evaluate",
-    "by_kind",
-    "evaluate_kind",
-    "fleet_evaluate",
 ]
 
 
@@ -116,8 +113,7 @@ class SimulationResult:
         raise SimulationError(f"unknown objective metric {metric!r}")
 
 
-# Spec × profile terms: scalars for a lattice or one row, per-row arrays
-# otherwise.
+# Spec × profile terms.
 _Deploy = namedtuple(
     "_Deploy",
     "int_peak fp_peak needed max_threads footprint_pressure saturation bw_base"
@@ -243,29 +239,21 @@ def _bare(like, value):
 _ONE_ROW = (min, max, abs, _sqrt, _bare)
 
 
-def _row_ops(levels=None) -> tuple:
-    """:func:`_pass`'s (minimum, maximum, abs, sqrt, fill) on row arrays.
+def _row_ops(levels) -> tuple:
+    """:func:`_pass`'s (minimum, maximum, abs, sqrt, fill) on a config
+    table's rows, laid out as (phases, configs).
 
-    ``levels`` = (first, inverse) says rows are laid out as (phases,
-    configs) whose configs repeat a few thread counts: the square root
-    then runs once per distinct column and is expanded back.
+    The configs repeat a few thread counts, so the square root runs once
+    per distinct column (``levels`` = first index, inverse) and is
+    expanded back.
     """
-    if levels is None:
-        def sqrt(values):
-            return _libm(_sqrt, values)
-    else:
-        first, inverse = levels
+    first, inverse = levels
 
-        def sqrt(values):
-            grid = values.reshape(-1, len(inverse))
-            return _libm(_sqrt, grid[:, first])[:, inverse].reshape(values.shape)
+    def sqrt(values):
+        grid = values.reshape(-1, len(inverse))
+        return _libm(_sqrt, grid[:, first])[:, inverse].reshape(values.shape)
 
     return np.minimum, np.maximum, np.abs, sqrt, np.full_like
-
-
-#: :func:`_pass`'s operations on row arrays whose rows repeat nothing
-#: (:func:`evaluate_kind`).
-_ROWS = _row_ops()
 
 
 def _row(gpu: bool, phase, profile: WorkloadProfile, spec: AcceleratorSpec) -> _Rows:
@@ -316,10 +304,10 @@ def _pass(gpu: bool, ops: tuple, row, deploy, config):
     ``row``, ``deploy`` and ``config`` are the :data:`_Rows`,
     :data:`_Deploy` and :data:`_Config` terms, each a tuple of per-row
     columns or of scalars; ``ops`` is :data:`_ONE_ROW` for one row of
-    Python floats or :func:`_row_ops` for row arrays.  The rest of the
-    model follows the reference expression by expression, in its operand
-    order.  Returns the (compute, memory, sync, overhead, busy, stall)
-    seconds of every row.
+    Python floats or :func:`_row_ops` for a config table's row arrays.
+    The rest of the model follows the reference expression by expression,
+    in its operand order.  Returns the (compute, memory, sync, overhead,
+    busy, stall) seconds of every row.
     """
     minimum, maximum, absolute, sqrt, full = ops
     (
@@ -414,7 +402,7 @@ def _pass(gpu: bool, ops: tuple, row, deploy, config):
 
 
 def _fold(grid, deploy: _Deploy, span_active) -> tuple:
-    """Workload totals of (phases, deployments) :func:`_pass` outputs:
+    """Workload totals of (phases, configs) :func:`_pass` outputs:
     (time, busy, stall, utilization, power, energy).  Phases add in phase
     order, as :func:`evaluate_cost` adds them from 0.0."""
     compute, memory, sync, overhead, busy, stall = grid
@@ -578,12 +566,6 @@ class BatchResult:
         return self.materialize(self.argbest(metric))
 
 
-def _count_pass(rows: int) -> None:
-    if obs.enabled():  # vs cost_model.evals{path="scalar"}
-        obs.counter("cost_model.evals", path="batch")
-        obs.counter("cost_model.configs", rows, path="batch")
-
-
 def batch_evaluate(
     profile: WorkloadProfile,
     spec: AcceleratorSpec,
@@ -630,7 +612,9 @@ def batch_evaluate(
     time_s, busy_s, stall_s, utilization, power, energy = _fold(
         grid, deploy, table.columns().span_active
     )
-    _count_pass(n)
+    if obs.enabled():  # vs cost_model.evals{path="scalar"}
+        obs.counter("cost_model.evals", path="batch")
+        obs.counter("cost_model.configs", n, path="batch")
     return BatchResult(
         table=table,
         phase_kinds=tuple(phase.kind.value for phase in profile.phases),
@@ -648,24 +632,21 @@ def batch_evaluate(
     )
 
 
-Deployment = tuple[WorkloadProfile, AcceleratorSpec, MachineConfig]
-
-
 def _profile_terms(profile: WorkloadProfile, spec: AcceleratorSpec) -> tuple:
-    """``profile``'s :func:`_row` terms on ``spec`` as a (fields, phases)
-    matrix and as one tuple per phase, its :func:`_deploy_row` and its
-    phase-kind strings, taken once per (profile, spec).
+    """``profile``'s :func:`_row` terms on ``spec``, one tuple per phase,
+    its :func:`_deploy_row` and its phase-kind strings, taken once per
+    (profile, spec).
 
     They are kept in ``profile.cost_terms`` under ``id(spec)``.  An entry
     holds its spec and counts only for that very object, so a reused id
     or a copied profile's entries are taken again.
     """
     terms = profile.cost_terms.get(id(spec))
-    if terms is None or terms[4] is not spec:
+    if terms is None or terms[3] is not spec:
         gpu = spec.is_gpu
         rows = tuple(_row(gpu, phase, profile, spec) for phase in profile.phases)
         kinds = tuple(phase.kind.value for phase in profile.phases)
-        terms = (_matrix(rows), rows, _deploy_row(spec, profile), kinds, spec)
+        terms = (rows, _deploy_row(spec, profile), kinds, spec)
         profile.cost_terms[id(spec)] = terms
     return terms
 
@@ -684,67 +665,3 @@ def _config_terms(config: MachineConfig, spec: AcceleratorSpec) -> tuple:
         terms = (clamped, _config_row(spec, clamped), spec)
         config.cost_terms[id(spec)] = terms
     return terms
-
-
-def evaluate_kind(gpu: bool, rows: Sequence[Deployment]) -> list[SimulationResult]:
-    """One pass over every phase of deployments that share an M1 kind
-    (``gpu``), each result equal to the reference."""
-    kept = [_profile_terms(profile, spec) for profile, spec, _ in rows]
-    kept_configs = [_config_terms(config, spec) for _, spec, config in rows]
-    lengths = np.array([len(profile.phases) for profile, _, _ in rows])
-    # Rows are deployment-major: each deployment's phases, in phase order.
-    deployment_of = np.repeat(np.arange(len(rows)), lengths)
-    first_row = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    phase_of = np.arange(len(deployment_of)) - first_row
-    deploy = _matrix([deploy_row for _, _, deploy_row, _, _ in kept])
-    terms = _matrix([config_row for _, config_row, _ in kept_configs])
-    # Missing phases stay exact zeros in the (6, phases, deployments) grid.
-    grid = np.zeros((6, lengths.max(), len(rows)))
-    grid[:, phase_of, deployment_of] = np.stack(
-        _pass(
-            gpu,
-            _ROWS,
-            np.concatenate([entry[0] for entry in kept], axis=1),
-            deploy[:, deployment_of],
-            terms[:, deployment_of],
-        )
-    )
-    totals = _fold(grid, _Deploy(*deploy), _Config(*terms).span_active)
-    _count_pass(len(rows))
-    results = []
-    columns = (t.tolist() for t in (_Deploy(*deploy).streaming, *totals))
-    per_row = zip(rows, kept, kept_configs, grid[:4].T.tolist(), *columns)
-    for (_, spec, _), profile_terms, (config, _, _), parts, stream_s, *sums in per_row:
-        time_s, busy_s, stall_s, _, power, energy = sums
-        phase_costs = tuple(
-            PhaseCost(kind, *costs) for kind, costs in zip(profile_terms[3], parts)
-        )
-        cost = WorkloadCost(spec.name, phase_costs, stream_s, time_s, busy_s, stall_s)
-        energy_result = EnergyResult(spec.name, power, energy)
-        results.append(SimulationResult(spec.name, config, cost, energy_result))
-    return results
-
-
-def by_kind(rows: Sequence[Deployment], cost) -> list[SimulationResult]:
-    """``cost(gpu, kind_rows)`` once per accelerator kind present, with the
-    results put back in input order."""
-    results: list[SimulationResult | None] = [None] * len(rows)
-    for gpu in (True, False):
-        picks = [i for i, row in enumerate(rows) if row[1].is_gpu is gpu]
-        if picks:
-            for i, result in zip(picks, cost(gpu, [rows[i] for i in picks])):
-                results[i] = result
-    return results  # type: ignore[return-value]
-
-
-def fleet_evaluate(rows: Sequence[Deployment]) -> list[SimulationResult]:
-    """Cost many ``(profile, spec, config)`` deployments at once.
-
-    Each accelerator kind is costed in one :func:`evaluate_kind` pass
-    over all its phases, whatever the mix of workloads and specs, and
-    every result equals the reference.
-
-    Returns:
-        One :class:`SimulationResult` per deployment, input order.
-    """
-    return by_kind(rows, evaluate_kind)

@@ -1,11 +1,12 @@
 """Top-level accelerator simulator: time + energy + utilization.
 
 :func:`simulate` is the single entry point the runtime, tuner, and
-training pipeline use to cost one deployment.  It runs the cost model's
-one formula, :func:`repro.accel.batch._pass`, once per phase on Python
-floats, from the terms :mod:`repro.accel.batch` keeps per (profile, spec)
-and per (config, spec), so a deployment costed before, by either
-evaluation, takes no term again.
+training pipeline use to cost one deployment, and the decision layer
+to cost each (workload × device) row of a decide.  It runs the cost
+model's one formula, :func:`repro.accel.batch._pass`, once per phase on
+Python floats, from the terms :mod:`repro.accel.batch` keeps per
+(profile, spec) and per (config, spec), so a deployment costed before
+takes no term again.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def simulate(
     if obs.enabled():
         obs.counter("cost_model.evals", path="scalar")
         obs.counter("cost_model.configs", path="scalar")
-    _, rows, deploy, kinds, _ = _profile_terms(profile, spec)
+    rows, deploy, kinds, _ = _profile_terms(profile, spec)
     config, terms, _ = _config_terms(config, spec)
     gpu = spec.is_gpu
     phase_costs = []

@@ -135,7 +135,7 @@ class MachineConfig:
     @cached_property
     def cost_terms(self) -> dict:
         """This config's clamped form and cost-model terms per accelerator
-        spec, filled and read by :mod:`repro.accel.batch`'s fleet pass.
+        spec, filled and read by :func:`repro.accel.simulator.simulate`.
 
         A cached attribute, not a field, so ``==``, ``hash``, ``repr`` and
         :func:`dataclasses.replace` see only the dataclass fields.

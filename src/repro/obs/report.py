@@ -41,7 +41,6 @@ from repro.obs.quality import replay_audit
 
 __all__ = [
     "expand_streams",
-    "load_events",
     "load_events_counted",
     "load_streams",
     "merged_metrics",
@@ -69,11 +68,6 @@ def load_events_counted(path: Path) -> tuple[list[dict], int]:
             except json.JSONDecodeError:
                 corrupt += 1
     return events, corrupt
-
-
-def load_events(path: Path) -> list[dict]:
-    """Parse a JSONL stream, skipping blank or truncated lines."""
-    return load_events_counted(path)[0]
 
 
 def expand_streams(patterns: Sequence[str]) -> list[Path]:

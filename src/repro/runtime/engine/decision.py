@@ -22,11 +22,10 @@ invariant under permutation of the fleet's device list).  On a
 two-device fleet the kind has exactly one member, which makes the fleet
 path bit-identical to the historical pair path — decoding the predicted
 vector onto the opposite device with its own parameters is exactly what
-the old "flip the M1 bit and re-decode" produced.  A batch's (workload ×
-device) rows are costed by :func:`estimate_rows`: one array pass per
-accelerator kind with enough rows, a :func:`simulate` loop below that;
-both evaluate the cost model's one formula and equal its per-phase
-reference exactly, so which one ran never shows in a decision.
+the old "flip the M1 bit and re-decode" produced.  Each of a batch's
+(workload × device) rows is costed by :func:`simulate`, the cost model's
+one formula on one row of Python floats, equal to its per-phase
+reference exactly.
 
 Cache entries hold the feature-keyed (spec, config, vector) triple and,
 once a decide has needed them, the vector's configs on the other fleet
@@ -51,7 +50,6 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.accel.batch import Deployment, by_kind, evaluate_kind
 from repro.accel.simulator import SimulationResult, simulate
 from repro.core.encoding import NUM_FEATURES, decode_config_batch, decode_config_for
 from repro.core.predictors.base import Predictor
@@ -67,41 +65,13 @@ from repro.runtime.serving import (
     feature_keys_batch,
 )
 
-__all__ = [
-    "ARRAY_PASS_MIN_ROWS", "DecisionService", "estimate_rows",
-    "select_chosen", "select_runner_up",
-]
+__all__ = ["DecisionService", "select_chosen", "select_runner_up"]
 
 #: Decimal places shape-dependent predictions are rounded to before
 #: decoding.  Targets are clipped to [0, 1], so their ULP is ≤ 2e-16;
 #: a 1e-9 grid sits ~1e6 ULPs above the BLAS batch-shape noise while
 #: staying far below any knob's meaningful resolution.
 _CANONICAL_DECIMALS = 9
-
-
-#: Rows of one accelerator kind from which one array pass costs no more
-#: than a loop of :func:`simulate` calls, for profiles costed before on
-#: the same devices (DESIGN §5 has the timings).
-ARRAY_PASS_MIN_ROWS = 32
-
-
-def estimate_rows(rows: Sequence[Deployment]) -> list[SimulationResult]:
-    """Cost ``(profile, spec, config)`` rows, each equal to :func:`simulate`.
-
-    A kind with at least :data:`ARRAY_PASS_MIN_ROWS` rows takes one
-    :func:`~repro.accel.batch.evaluate_kind` pass; a smaller kind loops
-    over this module's :func:`simulate`, which is cheaper for it.  Every
-    row is costed: a workload decided again from the same cache entry
-    never reaches this function, since its decision is assembled from the
-    parts it keeps (:meth:`DecisionService._estimate`).
-    """
-
-    def cost(gpu: bool, kind_rows: list) -> list[SimulationResult]:
-        if len(kind_rows) >= ARRAY_PASS_MIN_ROWS:
-            return evaluate_kind(gpu, kind_rows)
-        return [simulate(*row) for row in kind_rows]
-
-    return by_kind(rows, cost)
 
 
 def select_chosen(
@@ -427,7 +397,7 @@ class DecisionService:
         decisions = self._estimate(workloads, self._choose_batch(workloads))
         if decisions and obs.enabled():
             # One estimate per decision per fleet device, kept or costed
-            # (cost_model.configs by path: kept, batch, scalar).
+            # (cost_model.configs by path: kept, scalar).
             obs.counter("engine.estimates", len(self.fleet) * len(decisions))
         return decisions
 
@@ -463,8 +433,8 @@ class DecisionService:
         *,
         explored: bool = False,
     ) -> list[Decision]:
-        """One :class:`Decision` per workload, with every (workload ×
-        device) row it costs in a single :func:`estimate_rows` call.
+        """One :class:`Decision` per workload, each (workload × device)
+        row it costs taken by :func:`simulate`.
 
         A workload whose :attr:`~repro.runtime.deploy.Workload.kept_decision`
         was built for this very cache entry and device tuple, under an
@@ -487,22 +457,17 @@ class DecisionService:
                 vars(decision).update(kept[3], workload=workload)
             else:
                 build.append(index)
-        if obs.enabled():  # one row per device, vs path="batch" | "scalar"
+        if obs.enabled():  # one row per device, vs path="scalar"
             kept_rows = (len(workloads) - len(build)) * len(devices)
             obs.counter("cost_model.configs", kept_rows, path="kept")
         if not build:
             return decisions
         configs = self._decode_fleet([entries[index] for index in build])
-        rows = [
-            (workloads[index].profile, spec, config)
-            for index in build
-            for spec, config in zip(devices, configs[id(entries[index])])
-        ]
-        results = iter(estimate_rows(rows))
         for index in build:
             workload, entry = workloads[index], entries[index]
+            profile = workload.profile
             estimates = tuple(
-                DeviceEstimate(spec=spec, config=config, result=next(results))
+                DeviceEstimate(spec, config, simulate(profile, spec, config))
                 for spec, config in zip(devices, configs[id(entry)])
             )
             costs = [e.result.objective(metric) for e in estimates]

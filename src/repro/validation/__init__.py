@@ -10,9 +10,10 @@ The correctness-tooling layer the perf roadmap stands on.  Its parts:
   differential oracle pinning the lattice pass to it and the tuning
   layer's argmin to a brute-force scan of it.
 * :mod:`repro.validation.fleet` — the fleet component: multi-workload
-  row sets costed by the array pass, the decision layer and ``simulate``
-  equal to the reference, again from the terms they kept, decode
-  bit-identity, and permutation-invariant fleet identities.
+  row sets costed by ``simulate`` (the decision layer's evaluation)
+  equal to the reference, again from the terms it kept, one deployment
+  on a square-root rounding input through ``simulate`` and the lattice
+  pass, decode bit-identity, and permutation-invariant fleet identities.
 * :mod:`repro.validation.cart` — the CART component: screened split
   search bit-identical to the per-candidate reference loop, whose split
   is always in the screen's shortlist.
@@ -36,7 +37,6 @@ from repro.validation.invariants import (
     check_kernel_case,
     invariant,
     invariants_for,
-    iter_all_kernel_checks,
     registered_benchmarks,
     run_kernel_case,
     sample_kernel_params,
@@ -96,7 +96,6 @@ __all__ = [
     "derive_seed",
     "invariant",
     "invariants_for",
-    "iter_all_kernel_checks",
     "iterate_case_seeds",
     "master_seed_from_env",
     "random_cart_matrices",

@@ -4,16 +4,18 @@ The fleet runtime rests on mechanical facts this component fuzzes under
 the seeded-replay contract of :mod:`repro.validation.fuzz`:
 
 * **exact costing** — 1–64 ``(profile, spec, config)`` rows over several
-  workloads on a random 2–6 device fleet, costed by
-  :func:`repro.accel.batch.fleet_evaluate`, by the decision layer's
-  ``estimate_rows`` (so both sides of its array-pass crossover) and by a
-  :func:`~repro.accel.simulator.simulate` loop, equal the per-phase
-  reference (:func:`~repro.validation.oracle.reference_simulate`); so do
-  a second pass over the same objects, which reads the terms the first
-  one kept per profile and per config, a third over equal copies of the
-  configs, which take their config terms afresh, and one config object
-  costed on every device of its kind, which keeps a clamped copy per
-  device;
+  workloads on a random 2–6 device fleet, costed by a
+  :func:`~repro.accel.simulator.simulate` loop, the decision layer's
+  evaluation, equal the per-phase reference
+  (:func:`~repro.validation.oracle.reference_simulate`); so do a second
+  loop over the same objects, which reads the terms the first one kept
+  per profile and per config, a third over equal copies of the configs,
+  which take their config terms afresh, and one config object costed on
+  every device of its kind, which keeps a clamped copy per device; and
+  one deployment whose bandwidth ramp lands on a square-root rounding
+  ratio (:func:`~repro.validation.oracle.rounding_ramp`), costed by
+  ``simulate`` and by a one-config
+  :func:`~repro.accel.batch.batch_evaluate`;
 * **decode agreement** — :func:`~repro.core.encoding.decode_config_batch`,
   which decodes each kind's rows on their own, gives every row exactly
   what :func:`repro.core.encoding.decode_config_for` gives for it inside
@@ -35,13 +37,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.accel.batch import Deployment, fleet_evaluate
+from repro.accel.batch import batch_evaluate
 from repro.accel.simulator import simulate
 from repro.core.encoding import NUM_TARGETS, decode_config_batch, decode_config_for
 from repro.errors import OracleMismatchError
 from repro.machine.fleet import Fleet, synthetic_fleet
-from repro.runtime.engine.decision import estimate_rows
-from repro.validation.oracle import random_config, random_profile, reference_simulate
+from repro.validation.oracle import (
+    random_config,
+    random_profile,
+    reference_simulate,
+    rounding_ramp,
+)
 
 __all__ = [
     "MAX_FLEET_SIZE",
@@ -89,27 +95,21 @@ def random_fleet(
     return Fleet(tuple(picks[int(i)] for i in order))
 
 
-def check_fleet_rows(rows: "list[Deployment]") -> None:
-    """``fleet_evaluate``, the decision layer's ``estimate_rows`` and a
-    ``simulate`` loop vs the per-phase reference, by ``==``.
+def check_fleet_rows(rows: list) -> None:
+    """A ``simulate`` loop over ``(profile, spec, config)`` rows vs the
+    per-phase reference, by ``==``.
 
     Raises:
         OracleMismatchError: on the first row whose results differ.
     """
-    reference = [reference_simulate(*row) for row in rows]
-    passes = {
-        "fleet_evaluate": fleet_evaluate(rows),
-        "estimate_rows": estimate_rows(rows),
-        "simulate": [simulate(*row) for row in rows],
-    }
-    for name, costed in passes.items():
-        for index, (got, want) in enumerate(zip(costed, reference)):
-            if got != want:
-                raise OracleMismatchError(
-                    f"{name}/reference divergence on {rows[index][1].name} row "
-                    f"#{index} of {len(rows)}: time_s {got.time_s!r} vs "
-                    f"{want.time_s!r}"
-                )
+    for index, row in enumerate(rows):
+        got, want = simulate(*row), reference_simulate(*row)
+        if got != want:
+            raise OracleMismatchError(
+                f"simulate/reference divergence on {row[1].name} row "
+                f"#{index} of {len(rows)}: time_s {got.time_s!r} vs "
+                f"{want.time_s!r}"
+            )
 
 
 def check_decode_agreement(vectors: np.ndarray, fleet: Fleet) -> None:
@@ -202,7 +202,8 @@ def check_permutation_identity(
 def run_fleet_case(seed: int) -> str:
     """One fleet fuzz case: exact row costing, kept terms, decode and
     identity.  It draws what earlier versions drew, the metric
-    included, so a recorded ``REPRO_FUZZ_SEED`` line replays the same case.
+    included, and draws its square-root rounding deployment after all of
+    it, so a recorded ``REPRO_FUZZ_SEED`` line replays the same rows.
 
     Raises:
         OracleMismatchError: on any violation.
@@ -232,6 +233,19 @@ def run_fleet_case(seed: int) -> str:
     vectors = rng.uniform(0.0, 1.0, size=(5, NUM_TARGETS))
     check_decode_agreement(vectors, fleet)
     check_permutation_identity(fleet, rng)
+    profile, spec, config = rounding_ramp(
+        fleet.devices[int(rng.integers(0, len(fleet)))], rng
+    )
+    check_fleet_rows([(profile, spec, config)])
+    # The lattice pass takes this root once per distinct thread count.
+    lattice = batch_evaluate(profile, spec, [config]).materialize(0)
+    want = reference_simulate(profile, spec, config)
+    if lattice != want:
+        raise OracleMismatchError(
+            f"batch_evaluate/reference divergence on {spec.name} at a "
+            f"square-root rounding ratio: time_s {lattice.time_s!r} vs "
+            f"{want.time_s!r}"
+        )
     return (
         f"{len(rows)} rows over {len(profiles)} workloads on a "
         f"{len(fleet)}-device fleet ({len(deployments)} deployments, "

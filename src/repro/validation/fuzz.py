@@ -2,8 +2,9 @@
 
 Round-robins the fuzz components — ``kernels`` (invariant registry on
 randomized generator graphs), ``oracle`` (lattice pass vs the
-per-phase cost model), ``fleet`` (array pass, one-row loop and
-``simulate`` vs the per-phase model + fleet identity properties),
+per-phase cost model), ``fleet`` (``simulate``, and the lattice pass on
+a square-root rounding input, vs the per-phase model + fleet identity
+properties),
 ``calibration`` (confidence-report validity,
 coverage monotonicity, exploration-off bit-identity), and ``cart``
 (screened CART split search vs the per-candidate loop) — under a

@@ -25,7 +25,7 @@ quadratic/dense references stay cheap.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -489,11 +489,3 @@ def run_kernel_case(seed: int) -> str:
     benchmark = names[int(rng.integers(0, len(names)))]
     case = check_kernel_case(benchmark, graph_case, rng)
     return case.describe()
-
-
-def iter_all_kernel_checks(
-    graph_case: GraphCase, rng: np.random.Generator
-) -> Iterator[KernelCase]:
-    """Run *every* registered kernel with its invariants on one graph."""
-    for benchmark in kernel_names():
-        yield check_kernel_case(benchmark, graph_case, rng)

@@ -4,13 +4,15 @@ reference.
 :func:`reference_simulate` costs a deployment with the per-phase model
 (:func:`~repro.accel.cost_model.evaluate_cost` and
 :func:`~repro.accel.energy.evaluate_energy`), which no serving path runs.
-Every evaluation of the model's one formula, :func:`repro.accel.batch._pass`
-(``simulate``, ``batch_evaluate``, ``evaluate_kind``), must equal it,
-and every change to the formula leans on this oracle.  A
-fuzz case draws a randomized workload profile, an accelerator spec, and
-a randomized set of M configurations (deliberately sampled *off* the
-tuning lattice as well as on it, so the ceiling-rule clamping is
-exercised), then asserts
+Both evaluations of the model's one formula, :func:`repro.accel.batch._pass`
+(``simulate`` and ``batch_evaluate``), must equal it, and every change
+to the formula leans on this oracle.  :func:`rounding_ramp` builds a
+deployment on one of the rare inputs where a correctly rounded square
+root differs from the reference's, for the row tests and the ``fleet``
+component.  A fuzz case draws a randomized workload profile, an
+accelerator spec, and a randomized set of M configurations
+(deliberately sampled *off* the tuning lattice as well as on it, so the
+ceiling-rule clamping is exercised), then asserts
 
 * ``batch_evaluate`` equals the reference exactly (``==``) for time,
   energy, and utilization on every configuration, and
@@ -24,17 +26,26 @@ spec, config index, and the offending quantity.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.accel.batch import ConfigTable, SimulationResult, batch_evaluate
 from repro.accel.cost_model import evaluate_cost
 from repro.accel.energy import evaluate_energy
 from repro.errors import OracleMismatchError
-from repro.machine.mvars import MachineConfig, OmpSchedule, clamp_config
+from repro.machine.mvars import (
+    MachineConfig,
+    OmpSchedule,
+    clamp_config,
+    default_config,
+    total_threads,
+)
 from repro.machine.space import iter_configs
 from repro.machine.specs import ACCELERATORS, AcceleratorSpec
 from repro.tuning.exhaustive import best_on_accelerator
-from repro.workload.profile import WorkloadProfile, build_profile
+from repro.workload.phases import PhaseKind
+from repro.workload.profile import PhaseProfile, WorkloadProfile, build_profile
 from repro.workload.synthetic import generate_samples
 
 __all__ = [
@@ -42,6 +53,7 @@ __all__ = [
     "random_config",
     "random_config_table",
     "random_profile",
+    "rounding_ramp",
     "check_batch_equivalence",
     "check_argmin_equivalence",
     "check_exhaustive_against_scalar",
@@ -125,6 +137,62 @@ def random_config_table(
         random_config(spec, rng) for _ in range(max(1, num_configs - len(configs)))
     ]
     return ConfigTable.from_configs(spec, configs)
+
+
+def _ramp_profile(max_par: float) -> WorkloadProfile:
+    """One phase whose useful threads are ``max_par`` under any config
+    with more threads (one edge per item, so a GPU adds none)."""
+    items = 1e7
+    phase = PhaseProfile(
+        kind=PhaseKind.PARETO,
+        items=items,
+        edges=items,
+        max_parallelism=max_par,
+        work_skew=0.3,
+        int_ops=1e8,
+        fp_ops=1e6,
+        seq_bytes=4e8,
+        rand_bytes=2e8,
+        indirect_bytes=1e8,
+        shared_ro_bytes=2e8,
+        shared_rw_bytes=1e8,
+        local_bytes=0.0,
+        atomics=1e5,
+        barriers=10.0,
+    )
+    return WorkloadProfile(
+        benchmark="ramp",
+        graph_name="ramp",
+        phases=(phase,),
+        num_iterations=10,
+        footprint_bytes=1e9,
+        contention=0.2,
+    )
+
+
+def rounding_ramp(
+    spec: AcceleratorSpec, rng: np.random.Generator
+) -> tuple[WorkloadProfile, AcceleratorSpec, MachineConfig]:
+    """A deployment on ``spec`` whose bandwidth-ramp ratio (useful threads
+    over saturation) is one on which a correctly rounded square root
+    (``math.sqrt``, ``np.sqrt``) differs from libm's ``pow(x, 0.5)``, the
+    reference's ``x ** 0.5``.
+
+    About 0.09% of ratios are, so random thread counts rarely reach one:
+    useful threads are drawn until they land on one, and become a
+    one-phase profile's parallelism under the spec's default config.
+    """
+    config = default_config(spec)
+    if spec.is_gpu:
+        saturation = spec.cores * min(spec.latency_hiding, 2.0)
+    else:
+        saturation = spec.cores * 0.5
+    top = min(saturation, float(total_threads(config, spec)))
+    while True:
+        useful = top * rng.uniform(0.01, 1.0)
+        ratio = useful / saturation
+        if useful >= 1.0 and math.sqrt(ratio) != ratio ** 0.5:
+            return _ramp_profile(useful), spec, config
 
 
 def check_batch_equivalence(

@@ -129,7 +129,7 @@ class WorkloadProfile:
     @cached_property
     def cost_terms(self) -> dict:
         """Cost-model terms of this profile per accelerator spec, filled
-        and read by :mod:`repro.accel.batch`'s fleet pass.
+        and read by :func:`repro.accel.simulator.simulate`.
 
         A cached attribute, not a field, so ``==``, ``hash``, ``repr`` and
         :func:`dataclasses.replace` see only the dataclass fields.

@@ -1,41 +1,37 @@
-"""Exactness suite for the cost model's row evaluations.
+"""Exactness suite for the cost model's one-row evaluation.
 
-The fleet path costs arbitrary ``(profile, spec, config)`` rows in one
-array pass per accelerator kind (``fleet_evaluate``), and ``simulate``
-costs one deployment on Python floats; both run the same formula.
-These tests compare each with the per-phase reference
+``simulate`` costs one ``(profile, spec, config)`` deployment on Python
+floats, and the decision layer costs every (workload × device) row of a
+decide with it.  These tests compare it with the per-phase reference
 (``reference_simulate``) by ``==`` (no tolerance) on mixed-spec fleets,
 on the inputs where NumPy and libm would round differently, and on the
-edge cases of the model, and with the terms both keep per profile and
-per config; they also pin the decision layer's crossover between the
-one-row loop and the array pass, and the ceiling rule's no-copy path.
+edge cases of the model, and with the terms it keeps per profile and
+per config; they also pin that a batch decides as its workloads do
+alone, and the ceiling rule's no-copy path.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.accel.batch as batch_module
-from repro.accel.batch import batch_evaluate, fleet_evaluate
+from repro.accel.batch import batch_evaluate
 from repro.accel.simulator import simulate
 from repro.core.heteromap import HeteroMap
 from repro.machine.fleet import synthetic_fleet
-from repro.machine.mvars import (
-    MachineConfig,
-    OmpSchedule,
-    clamp_config,
-    default_config,
-    total_threads,
-)
+from repro.machine.mvars import MachineConfig, OmpSchedule, clamp_config
 from repro.machine.specs import get_accelerator
 from repro.runtime.deploy import prepare_workload
-from repro.runtime.engine.decision import ARRAY_PASS_MIN_ROWS
-from repro.validation.oracle import random_config, random_profile, reference_simulate
+from repro.validation.oracle import (
+    random_config,
+    random_profile,
+    reference_simulate,
+    rounding_ramp,
+)
 from repro.workload.phases import PhaseKind
 from repro.workload.profile import PhaseProfile, WorkloadProfile
 
@@ -88,21 +84,14 @@ def _edge_profile(items: float, total_bytes: float) -> WorkloadProfile:
     )
 
 
-def _assert_rows_exact(rows, simulate_first=False):
-    """``fleet_evaluate`` and a ``simulate`` loop equal the reference on
-    every row; ``simulate_first`` runs the loop first, so it meets the
-    kept terms (or a stale entry) before the pass does."""
-    if simulate_first:
-        one_row = [simulate(*row) for row in rows]
-        results = fleet_evaluate(rows)
-    else:
-        results = fleet_evaluate(rows)
-        one_row = [simulate(*row) for row in rows]
-    assert len(results) == len(rows)
-    for row, result, alone in zip(rows, results, one_row):
-        reference = reference_simulate(*row)
-        assert result == reference, row[1].name
-        assert alone == reference, row[1].name
+def _assert_rows_exact(rows):
+    """A ``simulate`` loop equals the reference on every row, first on the
+    terms the rows' objects bring (fresh, kept or a stale entry), then on
+    the terms that loop kept."""
+    reference = [reference_simulate(*row) for row in rows]
+    for _ in range(2):
+        for row, want in zip(rows, reference):
+            assert simulate(*row) == want, row[1].name
 
 
 def test_ten_thousand_mixed_spec_rows():
@@ -122,7 +111,8 @@ def test_ten_thousand_mixed_spec_rows():
 
 
 def test_phase_counts_fold_through_padding():
-    """Rows of one-, two- and many-phase workloads in one pass."""
+    """Rows of one-, two- and many-phase workloads, each folding its
+    phases in order from 0.0."""
     rng = np.random.default_rng(7)
     one = make_profile()
     many = WorkloadProfile(
@@ -142,16 +132,10 @@ def test_phase_counts_fold_through_padding():
 
 
 def test_kept_terms_follow_the_spec_object():
-    """The pass and ``simulate`` keep a profile's phase terms per spec
-    object in ``profile.cost_terms``; another spec of the same name, a
-    copied profile and an entry under a reused id are all costed afresh,
-    whichever evaluation meets them first, and the kept terms never show
-    in the profile's ``==``, ``hash`` or ``repr``."""
-    for simulate_first in (False, True):
-        _check_kept_profile_terms(simulate_first)
-
-
-def _check_kept_profile_terms(simulate_first):
+    """``simulate`` keeps a profile's phase terms per spec object in
+    ``profile.cost_terms``; another spec of the same name, a copied
+    profile and an entry under a reused id are all costed afresh, and the
+    kept terms never show in the profile's ``==``, ``hash`` or ``repr``."""
     rng = np.random.default_rng(29)
     profile = make_profile()
     before = (hash(profile), repr(profile))
@@ -161,19 +145,15 @@ def _check_kept_profile_terms(simulate_first):
     assert reference_simulate(profile, bigger, config) != reference_simulate(
         profile, spec, config
     )
-
-    def exact(rows):
-        _assert_rows_exact(rows, simulate_first)
-
-    exact([(profile, spec, config)])
-    exact([(profile, spec, config), (profile, bigger, config)])
+    _assert_rows_exact([(profile, spec, config)])
+    _assert_rows_exact([(profile, spec, config), (profile, bigger, config)])
     twin = copy.deepcopy(profile)
-    exact([(twin, spec, config), (twin, bigger, config)])
+    _assert_rows_exact([(twin, spec, config), (twin, bigger, config)])
     # An entry left under an id that now names another spec object.
     stale = replace(profile)
-    exact([(stale, bigger, config)])
+    _assert_rows_exact([(stale, bigger, config)])
     stale.cost_terms[id(spec)] = stale.cost_terms.pop(id(bigger))
-    exact([(stale, spec, config)])
+    _assert_rows_exact([(stale, spec, config)])
 
     assert (hash(profile), repr(profile)) == before
     assert profile == twin == stale
@@ -181,17 +161,11 @@ def _check_kept_profile_terms(simulate_first):
 
 
 def test_kept_config_terms_follow_the_spec_object():
-    """The pass and ``simulate`` keep a config's clamped form and
-    ``_config_row`` per spec object in ``config.cost_terms``; a
-    same-named spec with a lower ceiling, a copied config and an entry
-    under a reused id are all costed afresh, whichever evaluation meets
-    them first, and the kept terms never show in the config's ``==``,
+    """``simulate`` keeps a config's clamped form and ``_config_row`` per
+    spec object in ``config.cost_terms``; a same-named spec with a lower
+    ceiling, a copied config and an entry under a reused id are all
+    costed afresh, and the kept terms never show in the config's ``==``,
     ``hash`` or ``repr``."""
-    for simulate_first in (False, True):
-        _check_kept_config_terms(simulate_first)
-
-
-def _check_kept_config_terms(simulate_first):
     profile = make_profile()
     spec = get_accelerator("xeonphi7120p")
     config = MachineConfig(
@@ -210,19 +184,15 @@ def _check_kept_config_terms(simulate_first):
     assert reference_simulate(profile, lower, config) != reference_simulate(
         profile, spec, config
     )
-
-    def exact(rows):
-        _assert_rows_exact(rows, simulate_first)
-
-    exact([(profile, spec, config)])
-    exact([(profile, spec, config), (profile, lower, config)])
+    _assert_rows_exact([(profile, spec, config)])
+    _assert_rows_exact([(profile, spec, config), (profile, lower, config)])
     twin = copy.deepcopy(config)
-    exact([(profile, spec, twin), (profile, lower, twin)])
+    _assert_rows_exact([(profile, spec, twin), (profile, lower, twin)])
     # An entry left under an id that now names another spec object.
     stale = replace(config)
-    exact([(profile, lower, stale)])
+    _assert_rows_exact([(profile, lower, stale)])
     stale.cost_terms[id(spec)] = stale.cost_terms.pop(id(lower))
-    exact([(profile, spec, stale)])
+    _assert_rows_exact([(profile, spec, stale)])
 
     assert (hash(config), repr(config)) == before
     assert config == twin == stale
@@ -232,7 +202,8 @@ def _check_kept_config_terms(simulate_first):
 def test_simulate_again_takes_no_term(monkeypatch):
     """A second ``simulate`` of the very same profile, spec and config
     objects builds no phase, deploy or config term and clamps nothing,
-    and equals the first."""
+    and equals the first; a first ``simulate`` of a fresh profile builds
+    its terms but no row matrix."""
     rng = np.random.default_rng(31)
     profile = random_profile(rng)
     rows = [(profile, spec, _continuous_config(spec, rng)) for spec in FLEET8]
@@ -248,13 +219,14 @@ def test_simulate_again_takes_no_term(monkeypatch):
 
         return counted
 
-    for name in ("_row", "_deploy_row", "_config_row", "clamp_config"):
+    for name in ("_row", "_deploy_row", "_config_row", "clamp_config", "_matrix"):
         monkeypatch.setattr(batch_module, name, counting(name))
     assert [simulate(*row) for row in rows] == first
     assert calls == []
     # The counters see a copy that keeps nothing.
     simulate(replace(profile), *rows[0][1:])
     assert {"_row", "_deploy_row"} <= set(calls)
+    assert "_matrix" not in calls
 
 
 @pytest.mark.parametrize(
@@ -332,63 +304,18 @@ def test_streaming_overflow_footprints():
     assert all(profile.footprint_bytes > spec.mem_bytes for spec in FLEET8)
     rows = [(profile, spec, _continuous_config(spec, rng)) for spec in FLEET8]
     _assert_rows_exact(rows)
-    assert all(result.cost.streaming_s > 0 for result in fleet_evaluate(rows))
-
-
-def _ramp_profile(max_par: float) -> WorkloadProfile:
-    """One phase whose useful threads are ``max_par`` under any config
-    with more threads (one edge per item, so a GPU adds none)."""
-    items = 1e7
-    phase = PhaseProfile(
-        kind=PhaseKind.PARETO,
-        items=items,
-        edges=items,
-        max_parallelism=max_par,
-        work_skew=0.3,
-        int_ops=1e8,
-        fp_ops=1e6,
-        seq_bytes=4e8,
-        rand_bytes=2e8,
-        indirect_bytes=1e8,
-        shared_ro_bytes=2e8,
-        shared_rw_bytes=1e8,
-        local_bytes=0.0,
-        atomics=1e5,
-        barriers=10.0,
-    )
-    return WorkloadProfile(
-        benchmark="ramp",
-        graph_name="ramp",
-        phases=(phase,),
-        num_iterations=10,
-        footprint_bytes=1e9,
-        contention=0.2,
-    )
+    assert all(simulate(*row).cost.streaming_s > 0 for row in rows)
 
 
 def test_square_root_rounding_inputs():
     """Bandwidth-ramp ratios on which a correctly rounded square root
-    differs from libm's ``pow(x, 0.5)``, the reference's ``x ** 0.5``.
+    differs from libm's ``pow(x, 0.5)``, the reference's ``x ** 0.5``
+    (``rounding_ramp``, which the ``fleet`` fuzz component also draws).
     They are about 0.09% of inputs, so random thread counts rarely reach
-    one; the row pass, ``simulate`` and the lattice pass (which takes
-    the root once per distinct thread count) must round them as the
-    reference does."""
+    one; ``simulate`` and the lattice pass (which takes the root once per
+    distinct thread count) must round them as the reference does."""
     rng = np.random.default_rng(37)
-    rows = []
-    for spec in FLEET8:
-        config = default_config(spec)
-        if spec.is_gpu:
-            saturation = spec.cores * min(spec.latency_hiding, 2.0)
-        else:
-            saturation = spec.cores * 0.5
-        top = min(saturation, float(total_threads(config, spec)))
-        found = 0
-        while found < 6:
-            useful = top * rng.uniform(0.01, 1.0)
-            ratio = useful / saturation
-            if useful >= 1.0 and math.sqrt(ratio) != ratio ** 0.5:
-                rows.append((_ramp_profile(useful), spec, config))
-                found += 1
+    rows = [rounding_ramp(spec, rng) for spec in FLEET8 for _ in range(6)]
     _assert_rows_exact(rows)
     for profile, spec, config in rows:
         table = batch_evaluate(profile, spec, [config])
@@ -420,10 +347,9 @@ def test_single_row_and_empty_inputs():
     rng = np.random.default_rng(19)
     spec = FLEET8[0]
     _assert_rows_exact([(make_profile(), spec, _continuous_config(spec, rng))])
-    assert fleet_evaluate([]) == []
 
 
-# -- the decision layer's crossover ---------------------------------------
+# -- the decision layer ----------------------------------------------------
 
 
 def _same_decision(a, b, same_workload=True):
@@ -445,7 +371,7 @@ def fleet_map():
 
 @pytest.fixture(scope="module")
 def workloads():
-    """Enough distinct real workloads for a batch above the crossover."""
+    """Twenty distinct real workloads."""
     pairs = [
         (benchmark, dataset)
         for benchmark in ("pagerank", "bfs", "sssp_bf", "connected_components")
@@ -454,30 +380,20 @@ def workloads():
     return [prepare_workload(b, d) for b, d in pairs]
 
 
-def test_decisions_equal_across_the_crossover(fleet_map, workloads, monkeypatch):
-    """Batches just below and just above the crossover (two devices per
-    kind, so a workload adds two rows to each kind) take the one-row loop
-    and the array pass, and decide alike, and alike with one-workload
-    decides.  Each batch decides ``replace`` copies of the workloads,
-    which keep no decision parts, so every row is costed."""
-    per_kind = len(fleet_map.fleet.gpus)
-    below = -(-ARRAY_PASS_MIN_ROWS // per_kind) - 1
-    above = below + 1
-    assert below * per_kind < ARRAY_PASS_MIN_ROWS <= above * per_kind
-    assert len(workloads) > above
+def test_a_batch_decides_as_its_workloads_do_alone(fleet_map, workloads, monkeypatch):
+    """One-workload ``decide`` calls, a whole ``decide_batch`` of the same
+    workloads and a batch of their ``replace`` copies decide alike.  The
+    copies keep no decision parts, so each of their (workload × device)
+    rows is costed by one ``simulate`` call."""
     decisions = fleet_map.decisions
-    devices = len(fleet_map.fleet)
-    counts = count_costing(monkeypatch)
-    scalar = decisions.decide_batch([replace(w) for w in workloads[:below]])
-    assert counts == {"simulate": below * devices, "pass": 0}
-    counts = count_costing(monkeypatch)
-    array = decisions.decide_batch([replace(w) for w in workloads[:above]])
-    assert counts == {"simulate": 0, "pass": above * devices}
-    for a, b in zip(scalar, array):
-        _same_decision(a, b, same_workload=False)
+    alone = [decisions.decide(workload) for workload in workloads]
     whole = decisions.decide_batch(workloads)
-    for workload, decision in zip(workloads, whole):
-        _same_decision(decisions.decide(workload), decision)
+    counts = count_costing(monkeypatch)
+    copies = decisions.decide_batch([replace(w) for w in workloads])
+    assert counts == {"simulate": len(workloads) * len(fleet_map.fleet)}
+    for a, b, c in zip(alone, whole, copies):
+        _same_decision(a, b)
+        _same_decision(a, c, same_workload=False)
 
 
 # -- the ceiling rule --------------------------------------------------------

@@ -24,7 +24,6 @@ import pytest
 
 import repro.runtime.engine.decision as decision_module
 from repro import obs
-from repro.accel.batch import evaluate_kind
 from repro.accel.simulator import simulate
 from repro.core.encoding import (
     NUM_TARGETS,
@@ -41,7 +40,6 @@ from repro.runtime.deploy import prepare_workload
 from repro.runtime.engine import SimulatedBackend
 from repro.runtime.engine.contracts import Decision, DeviceEstimate
 from repro.runtime.engine.decision import (
-    ARRAY_PASS_MIN_ROWS,
     DecisionService,
     select_chosen,
     select_runner_up,
@@ -228,20 +226,15 @@ class TestKeptConfigs:
 
 
 def count_costing(monkeypatch) -> dict[str, int]:
-    """Rows the decision layer costs from here on, by ``simulate`` call
-    and by array pass."""
-    counts = {"simulate": 0, "pass": 0}
+    """Rows the decision layer costs from here on, one ``simulate`` call
+    each."""
+    counts = {"simulate": 0}
 
     def simulating(*row):
         counts["simulate"] += 1
         return simulate(*row)
 
-    def passing(gpu, rows):
-        counts["pass"] += len(rows)
-        return evaluate_kind(gpu, rows)
-
     monkeypatch.setattr(decision_module, "simulate", simulating)
-    monkeypatch.setattr(decision_module, "evaluate_kind", passing)
     return counts
 
 
@@ -270,7 +263,7 @@ class TestKeptEstimates:
         first = decisions.decide_batch(batch)
         counts = count_costing(monkeypatch)
         second = decisions.decide_batch(batch)
-        assert counts == {"simulate": 0, "pass": 0}
+        assert counts == {"simulate": 0}
         for a, b in zip(second, first):
             assert all(x.result is y.result for x, y in zip(a.estimates, b.estimates))
         assert_same_decisions(second, first)
@@ -321,9 +314,10 @@ class TestKeptEstimates:
         assert_estimates_equal_simulate(later)
 
     def test_rows_counted_by_path(self, deep_map, batch):
-        """``cost_model.configs`` counts each decide's rows as kept, array
-        pass or scalar ``simulate``; together they are ``engine.estimates``.
-        A first decide's rows take the path their count per kind selects."""
+        """``cost_model.configs`` counts each decide's rows as kept or
+        scalar ``simulate``; together they are ``engine.estimates``.  A
+        first decide costs every row with ``simulate``, and no decide runs
+        the lattice pass (``path="batch"``)."""
         decisions = deep_map.decisions
         decisions.clear_cache()
         state = obs.configure(obs.ObsConfig(enabled=True))
@@ -344,9 +338,7 @@ class TestKeptEstimates:
         finally:
             obs.reset()
         first, both = counted
-        per_kind = len(batch) * len(deep_map.fleet.gpus)
-        path = "batch" if per_kind >= ARRAY_PASS_MIN_ROWS else "scalar"
-        assert first == {"kept": 0, "batch": 0, "scalar": 0, path: rows}
+        assert first == {"kept": 0, "batch": 0, "scalar": rows}
         second = {path: both[path] - first[path] for path in both}
         assert second == {"kept": rows, "batch": 0, "scalar": 0}
 
@@ -423,7 +415,7 @@ class TestKeptDecisions:
         decoded = count_decodes(monkeypatch)
         second = decisions.decide_batch(batch)
         assert counts == {"estimates": 0, "decisions": 0, "encoded": 0}
-        assert costed == {"simulate": 0, "pass": 0}
+        assert costed == {"simulate": 0}
         assert decoded == []
         assert_same_decisions(second, first)
         for a, b in zip(second, first):
@@ -514,7 +506,7 @@ class TestKeptDecisions:
         costed = count_costing(monkeypatch)
         second = service.decide_batch(workloads)
         assert counts == {"estimates": 0, "decisions": 0, "encoded": 0}
-        assert costed == {"simulate": 0, "pass": 0}
+        assert costed == {"simulate": 0}
         assert_same_decisions(second, first)
         service.swap_predictor(service.predictor)
         again = service.decide_batch(workloads)

@@ -10,7 +10,6 @@ import repro.obs as obs
 from repro.obs.report import (
     build_report,
     expand_streams,
-    load_events,
     load_events_counted,
     load_streams,
     main,
@@ -60,7 +59,7 @@ class TestLoadEvents:
     def test_skips_blank_and_torn_lines(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"kind": "span"}\n\n{"kind": "spa')
-        assert load_events(path) == [{"kind": "span"}]
+        assert load_events_counted(path)[0] == [{"kind": "span"}]
 
     def test_counted_loader_reports_corrupt_lines(self, tmp_path):
         path = tmp_path / "s.jsonl"

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import repro.accel.batch as batch_module
-from repro.accel.batch import fleet_evaluate
 from repro.accel.simulator import simulate
 from repro.core.encoding import NUM_TARGETS
 from repro.errors import OracleMismatchError
@@ -20,7 +19,7 @@ from repro.validation.fleet import (
     random_fleet,
     run_fleet_case,
 )
-from repro.validation.oracle import random_config, random_profile
+from repro.validation.oracle import random_config, random_profile, reference_simulate
 
 
 class TestRandomFleet:
@@ -38,6 +37,9 @@ class TestRandomFleet:
 
 
 class TestFleetEvaluate:
+    """A fleet's rows are costed by ``simulate``, one row at a time, and
+    ``check_fleet_rows`` compares that loop with the reference."""
+
     def test_matches_scalar_in_input_order(self):
         rng = np.random.default_rng(7)
         profile = random_profile(rng)
@@ -45,28 +47,27 @@ class TestFleetEvaluate:
         rows = [
             (profile, spec, random_config(spec, rng)) for spec in fleet.devices
         ]
-        results = fleet_evaluate(rows)
-        assert len(results) == len(rows)
-        for row, result in zip(rows, results):
+        for row in rows:
+            result = simulate(*row)
             assert result.accelerator == row[1].name
-            assert result == simulate(*row)
+            assert result == reference_simulate(*row)
 
     def test_groups_duplicate_specs_into_one_pass(self):
+        """Rows that repeat one spec share the profile's one kept entry."""
         rng = np.random.default_rng(9)
         profile = random_profile(rng)
         spec = synthetic_fleet(2).devices[0]
         rows = [(profile, spec, random_config(spec, rng)) for _ in range(5)]
-        results = fleet_evaluate(rows)
-        assert len(results) == 5
-        assert all(r.accelerator == spec.name for r in results)
+        check_fleet_rows(rows)
+        assert list(profile.cost_terms) == [id(spec)]
 
     def test_empty_deployments(self):
-        assert fleet_evaluate([]) == []
+        check_fleet_rows([])
 
 
 class TestDifferentialArgmin:
     """One workload's candidate deployments on every device of a fleet,
-    costed by the array paths and by the scalar loop (``check_fleet_rows``)."""
+    costed by a ``simulate`` loop and by the reference (``check_fleet_rows``)."""
 
     @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
     def test_sizes_two_through_six(self, size):

@@ -5,9 +5,11 @@ caught by the differential oracle, a deliberate perturbation of a
 kernel by the invariant registry, a zero rounding bound in the CART
 split screen, a screen that ignores how often a row repeats or a walk
 that sends NaN left by the ``cart`` component, and a one-row decode
-whose powers, or a one-row cost whose square root, round one ULP up by
-the ``fleet`` component — each with a failure message that reprints the
-exact ``REPRO_FUZZ_SEED`` replay one-liner.
+whose powers, or a one-row cost whose square root, round one ULP up, or
+a one-row or lattice square root that rounds correctly instead of as
+libm's ``pow(x, 0.5)``, by the ``fleet`` component — each with a
+failure message that reprints the exact ``REPRO_FUZZ_SEED`` replay
+one-liner.
 """
 
 from __future__ import annotations
@@ -150,9 +152,9 @@ def test_one_row_decode_mutation_is_caught(monkeypatch):
 
 def test_one_row_cost_mutation_is_caught(monkeypatch):
     """A square root one ULP up in ``simulate``'s one-row operations only
-    (the array passes take theirs per element in ``_libm``): the
-    ``fleet`` component, which compares ``simulate`` and the decision
-    layer's one-row loop with the per-phase reference, must see it."""
+    (the lattice pass takes its own in ``_libm``): the ``fleet``
+    component, which compares ``simulate`` with the per-phase reference,
+    must see it."""
     minimum, maximum, absolute, sqrt, fill = simulator._ONE_ROW
 
     def ulp_up(x):
@@ -166,6 +168,37 @@ def test_one_row_cost_mutation_is_caught(monkeypatch):
             run_case("fleet", seed)
     message = str(excinfo.value)
     assert "/reference divergence" in message
+    assert "--component fleet --cases 1" in message
+
+
+def test_one_row_math_sqrt_mutation_is_caught(monkeypatch):
+    """``math.sqrt`` as ``_ONE_ROW``'s square root (patched where
+    ``simulate`` reads it) rounds correctly, unlike the reference's
+    ``pow(x, 0.5)``, on about 0.09% of inputs: the ``fleet`` component's
+    square-root rounding deployment must see it."""
+    minimum, maximum, absolute, _, fill = simulator._ONE_ROW
+    monkeypatch.setattr(
+        simulator, "_ONE_ROW", (minimum, maximum, absolute, math.sqrt, fill)
+    )
+    with pytest.raises(FuzzFailure) as excinfo:
+        for seed in range(50):
+            run_case("fleet", seed)
+    message = str(excinfo.value)
+    assert "simulate/reference divergence" in message
+    assert "--component fleet --cases 1" in message
+
+
+def test_lattice_np_sqrt_mutation_is_caught(monkeypatch):
+    """``np.sqrt`` as the lattice pass's per-level root (``_libm`` runs
+    only that root): the ``fleet`` component's one-config
+    ``batch_evaluate`` of its square-root rounding deployment must see
+    it."""
+    monkeypatch.setattr(batch, "_libm", lambda fn, values: np.sqrt(values))
+    with pytest.raises(FuzzFailure) as excinfo:
+        for seed in range(50):
+            run_case("fleet", seed)
+    message = str(excinfo.value)
+    assert "batch_evaluate/reference divergence" in message
     assert "--component fleet --cases 1" in message
 
 
