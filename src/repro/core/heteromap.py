@@ -218,7 +218,6 @@ class HeteroMap:
             config, seed=self.seed if seed is None else seed
         )
         self.decisions.exploration = policy
-        self.decisions.track_confidence = True
         return policy
 
     def enable_adaptation(
@@ -255,7 +254,6 @@ class HeteroMap:
             config=config,
         )
         self.decisions.adapter = adapter
-        self.decisions.track_confidence = True
         return adapter
 
     # -- online -----------------------------------------------------------

@@ -94,8 +94,9 @@ class ExplorationPolicy:
     """Seeded epsilon selection of low-confidence rows to probe.
 
     Deterministic for a given seed and call sequence, so serve traces
-    replay exactly.  A row with unknown confidence (``None`` — the
-    decision layer is not tracking it) is never probed.
+    replay exactly.  A row with unknown confidence (``None`` — a cache
+    entry computed before a policy or adapter was attached) is never
+    probed.
     """
 
     def __init__(

@@ -3,7 +3,7 @@
 from repro.core.predictors.adaptive import AdaptiveLibraryPredictor
 from repro.core.predictors.analytical import AnalyticalTreePredictor
 from repro.core.predictors.base import LearnedPredictor, Predictor
-from repro.core.predictors.confidence import ConfidenceReport, squash_uncertainty
+from repro.core.predictors.confidence import squash_uncertainty
 from repro.core.predictors.linear import LinearPredictor
 from repro.core.predictors.neural import DEEP_SIZES, DeepPredictor
 from repro.core.predictors.polynomial import PolynomialPredictor
@@ -13,7 +13,6 @@ __all__ = [
     "AdaptiveLibraryPredictor",
     "AnalyticalTreePredictor",
     "CartPredictor",
-    "ConfidenceReport",
     "DEEP_SIZES",
     "DeepPredictor",
     "LearnedPredictor",

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.encoding import NUM_TARGETS
 from repro.core.predictors.base import LearnedPredictor
-from repro.core.predictors.confidence import ConfidenceReport
+from repro.core.predictors.confidence import squash_uncertainty
 
 __all__ = ["AdaptiveLibraryPredictor"]
 
@@ -72,7 +72,7 @@ class AdaptiveLibraryPredictor(LearnedPredictor):
         out[:, 8] = 1.0  # all global threads
         return out
 
-    def _confidence(self, features: np.ndarray) -> ConfidenceReport:
+    def _confidence(self, features: np.ndarray) -> np.ndarray:
         """Table-coverage confidence: distance to the nearest seen point.
 
         Uncertainty is the minimum Euclidean distance from a row's (data
@@ -84,6 +84,4 @@ class AdaptiveLibraryPredictor(LearnedPredictor):
         summary = _library_features(features)[:, :2]
         diff = summary[:, None, :] - self._train_summary[None, :, :]
         distance = np.sqrt((diff**2).sum(axis=2)).min(axis=1)
-        return ConfidenceReport.from_uncertainty(
-            distance, scale=self.CONFIDENCE_SCALE, source="table-coverage"
-        )
+        return squash_uncertainty(distance, self.CONFIDENCE_SCALE)

@@ -14,7 +14,6 @@ import numpy as np
 from repro.core.decision_tree import decision_tree_predict
 from repro.core.encoding import encode_config
 from repro.core.predictors.base import Predictor, _validate_batch
-from repro.core.predictors.confidence import ConfidenceReport
 from repro.features.bvars import BVariables
 from repro.features.ivars import IVariables
 from repro.machine.specs import AcceleratorSpec
@@ -34,7 +33,7 @@ class AnalyticalTreePredictor(Predictor):
     def fit(self, features: np.ndarray, targets: np.ndarray) -> None:
         """No-op: the analytical model is not trained."""
 
-    def confidence_batch(self, features: np.ndarray) -> ConfidenceReport:
+    def confidence_batch(self, features: np.ndarray) -> np.ndarray:
         """Exact by construction: the model *is* the Section IV rules.
 
         There is no estimation error to report — every prediction follows
@@ -43,7 +42,7 @@ class AnalyticalTreePredictor(Predictor):
         exploration path).
         """
         features = _validate_batch(features)
-        return ConfidenceReport.exact(features.shape[0])
+        return np.ones(features.shape[0])
 
     def predict_vector(self, features: np.ndarray) -> np.ndarray:
         """``encode_config`` of :func:`decision_tree_predict` for one row.

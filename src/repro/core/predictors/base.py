@@ -16,7 +16,6 @@ import abc
 import numpy as np
 
 from repro.core.encoding import NUM_FEATURES
-from repro.core.predictors.confidence import ConfidenceReport
 from repro.errors import NotTrainedError, TrainingError
 
 __all__ = ["Predictor", "LearnedPredictor"]
@@ -66,29 +65,18 @@ class Predictor(abc.ABC):
             return np.empty((0, 0), dtype=np.float64)
         return np.vstack([self.predict_vector(row) for row in features])
 
-    def confidence_batch(self, features: np.ndarray) -> ConfidenceReport:
-        """Per-row confidence for a batch, from the family-native signal.
+    def confidence_batch(self, features: np.ndarray) -> np.ndarray:
+        """Per-row confidence in [0, 1] for a batch: an ``(n,)`` array.
 
-        The base default is the constant "uncalibrated" 0.5 report so
-        every predictor satisfies the protocol; families override it
-        with ensemble spread, leaf statistics, residual bands, coverage
+        The base default is the constant "uncalibrated" 0.5 so every
+        predictor satisfies the protocol; families override it with
+        ensemble spread, leaf statistics, residual bands, coverage
         distance, or exactness-by-construction.  Implementations must be
         pure side computations: calling this never changes what
         :meth:`predict_batch` returns for the same rows.
         """
         features = _validate_batch(features)
-        return ConfidenceReport.uncalibrated(features.shape[0])
-
-    def predict_with_confidence(
-        self, features: np.ndarray
-    ) -> tuple[np.ndarray, ConfidenceReport]:
-        """Predict a batch and report per-row confidence alongside it.
-
-        The vectors are exactly ``predict_batch(features)`` — confidence
-        is a companion signal, never a perturbation — so callers that
-        ignore the report decide bit-identically to the plain path.
-        """
-        return self.predict_batch(features), self.confidence_batch(features)
+        return np.full(features.shape[0], 0.5)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
@@ -153,7 +141,7 @@ class LearnedPredictor(Predictor):
             return np.empty((0, 0), dtype=np.float64)
         return np.clip(self._predict(features), 0.0, 1.0)
 
-    def confidence_batch(self, features: np.ndarray) -> ConfidenceReport:
+    def confidence_batch(self, features: np.ndarray) -> np.ndarray:
         if not self._trained:
             raise NotTrainedError(
                 f"{self.name or type(self).__name__} queried before fit()"
@@ -161,6 +149,6 @@ class LearnedPredictor(Predictor):
         features = _validate_batch(features)
         return self._confidence(features)
 
-    def _confidence(self, features: np.ndarray) -> ConfidenceReport:
+    def _confidence(self, features: np.ndarray) -> np.ndarray:
         """Subclass hook: family-native confidence for validated rows."""
-        return ConfidenceReport.uncalibrated(features.shape[0])
+        return np.full(features.shape[0], 0.5)

@@ -1,12 +1,14 @@
-"""Shared confidence vocabulary for the predictor zoo.
+"""Shared confidence normalization for the predictor zoo.
 
 Every predictor family exposes a family-native uncertainty signal —
 ensemble spread for the deep nets, leaf statistics for the trees,
 residual bands for the regressions, table-coverage distance for the
 adaptive library, exactness-by-construction for the analytical model —
-and all of them normalize into one frozen :class:`ConfidenceReport` so
-the decision layer can threshold, explore, and export a single
-``quality.confidence`` series without knowing which family produced it.
+and :meth:`~repro.core.predictors.base.Predictor.confidence_batch`
+returns it as one ``(n,)`` float64 array of per-row confidence in
+[0, 1], so the decision layer can threshold, explore, and export a
+single ``quality.confidence`` series without knowing which family
+produced it.
 
 The normalization is a fixed squash ``confidence = 1 / (1 + u / scale)``
 applied to the family's raw uncertainty ``u ≥ 0``: zero uncertainty maps
@@ -24,11 +26,9 @@ bit-identical to plain ``predict_batch``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["ConfidenceReport", "squash_uncertainty"]
+__all__ = ["squash_uncertainty"]
 
 
 def squash_uncertainty(uncertainty: np.ndarray, scale: float) -> np.ndarray:
@@ -40,71 +40,3 @@ def squash_uncertainty(uncertainty: np.ndarray, scale: float) -> np.ndarray:
         raise ValueError(f"squash scale must be positive, got {scale}")
     u = np.maximum(np.asarray(uncertainty, dtype=np.float64), 0.0)
     return 1.0 / (1.0 + u / scale)
-
-
-@dataclass(frozen=True)
-class ConfidenceReport:
-    """Per-row calibrated confidence for one prediction batch.
-
-    Attributes:
-        confidence: ``(n,)`` values in [0, 1]; 1.0 means the family
-            considers its M-vector exact for that row.
-        uncertainty: ``(n,)`` raw family-native uncertainty (≥ 0) before
-            the squash — ensemble std, residual band, coverage distance.
-            Kept for calibration studies; not comparable across families.
-        source: which signal produced it (``"exact"``, ``"ensemble"``,
-            ``"leaf-stats"``, ``"residual-band"``, ``"table-coverage"``,
-            ``"uncalibrated"``).
-    """
-
-    confidence: np.ndarray
-    uncertainty: np.ndarray
-    source: str = field(default="uncalibrated")
-
-    def __post_init__(self) -> None:
-        conf = np.asarray(self.confidence, dtype=np.float64)
-        unc = np.asarray(self.uncertainty, dtype=np.float64)
-        if conf.ndim != 1 or unc.ndim != 1 or conf.shape != unc.shape:
-            raise ValueError(
-                "confidence/uncertainty must be matching 1-D arrays, got "
-                f"shapes {conf.shape} and {unc.shape}"
-            )
-        if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
-            raise ValueError("confidence values must lie in [0, 1]")
-        conf.flags.writeable = False
-        unc.flags.writeable = False
-        object.__setattr__(self, "confidence", conf)
-        object.__setattr__(self, "uncertainty", unc)
-
-    def __len__(self) -> int:
-        return int(self.confidence.shape[0])
-
-    @classmethod
-    def exact(cls, count: int, *, source: str = "exact") -> "ConfidenceReport":
-        """A report declaring every row exact (confidence 1.0)."""
-        return cls(
-            confidence=np.ones(count, dtype=np.float64),
-            uncertainty=np.zeros(count, dtype=np.float64),
-            source=source,
-        )
-
-    @classmethod
-    def uncalibrated(cls, count: int) -> "ConfidenceReport":
-        """The base-class default: no signal, constant 0.5."""
-        return cls(
-            confidence=np.full(count, 0.5, dtype=np.float64),
-            uncertainty=np.zeros(count, dtype=np.float64),
-            source="uncalibrated",
-        )
-
-    @classmethod
-    def from_uncertainty(
-        cls, uncertainty: np.ndarray, *, scale: float, source: str
-    ) -> "ConfidenceReport":
-        """Build a report by squashing raw uncertainty at a family scale."""
-        u = np.maximum(np.asarray(uncertainty, dtype=np.float64), 0.0)
-        return cls(
-            confidence=squash_uncertainty(u, scale),
-            uncertainty=u,
-            source=source,
-        )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.predictors.base import LearnedPredictor
-from repro.core.predictors.confidence import ConfidenceReport
+from repro.core.predictors.confidence import squash_uncertainty
 
 __all__ = ["LinearPredictor"]
 
@@ -49,7 +49,7 @@ class LinearPredictor(LearnedPredictor):
         assert self._coef is not None
         return self._design(features) @ self._coef
 
-    def _confidence(self, features: np.ndarray) -> ConfidenceReport:
+    def _confidence(self, features: np.ndarray) -> np.ndarray:
         """Residual-band confidence: training RMS scaled by leverage."""
         assert self._gram_pinv is not None
         design = self._design(features)
@@ -59,6 +59,4 @@ class LinearPredictor(LearnedPredictor):
         uncertainty = self._residual_rms * np.sqrt(
             1.0 + np.maximum(leverage, 0.0)
         )
-        return ConfidenceReport.from_uncertainty(
-            uncertainty, scale=self.CONFIDENCE_SCALE, source="residual-band"
-        )
+        return squash_uncertainty(uncertainty, self.CONFIDENCE_SCALE)

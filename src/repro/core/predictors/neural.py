@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.encoding import NUM_TARGETS
 from repro.core.predictors.base import LearnedPredictor
-from repro.core.predictors.confidence import ConfidenceReport
+from repro.core.predictors.confidence import squash_uncertainty
 
 __all__ = ["DeepPredictor", "DEEP_SIZES"]
 
@@ -179,7 +179,7 @@ class DeepPredictor(LearnedPredictor):
             self._ensemble = members
         return self._ensemble
 
-    def _confidence(self, features: np.ndarray) -> ConfidenceReport:
+    def _confidence(self, features: np.ndarray) -> np.ndarray:
         """Confidence from the M1 spread across the perturbed ensemble."""
         outputs = np.stack(
             [
@@ -187,6 +187,4 @@ class DeepPredictor(LearnedPredictor):
                 for weights in self._ensemble_weights()
             ]
         )
-        return ConfidenceReport.from_uncertainty(
-            outputs.std(axis=0), scale=self.CONFIDENCE_SCALE, source="ensemble"
-        )
+        return squash_uncertainty(outputs.std(axis=0), self.CONFIDENCE_SCALE)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.predictors.base import LearnedPredictor
-from repro.core.predictors.confidence import ConfidenceReport
+from repro.core.predictors.confidence import squash_uncertainty
 
 __all__ = ["PolynomialPredictor"]
 
@@ -66,7 +66,7 @@ class PolynomialPredictor(LearnedPredictor):
         assert self._coef is not None
         return self._design(features) @ self._coef
 
-    def _confidence(self, features: np.ndarray) -> ConfidenceReport:
+    def _confidence(self, features: np.ndarray) -> np.ndarray:
         """Residual-band confidence over the polynomial design row."""
         assert self._gram_inv is not None
         design = self._design(features)
@@ -74,6 +74,4 @@ class PolynomialPredictor(LearnedPredictor):
         uncertainty = self._residual_rms * np.sqrt(
             1.0 + np.maximum(leverage, 0.0)
         )
-        return ConfidenceReport.from_uncertainty(
-            uncertainty, scale=self.CONFIDENCE_SCALE, source="residual-band"
-        )
+        return squash_uncertainty(uncertainty, self.CONFIDENCE_SCALE)

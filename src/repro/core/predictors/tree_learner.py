@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.predictors.base import LearnedPredictor
-from repro.core.predictors.confidence import ConfidenceReport
+from repro.core.predictors.confidence import squash_uncertainty
 
 __all__ = ["CartPredictor", "best_split", "screen_splits"]
 
@@ -391,7 +391,7 @@ class CartPredictor(LearnedPredictor):
     def _predict(self, features: np.ndarray) -> np.ndarray:
         return self._leaf_values[self._leaf_rows(features)]
 
-    def _confidence(self, features: np.ndarray) -> ConfidenceReport:
+    def _confidence(self, features: np.ndarray) -> np.ndarray:
         """Confidence from the landing leaf's purity and population.
 
         A pure, well-populated leaf (every training row agreed on M1,
@@ -404,9 +404,7 @@ class CartPredictor(LearnedPredictor):
             self._leaf_spread[rows]
             + self.POPULATION_WEIGHT / np.maximum(self._leaf_count[rows], 1)
         )
-        return ConfidenceReport.from_uncertainty(
-            uncertainty, scale=self.CONFIDENCE_SCALE, source="leaf-stats"
-        )
+        return squash_uncertainty(uncertainty, self.CONFIDENCE_SCALE)
 
     def depth(self) -> int:
         """Actual tree depth after fitting (0 for a single leaf)."""

@@ -12,7 +12,6 @@ from repro.machine.mvars import (
 from repro.machine.space import (
     gpu_lattice,
     iter_configs,
-    lattice_size,
     multicore_lattice,
     thread_sweep_configs,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "get_accelerator",
     "gpu_lattice",
     "iter_configs",
-    "lattice_size",
     "multicore_lattice",
     "spec_fingerprint",
     "synthetic_fleet",

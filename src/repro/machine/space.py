@@ -19,7 +19,6 @@ __all__ = [
     "multicore_lattice",
     "gpu_lattice",
     "iter_configs",
-    "lattice_size",
     "thread_sweep_configs",
 ]
 
@@ -101,49 +100,6 @@ def iter_configs(spec: AcceleratorSpec) -> Iterator[MachineConfig]:
         yield from gpu_lattice(spec)
     else:
         yield from multicore_lattice(spec)
-
-
-_lattice_size_cache: dict[AcceleratorSpec, int] = {}
-
-
-def _fast_lattice_size(spec: AcceleratorSpec) -> int:
-    """Closed-form lattice count, without building any MachineConfig.
-
-    Mirrors the dedup in :func:`multicore_lattice` / :func:`gpu_lattice`:
-    on multicores only the rounded core counts can collide (every other
-    axis enumerates distinct values), and on GPUs the (global, local)
-    pairs are deduped after rounding the global thread count.
-    """
-    if spec.is_gpu:
-        pairs = {
-            (global_threads, local)
-            for frac in _GLOBAL_FRACTIONS
-            for global_threads in (max(1, round(frac * spec.max_threads)),)
-            for local in _LOCAL_THREADS
-            if local <= global_threads
-        }
-        return len(pairs)
-    core_counts = {max(1, round(frac * spec.cores)) for frac in _CORE_FRACTIONS}
-    tpc_choices = sum(1 for tpc in _THREADS_PER_CORE if tpc <= spec.threads_per_core)
-    simd_choices = sum(1 for simd in _SIMD_CHOICES if simd <= spec.simd_width)
-    return (
-        len(core_counts)
-        * tpc_choices
-        * simd_choices
-        * len(_SCHEDULES)
-        * len(_PLACEMENTS)
-        * len(_AFFINITIES)
-        * len(_BLOCKTIMES)
-    )
-
-
-def lattice_size(spec: AcceleratorSpec) -> int:
-    """Number of lattice points for ``spec`` (cached per spec)."""
-    size = _lattice_size_cache.get(spec)
-    if size is None:
-        size = _fast_lattice_size(spec)
-        _lattice_size_cache[spec] = size
-    return size
 
 
 def thread_sweep_configs(

@@ -101,8 +101,8 @@ class DecisionRecord:
     #: Request trace the placement executed under, when one was active.
     trace_id: str | None = None
     #: Calibrated predictor confidence for this row (``None`` when the
-    #: decision layer was not tracking confidence — including every
-    #: pre-v2 record).
+    #: decision layer had neither an exploration policy nor an online
+    #: adapter attached — including every pre-v2 record).
     confidence: float | None = None
     #: True for exploration probes: simulate-only costings of
     #: low-confidence rows that never executed.  The regret tracker

@@ -31,7 +31,7 @@ import itertools
 import os
 import threading
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -62,19 +62,9 @@ def _prefix() -> str:
 
 @dataclass(frozen=True)
 class TraceContext:
-    """One request's identity in the trace stream.
-
-    ``links`` names other trace ids this request is causally related to
-    but not nested under — e.g. a cache hit links to the trace that
-    originally computed the cached decision.
-    """
+    """One request's identity in the trace stream."""
 
     trace_id: str
-    links: tuple[str, ...] = field(default=())
-
-    def linked(self, *trace_ids: str) -> "TraceContext":
-        """A copy with additional trace links attached."""
-        return TraceContext(self.trace_id, self.links + trace_ids)
 
 
 def mint_trace() -> TraceContext:

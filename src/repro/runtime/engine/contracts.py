@@ -83,8 +83,8 @@ class Decision:
     vector: np.ndarray  # read-only predicted M target vector
     features: tuple[float, ...]  # the 17 (B, I) inputs, B1..B13 then I1..I4
     #: Calibrated confidence of the predictor's M1 call for this row
-    #: (``None`` when the decision layer is not tracking confidence —
-    #: the default, which keeps the plain path bit-identical).
+    #: (``None`` when the decision layer has neither an exploration
+    #: policy nor an online adapter attached, so nothing computes it).
     confidence: float | None = None
     #: True when the exploration policy flagged this decision as a
     #: low-confidence probe (costed on every device and audited as an

@@ -27,20 +27,18 @@ the old "flip the M1 bit and re-decode" produced.  Each of a batch's
 one formula on one row of Python floats, equal to its per-phase
 reference exactly.
 
-Cache entries hold the feature-keyed (spec, config, vector) triple and,
-once a decide has needed them, the vector's configs on the other fleet
-devices (:attr:`~repro.runtime.serving.CachedDecision.device_configs`),
-so a cache hit decodes nothing.  Estimates depend on the workload
-*profile* (two datasets can share a discretized feature row yet scale
-differently), so the cache never holds one.  Each
-:class:`~repro.runtime.deploy.Workload` object keeps its own instead: its
-encoded feature row, and the parts of the last decision built for it
-(estimates, picks, features and per-device costs) with the cache entry,
-device tuple and metric they were built for.  Deciding it again under
-that very entry and device tuple and an equal metric assembles the
-decision from those parts, so such a workload is encoded, decoded,
-costed and picked once.  Cache keys are namespaced by the fleet
-fingerprint so one cache can never serve placements across fleets.
+Cache entries hold the feature-keyed (spec, config, vector) triple.
+Estimates depend on the workload *profile* (two datasets can share a
+discretized feature row yet scale differently), so the cache never
+holds one.  Each :class:`~repro.runtime.deploy.Workload` object keeps
+its own instead: its encoded feature row, and the parts of the last
+decision built for it (estimates, picks, features and per-device costs)
+with the cache entry, device tuple and metric they were built for.
+Deciding it again under that very entry and device tuple and an equal
+metric assembles the decision from those parts, so such a workload is
+encoded, decoded, costed and picked once.  Cache keys are namespaced by
+the fleet fingerprint so one cache can never serve placements across
+fleets.
 """
 
 from __future__ import annotations
@@ -147,11 +145,6 @@ class DecisionService:
         #: atomically invalidates stale entries — including in shard
         #: workers, whose caches key through the same path.
         self.generation = 0
-        #: Whether :meth:`choose_encoded` also computes per-row
-        #: confidence (a pure side computation — predicted vectors and
-        #: decoded configs are untouched).  Off by default, so the plain
-        #: serving path pays nothing and stays bit-identical.
-        self.track_confidence = False
         #: Exploration policy (:class:`repro.core.online.ExplorationPolicy`)
         #: or ``None``.  When set, low-confidence plan-tier rows are
         #: probe-costed on every fleet device and audited as exploration
@@ -338,13 +331,14 @@ class DecisionService:
                 # rely on.
                 vectors = np.round(vectors, _CANONICAL_DECIMALS)
             confidences = [None] * len(miss_rows)
-            if self.track_confidence:
-                # A pure side computation over the same miss rows; the
+            if self.exploration is not None or self.adapter is not None:
+                # Only an exploration policy or an adapter reads it.  A
+                # pure side computation over the same miss rows: the
                 # vectors above are what decode, so decisions are
-                # untouched whether or not confidence is tracked.
+                # untouched whether or not confidence is computed.
                 confidences = self.predictor.confidence_batch(
                     miss_features
-                ).confidence.tolist()
+                ).tolist()
             decoded = decode_config_batch(
                 vectors, self.fleet.primary_gpu, self.fleet.primary_multicore
             )
@@ -406,24 +400,23 @@ class DecisionService:
     ) -> dict[int, tuple[MachineConfig, ...]]:
         """Per-device configs for each unique entry's predicted vector.
 
-        Each device gets one :func:`decode_config_for` pass over the
-        unique entries whose :attr:`~CachedDecision.device_configs` lack
-        it, and the configs are kept there.  An entry starts with its own
-        device's config, and a cache hit keeps every device an earlier
-        decide decoded, so such a batch decodes nothing.  Keyed by entry
-        identity, configs in fleet order.
+        An entry's own device takes its ``config``; each other device
+        gets one :func:`decode_config_for` pass over the unique entries
+        that name another device.  Keyed by entry identity, configs in
+        fleet order.
         """
         unique = list({id(entry): entry for entry in entries}.values())
+        configs = {id(e): {e.spec.name: e.config} for e in unique}
         for spec in self.fleet.devices:
-            missing = [e for e in unique if spec.name not in e.device_configs]
-            if missing:
-                matrix = np.stack([entry.vector for entry in missing])
-                for entry, config in zip(missing, decode_config_for(matrix, spec)):
-                    entry.device_configs[spec.name] = config
+            others = [e for e in unique if e.spec.name != spec.name]
+            if others:
+                matrix = np.stack([entry.vector for entry in others])
+                for entry, config in zip(others, decode_config_for(matrix, spec)):
+                    configs[id(entry)][spec.name] = config
         names = self.fleet.names
         return {
-            id(entry): tuple(entry.device_configs[name] for name in names)
-            for entry in unique
+            key: tuple(by_name[name] for name in names)
+            for key, by_name in configs.items()
         }
 
     def _estimate(

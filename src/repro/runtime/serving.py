@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -113,13 +112,11 @@ def feature_keys_batch(
 class CachedDecision:
     """One memoized prediction: the decoded deployment + raw M vector.
 
-    ``spec`` and ``config`` are the plan tier's deployment.  The decide
-    tier also decodes ``vector`` onto every other fleet device and keeps
-    those configs in :attr:`device_configs`, so a cache hit decides
-    without decoding again.  The decision layer builds its entries
-    without ``__init__``, from values it already holds in checked form
-    (a read-only vector of its own); ``__post_init__`` is for any other
-    caller.
+    ``spec`` and ``config`` are the plan tier's deployment; the decide
+    tier decodes ``vector`` onto the other fleet devices.  The decision
+    layer builds its entries without ``__init__``, from values it
+    already holds in checked form (a read-only vector of its own);
+    ``__post_init__`` is for any other caller.
     """
 
     spec: AcceleratorSpec
@@ -130,28 +127,15 @@ class CachedDecision:
     #: served decision's provenance survives the memoization.
     origin_trace: str | None = field(default=None, compare=False)
     #: Calibrated per-row confidence at compute time (``None`` when the
-    #: serving layer is not tracking confidence).  Confidence is a pure
-    #: function of the feature row for a fixed predictor generation, so
-    #: memoizing it alongside the vector is exact.
+    #: service had no exploration policy or online adapter attached).
+    #: Confidence is a pure function of the feature row for a fixed
+    #: predictor generation, so memoizing it alongside the vector is exact.
     confidence: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         vector = np.array(self.vector, dtype=np.float64, copy=True)
         vector.setflags(write=False)
         object.__setattr__(self, "vector", vector)
-
-    @cached_property
-    def device_configs(self) -> dict[str, MachineConfig]:
-        """``vector`` decoded onto each fleet device, by device name,
-        filled as the decision layer decodes; it starts with ``config``
-        on ``spec``.
-
-        Names suffice: an entry is only served under its fleet's
-        fingerprint, which fixes every field of each named device.  A
-        cached attribute, not a field, so ``==``, ``repr`` and
-        :func:`dataclasses.replace` see only the dataclass fields.
-        """
-        return {self.spec.name: self.config}
 
 
 @dataclass

@@ -6,20 +6,18 @@ here under the seeded-replay contract of :mod:`repro.validation.fuzz`:
 * **report validity + purity** — for every predictor family, on random
   training data and random 0.1-grid feature rows,
   :meth:`~repro.core.predictors.base.Predictor.confidence_batch` returns
-  a well-formed :class:`~repro.core.predictors.confidence.ConfidenceReport`
-  (matching shapes, values in [0, 1], deterministic across calls) and
-  :meth:`~repro.core.predictors.base.Predictor.predict_with_confidence`
-  returns vectors **bit-equal** to a plain ``predict_batch`` — computing
-  confidence must never perturb what decodes;
+  an ``(n,)`` float64 array of values in [0, 1], deterministic across
+  calls, and ``predict_batch`` returns **bit-equal** vectors before and
+  after it — computing confidence must never perturb what decodes;
 * **coverage monotonicity** — the adaptive library's table-coverage
   confidence is monotone non-decreasing under added training data: a
   model fit on a superset of rows is never *less* confident about any
   probe row (its nearest-neighbour distance can only shrink);
 * **exploration-off differential** — a
-  :class:`~repro.runtime.engine.decision.DecisionService` with
-  ``track_confidence`` enabled (but no exploration policy) produces
-  decisions bit-identical to an untracked service over the same
-  predictor: same spec, same config, same vector bytes.
+  :class:`~repro.runtime.engine.decision.DecisionService` with a
+  zero-rate exploration policy attached, which computes confidence but
+  probes nothing, produces decisions bit-identical to a bare service
+  over the same predictor: same spec, same config, same vector bytes.
 
 Violations raise :class:`OracleMismatchError`, replayable via the
 standard ``REPRO_FUZZ_SEED`` one-liner.
@@ -30,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.encoding import NUM_FEATURES, NUM_TARGETS
+from repro.core.online import ExplorationConfig, ExplorationPolicy
 from repro.core.predictors import make_predictor
 from repro.core.predictors.base import LearnedPredictor
 from repro.errors import OracleMismatchError
@@ -74,38 +73,24 @@ def _grid_features(rng: np.random.Generator, rows: int) -> np.ndarray:
 
 def check_confidence_report(predictor, features: np.ndarray, family: str) -> None:
     """Validity, determinism, and purity of one family's confidence."""
-    report = predictor.confidence_batch(features)
-    if len(report) != features.shape[0]:
+    vectors = predictor.predict_batch(features)
+    confidence = predictor.confidence_batch(features)
+    rows = features.shape[0]
+    if confidence.shape != (rows,) or confidence.dtype != np.float64:
         raise OracleMismatchError(
-            f"{family}: report length {len(report)} != batch {features.shape[0]}"
+            f"{family}: confidence is a {confidence.dtype} array of shape "
+            f"{confidence.shape}, not float64 of the batch length ({rows},)"
         )
-    if report.confidence.shape != report.uncertainty.shape:
-        raise OracleMismatchError(
-            f"{family}: confidence/uncertainty shape mismatch"
-        )
-    if report.confidence.size and (
-        report.confidence.min() < 0.0 or report.confidence.max() > 1.0
-    ):
+    if rows and (confidence.min() < 0.0 or confidence.max() > 1.0):
         raise OracleMismatchError(
             f"{family}: confidence outside [0, 1] "
-            f"(min {report.confidence.min()}, max {report.confidence.max()})"
+            f"(min {confidence.min()}, max {confidence.max()})"
         )
-    if report.uncertainty.size and report.uncertainty.min() < 0.0:
-        raise OracleMismatchError(f"{family}: negative raw uncertainty")
-    again = predictor.confidence_batch(features)
-    if not np.array_equal(report.confidence, again.confidence):
+    if not np.array_equal(confidence, predictor.confidence_batch(features)):
         raise OracleMismatchError(f"{family}: confidence is not deterministic")
-    vectors, with_report = (
-        predictor.predict_batch(features),
-        predictor.predict_with_confidence(features),
-    )
-    if not np.array_equal(vectors, with_report[0]):
+    if not np.array_equal(vectors, predictor.predict_batch(features)):
         raise OracleMismatchError(
-            f"{family}: predict_with_confidence perturbed the vectors"
-        )
-    if not np.array_equal(with_report[1].confidence, report.confidence):
-        raise OracleMismatchError(
-            f"{family}: predict_with_confidence disagrees with confidence_batch"
+            f"{family}: confidence_batch perturbed the predicted vectors"
         )
 
 
@@ -121,8 +106,8 @@ def check_coverage_monotone(
     small.fit(features[:base_rows], targets[:base_rows])
     large = make_predictor("adaptive_library", gpu, multicore, seed=0)
     large.fit(features, targets)
-    before = small.confidence_batch(probes).confidence
-    after = large.confidence_batch(probes).confidence
+    before = small.confidence_batch(probes)
+    after = large.confidence_batch(probes)
     if np.any(after < before - 1e-12):
         worst = int(np.argmin(after - before))
         raise OracleMismatchError(
@@ -134,7 +119,8 @@ def check_coverage_monotone(
 def check_tracking_differential(
     predictor, features: np.ndarray, family: str
 ) -> None:
-    """track_confidence on (no exploration) is decision-bit-identical."""
+    """Confidence computed (a zero-rate exploration policy attached) is
+    decision-bit-identical to a bare service."""
     fleet = Fleet.from_names(DEFAULT_PAIR)
     plain = DecisionService(
         predictor, fleet, predictor_name=family, metric="time", cache=None
@@ -144,7 +130,7 @@ def check_tracking_differential(
         predictor, fleet, predictor_name=family, metric="time", cache=None
     )
     tracked.overhead_ms = 0.0
-    tracked.track_confidence = True
+    tracked.exploration = ExplorationPolicy(ExplorationConfig(rate=0.0))
     baseline = plain.choose_encoded(features)
     shadowed = tracked.choose_encoded(features)
     for row, (a, b) in enumerate(zip(baseline, shadowed)):

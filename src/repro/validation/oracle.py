@@ -14,8 +14,9 @@ accelerator spec, and a randomized set of M configurations
 (deliberately sampled *off* the tuning lattice as well as on it, so the
 ceiling-rule clamping is exercised), then asserts
 
-* ``batch_evaluate`` equals the reference exactly (``==``) for time,
-  energy, and utilization on every configuration, and
+* ``batch_evaluate`` equals the reference exactly (``==``) on every
+  configuration, field for field of the materialized result (each
+  phase's components, the totals and the energy), and
 * the batch argmin (used by :mod:`repro.tuning.exhaustive`) is the
   configuration a brute-force scan of the reference picks, for a
   randomly chosen objective metric.
@@ -26,6 +27,7 @@ spec, config index, and the offending quantity.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -198,25 +200,41 @@ def rounding_ramp(
 def check_batch_equivalence(
     profile: WorkloadProfile, spec: AcceleratorSpec, table: ConfigTable
 ) -> None:
-    """Assert batch == reference, exactly, for every config in ``table``.
+    """Assert batch == reference, exactly, for every config in ``table``:
+    each materialized result equals the reference field for field.
 
     Raises:
-        OracleMismatchError: on any difference.
+        OracleMismatchError: naming the first field that differs.
     """
     result = batch_evaluate(profile, spec, table)
     for index, config in enumerate(result.configs):
-        reference = reference_simulate(profile, spec, config)
-        pairs = (
-            ("time_s", float(result.time_s[index]), reference.time_s),
-            ("energy_j", float(result.energy_j[index]), reference.energy_j),
-            ("utilization", float(result.utilization[index]), reference.utilization),
-        )
-        for quantity, batch_value, scalar_value in pairs:
-            if batch_value != scalar_value:
-                raise OracleMismatchError(
-                    f"batch/scalar divergence on {spec.name} config #{index}: "
-                    f"{quantity} batch={batch_value!r} scalar={scalar_value!r}"
-                )
+        got = result.materialize(index)
+        want = reference_simulate(profile, spec, config)
+        if got != want:
+            field, batch_value, scalar_value = _first_difference(got, want)
+            raise OracleMismatchError(
+                f"batch/scalar divergence on {spec.name} config #{index}: "
+                f"{field} batch={batch_value!r} scalar={scalar_value!r}"
+            )
+
+
+def _first_difference(
+    got, want, path: str = "result"
+) -> tuple[str, object, object]:
+    """The path of the first compared field where ``got`` and ``want``
+    differ, with both values there; dataclasses and tuples are walked in
+    field order."""
+    if dataclasses.is_dataclass(want) and type(got) is type(want):
+        names = [f.name for f in dataclasses.fields(want) if f.compare]
+        children = [(f"{path}.{n}", getattr(got, n), getattr(want, n)) for n in names]
+    elif isinstance(want, tuple) and isinstance(got, tuple) and len(got) == len(want):
+        children = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(got, want))]
+    else:
+        return path, got, want
+    for child, a, b in children:
+        if a != b:
+            return _first_difference(a, b, child)
+    return path, got, want
 
 
 def _scalar_argmin(

@@ -110,7 +110,7 @@ def test_ten_thousand_mixed_spec_rows():
         _assert_rows_exact(rows[start : start + 500])
 
 
-def test_phase_counts_fold_through_padding():
+def test_phase_counts_fold_in_phase_order():
     """Rows of one-, two- and many-phase workloads, each folding its
     phases in order from 0.0."""
     rng = np.random.default_rng(7)
@@ -343,7 +343,7 @@ def test_libm_sensitive_continuous_values():
     _assert_rows_exact(rows)
 
 
-def test_single_row_and_empty_inputs():
+def test_single_row_input():
     rng = np.random.default_rng(19)
     spec = FLEET8[0]
     _assert_rows_exact([(make_profile(), spec, _continuous_config(spec, rng))])

@@ -85,10 +85,9 @@ class TestWalk:
         ``predict_vector`` and one-row ``confidence_batch`` row by row."""
         predictor, rows = tree
         batch = rows[:size]
-        report = predictor.confidence_batch(batch)
         alone = [predictor.confidence_batch(row[None]) for row in batch]
-        for field in ("confidence", "uncertainty"):
-            want = np.concatenate([getattr(one, field) for one in alone])
-            assert np.array_equal(getattr(report, field), want)
+        assert np.array_equal(
+            predictor.confidence_batch(batch), np.concatenate(alone)
+        )
         vectors = np.array([predictor.predict_vector(row) for row in batch])
         assert np.array_equal(predictor.predict_batch(batch), vectors)

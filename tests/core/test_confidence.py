@@ -1,4 +1,4 @@
-"""Per-family confidence reports and the shared squash normalization."""
+"""Per-family confidence arrays and the shared squash normalization."""
 
 from __future__ import annotations
 
@@ -7,13 +7,13 @@ import pytest
 
 from repro.core.encoding import NUM_FEATURES, NUM_TARGETS
 from repro.core.predictors import make_predictor
-from repro.core.predictors.base import LearnedPredictor
-from repro.core.predictors.confidence import ConfidenceReport, squash_uncertainty
+from repro.core.predictors.base import LearnedPredictor, Predictor
+from repro.core.predictors.confidence import squash_uncertainty
 from repro.machine.specs import DEFAULT_PAIR, get_accelerator
 
 GPU, PHI = (get_accelerator(name) for name in DEFAULT_PAIR)
 
-#: family -> the source string its confidence report must declare.
+#: family -> the signal its confidence squashes.
 FAMILY_SOURCES = {
     "decision_tree": "exact",
     "linear": "residual-band",
@@ -59,44 +59,18 @@ class TestSquash:
             squash_uncertainty(np.zeros(1), 0.0)
 
 
-class TestConfidenceReport:
-    def test_arrays_read_only(self):
-        report = ConfidenceReport.exact(3)
-        with pytest.raises(ValueError):
-            report.confidence[0] = 0.0
-        with pytest.raises(ValueError):
-            report.uncertainty[0] = 1.0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ConfidenceReport(confidence=np.ones(2), uncertainty=np.zeros(3))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            ConfidenceReport(
-                confidence=np.array([1.5]), uncertainty=np.zeros(1)
-            )
-
-    def test_exact_and_uncalibrated_constructors(self):
-        exact = ConfidenceReport.exact(4)
-        assert len(exact) == 4
-        assert exact.source == "exact"
-        assert np.all(exact.confidence == 1.0)
-        flat = ConfidenceReport.uncalibrated(2)
-        assert flat.source == "uncalibrated"
-        assert np.all(flat.confidence == 0.5)
-
-
 class TestFamilies:
     @pytest.mark.parametrize("family", sorted(FAMILY_SOURCES))
     def test_source_and_range(self, family):
-        predictor = _trained(family)
-        report = predictor.confidence_batch(_probes())
-        assert report.source == FAMILY_SOURCES[family]
-        assert len(report) == 6
-        assert report.confidence.min() >= 0.0
-        assert report.confidence.max() <= 1.0
-        assert report.uncertainty.min() >= 0.0
+        """One float64 per row: exactly 1.0 from the exact source, and
+        strictly inside (0, 1) from an estimated one on held-out rows."""
+        confidence = _trained(family).confidence_batch(_probes())
+        assert confidence.shape == (6,)
+        assert confidence.dtype == np.float64
+        if FAMILY_SOURCES[family] == "exact":
+            assert np.all(confidence == 1.0)
+        else:
+            assert np.all((confidence > 0.0) & (confidence < 1.0))
 
     @pytest.mark.parametrize("family", sorted(FAMILY_SOURCES))
     def test_with_confidence_is_pure(self, family):
@@ -104,16 +78,24 @@ class TestFamilies:
         predictor = _trained(family)
         probes = _probes()
         plain = predictor.predict_batch(probes)
-        vectors, report = predictor.predict_with_confidence(probes)
-        assert np.array_equal(plain, vectors)
-        assert np.array_equal(
-            report.confidence, predictor.confidence_batch(probes).confidence
-        )
+        confidence = predictor.confidence_batch(probes)
+        assert np.array_equal(plain, predictor.predict_batch(probes))
+        assert np.array_equal(confidence, predictor.confidence_batch(probes))
 
     def test_analytical_is_exact(self):
-        report = _trained("decision_tree").confidence_batch(_probes())
-        assert np.all(report.confidence == 1.0)
-        assert np.all(report.uncertainty == 0.0)
+        confidence = _trained("decision_tree").confidence_batch(_probes())
+        assert np.all(confidence == 1.0)
+
+    def test_base_default_is_uncalibrated(self):
+        """A predictor without its own signal reads a constant 0.5."""
+
+        class Flat(Predictor):
+            def predict_vector(self, features):
+                return np.zeros(NUM_TARGETS)
+
+        confidence = Flat().confidence_batch(_probes())
+        assert confidence.shape == (6,)
+        assert np.all(confidence == 0.5)
 
     def test_adaptive_exact_on_seen_rows(self):
         """Coverage distance is zero exactly on the training rows."""
@@ -123,8 +105,7 @@ class TestFamilies:
             rng.integers(0, 11, size=(12, NUM_FEATURES)) / 10.0, 1
         )
         predictor.fit(features, rng.random((12, NUM_TARGETS)))
-        seen = predictor.confidence_batch(features)
-        assert np.all(seen.confidence == 1.0)
+        assert np.all(predictor.confidence_batch(features) == 1.0)
 
     def test_ensemble_spread_lowers_confidence(self):
         """A deep net's held-out rows are less certain than a constant fit."""
@@ -135,6 +116,6 @@ class TestFamilies:
         noisy = make_predictor("deep16", GPU, PHI, seed=1)
         noisy.fit(features, rng.random((24, NUM_TARGETS)))
         probes = _probes()
-        calm = constant.confidence_batch(probes).uncertainty.mean()
-        spread = noisy.confidence_batch(probes).uncertainty.mean()
-        assert spread >= calm
+        calm = constant.confidence_batch(probes).mean()
+        spread = noisy.confidence_batch(probes).mean()
+        assert spread <= calm

@@ -2,14 +2,13 @@
 
 :func:`decode_config_batch` decodes each row onto its own kind only, and
 the decision layer reuses that config for the device an entry's spec
-names, decoding the vector onto the other devices only and keeping those
-configs in the entry, so a cache hit decodes nothing.  Every shortcut
-must give exactly what :func:`decode_config_for` gives for the row alone,
-on every device, including for cache hits and for a cache shared by two
-fleets with the same fingerprint.  A workload keeps its encoded row and
-the parts of its last decision, so deciding it again under the same
-cache entry, device tuple and metric encodes, decodes, costs and builds
-nothing.
+names, decoding the vector onto the other devices only, once per decide.
+Every shortcut must give exactly what :func:`decode_config_for` gives
+for the row alone, on every device, including for cache hits and for a
+cache shared by two fleets with the same fingerprint.  A workload keeps
+its encoded row and the parts of its last decision, so deciding it again
+under the same cache entry, device tuple and metric encodes, decodes,
+costs and builds nothing.
 """
 
 from __future__ import annotations
@@ -176,8 +175,9 @@ class TestDecideBatch:
 
 
 class TestKeptConfigs:
-    """A cache entry keeps its vector's config on every device a decide
-    decoded it onto, so deciding a cached batch again decodes nothing."""
+    """Deciding a cached batch of the same workloads again decodes
+    nothing: each workload's kept decision holds its configs.  A new
+    cache entry decodes its vector afresh."""
 
     def test_cache_hit_decodes_nothing(self, cached_map, batch, monkeypatch):
         decisions = cached_map.decisions
@@ -206,18 +206,9 @@ class TestKeptConfigs:
         )
         assert_same_decisions(again, first)
 
-    def test_kept_configs_are_not_fields(self, cached_map, batch):
-        decisions = cached_map.decisions
-        decisions.decide_batch(batch)
-        entry = decisions.choose_encoded(decisions.encode(batch[:1]))[0]
-        assert set(entry.device_configs) == set(cached_map.fleet.names)
-        fresh = replace(entry)
-        assert repr(fresh) == repr(entry)
-        assert fresh.device_configs == {entry.spec.name: entry.config}
-
     def test_fresh_profiles_decide_alike(self, cached_map, batch):
-        """``replace`` copies of the profiles keep no terms; the entries
-        and their configs do."""
+        """``replace`` copies of the workloads and profiles keep no terms
+        and no decision parts, and decide alike."""
         decisions = cached_map.decisions
         want = decisions.decide_batch(batch)
         fresh = [replace(w, profile=replace(w.profile)) for w in batch]

@@ -1,11 +1,12 @@
 """Acceptance: confidence/exploration machinery off -> decisions bit-identical.
 
 The uncertainty layer (PR 10) promises that everything it adds is a pure
-side computation: a :class:`DecisionService` with ``track_confidence``
-on (but no exploration policy and no adapter) must produce decisions
-bit-identical to an untracked service, for **every** predictor family
-and on an N=4 synthetic fleet — and an *attached* exploration policy
-must never change what ``plan_batch`` returns, only what it audits.
+side computation: a :class:`DecisionService` that computes confidence (a
+zero-rate exploration policy attached, which probes nothing) must
+produce decisions bit-identical to a bare service, for **every**
+predictor family and on an N=4 synthetic fleet — and an exploration
+policy that does probe must never change what ``plan_batch`` returns,
+only what it audits.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def probes():
 
 
 class TestTrackedBitIdentity:
-    """track_confidence on, nothing else: same spec, config, and bytes."""
+    """Confidence computed, nothing probed: same spec, config, and bytes."""
 
     @pytest.mark.parametrize("family", sorted(predictor_names()))
     def test_all_families_on_synthetic_fleet(self, family, fleet4, probes):
@@ -65,7 +66,7 @@ class TestTrackedBitIdentity:
             )
         plain = _service(predictor, family, fleet4)
         tracked = _service(predictor, family, fleet4)
-        tracked.track_confidence = True
+        tracked.exploration = ExplorationPolicy(ExplorationConfig(rate=0.0))
         baseline = plain.choose_encoded(probes)
         shadowed = tracked.choose_encoded(probes)
         for row, (a, b) in enumerate(zip(baseline, shadowed)):
@@ -105,8 +106,12 @@ class TestExplorationNeverChangesPlans:
 
     def test_enable_exploration_turns_tracking_on(self, trained_pair):
         _, exploring, _ = trained_pair
-        assert exploring.decisions.track_confidence
         assert isinstance(exploring.decisions.exploration, ExplorationPolicy)
+        decisions = exploring.decisions
+        workloads = [prepare_workload(*item) for item in ITEMS]
+        decisions.clear_cache()
+        entries = decisions.choose_encoded(decisions.encode(workloads))
+        assert all(0.0 <= entry.confidence <= 1.0 for entry in entries)
 
 
 class TestProbeAuditRecord:

@@ -21,13 +21,6 @@ class TestMinting:
         prefixes = {ctx.trace_id.rsplit("-", 1)[0] for ctx in contexts}
         assert len(prefixes) == 1
 
-    def test_linked_appends_without_mutating(self):
-        ctx = mint_trace()
-        linked = ctx.linked("a", "b")
-        assert linked.trace_id == ctx.trace_id
-        assert linked.links == ("a", "b")
-        assert ctx.links == ()
-
 
 class TestScopes:
     def test_no_scope_by_default(self):

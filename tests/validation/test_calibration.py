@@ -56,26 +56,24 @@ class TestChecksCatchViolations:
             def predict_batch(self, features):
                 return predictor.predict_batch(features)
 
-            def predict_with_confidence(self, features):
-                return predictor.predict_with_confidence(features)
-
         with pytest.raises(OracleMismatchError, match="length"):
             check_confidence_report(Truncating(), self._probes(), "broken")
 
     def test_report_check_rejects_perturbed_vectors(self):
+        """A confidence pass that leaves state behind which moves the
+        next prediction is caught."""
         gpu, multicore = (get_accelerator(name) for name in DEFAULT_PAIR)
         predictor = make_predictor("decision_tree", gpu, multicore)
 
         class Perturbing:
+            calls = 0
+
             def confidence_batch(self, features):
+                self.calls += 1
                 return predictor.confidence_batch(features)
 
             def predict_batch(self, features):
-                return predictor.predict_batch(features)
-
-            def predict_with_confidence(self, features):
-                vectors, report = predictor.predict_with_confidence(features)
-                return vectors + 1e-9, report
+                return predictor.predict_batch(features) + 1e-9 * self.calls
 
         with pytest.raises(OracleMismatchError, match="perturbed"):
             check_confidence_report(Perturbing(), self._probes(), "broken")

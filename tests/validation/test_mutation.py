@@ -1,7 +1,8 @@
 """Mutation smoke-checks (the subsystem's acceptance criterion).
 
-A deliberate perturbation injected into the *batch* cost model must be
-caught by the differential oracle, a deliberate perturbation of a
+A deliberate perturbation injected into the *batch* cost model, or one
+phase's component moved by one ULP in its result, must be caught by the
+differential oracle, a deliberate perturbation of a
 kernel by the invariant registry, a zero rounding bound in the CART
 split screen, a screen that ignores how often a row repeats or a walk
 that sends NaN left by the ``cart`` component, and a one-row decode
@@ -14,6 +15,7 @@ one-liner.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +25,7 @@ import repro.accel.batch as batch
 import repro.accel.simulator as simulator
 import repro.core.encoding as encoding
 import repro.core.predictors.tree_learner as tree_learner
+import repro.validation.oracle as oracle
 from repro.errors import OracleMismatchError
 from repro.kernels.base import KernelResult
 from repro.kernels.pagerank import PageRank
@@ -44,6 +47,31 @@ def test_batch_cost_model_mutation_is_caught(monkeypatch):
     spec = get_accelerator("xeonphi7120p")
     table = random_config_table(spec, rng, 12)
     with pytest.raises(OracleMismatchError, match="batch/scalar divergence"):
+        check_batch_equivalence(profile, spec, table)
+
+
+def test_batch_phase_component_ulp_is_caught(monkeypatch):
+    """One phase's ``memory_s`` one ULP up in the lattice result, which
+    leaves time, energy and utilization as they were: the oracle compares
+    every field of the materialized result and must name it."""
+    evaluate = oracle.batch_evaluate
+
+    def nudged(profile, spec, table):
+        result = evaluate(profile, spec, table)
+        memory = result.memory_s.copy()
+        memory[0, 0] = np.nextafter(memory[0, 0], np.inf)
+        return dataclasses.replace(result, memory_s=memory)
+
+    monkeypatch.setattr(oracle, "batch_evaluate", nudged)
+    rng = np.random.default_rng(1)
+    profile = random_profile(rng)
+    spec = get_accelerator("xeonphi7120p")
+    table = random_config_table(spec, rng, 12)
+    with pytest.raises(
+        OracleMismatchError,
+        match=r"batch/scalar divergence on xeonphi7120p config #0: "
+        r"result\.cost\.phase_costs\[0\]\.memory_s",
+    ):
         check_batch_equivalence(profile, spec, table)
 
 
