@@ -60,7 +60,7 @@ from repro.runtime.engine import (
     RunOutcome,
     Scheduler,
 )
-from repro.runtime.serving import DecisionCache, capacity_from_env
+from repro.runtime.serving import DecisionCache
 from repro.tuning.exhaustive import best_on_accelerator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
@@ -84,7 +84,6 @@ class HeteroMap:
         predictor: str = "deep128",
         metric: str = "time",
         seed: int = 0,
-        cache_capacity: int | None = None,
         backend: ExecutionBackend | None = None,
     ) -> None:
         """Configure a HeteroMap instance.
@@ -101,17 +100,12 @@ class HeteroMap:
             predictor: learner name (see ``predictor_names()``).
             metric: tuning objective — "time", "energy", or "edp".
             seed: seed for training-set generation and learner init.
-            cache_capacity: decision-cache size for the serving paths;
-                0 disables caching.  ``None`` (the default) reads the
-                ``REPRO_DECISION_CACHE`` environment variable, falling
-                back to 4096.
             backend: execution backend for the engine; defaults to the
                 cost-model :class:`SimulatedBackend`.
 
         Raises:
             UnknownAcceleratorError: for unregistered names, duplicate
                 devices, or a fleet missing either M1 kind.
-            ValueError: for a malformed ``REPRO_DECISION_CACHE``.
         """
         base = fleet if isinstance(fleet, Fleet) else Fleet.from_names(fleet)
         # GPUs first, then multicores, keeping input order within each
@@ -126,15 +120,8 @@ class HeteroMap:
             predictor, self.gpu, self.multicore, seed=seed
         )
         self.database: TrainingDatabase | None = None
-        capacity = (
-            capacity_from_env() if cache_capacity is None else cache_capacity
-        )
         self.decisions = DecisionService(
-            self.predictor,
-            self.fleet,
-            predictor_name=predictor,
-            metric=metric,
-            cache=DecisionCache(capacity) if capacity > 0 else None,
+            self.predictor, self.fleet, predictor_name=predictor, metric=metric
         )
         self.scheduler = Scheduler(self.fleet)
         self.engine = Engine(self.decisions, self.scheduler, backend)
@@ -145,8 +132,8 @@ class HeteroMap:
         return cls(DEFAULT_PAIR, **kwargs)
 
     @property
-    def decision_cache(self) -> DecisionCache | None:
-        """The decision layer's exact LRU cache (``None`` when disabled)."""
+    def decision_cache(self) -> DecisionCache:
+        """The decision layer's exact LRU cache."""
         return self.decisions.cache
 
     # -- offline ----------------------------------------------------------
@@ -210,7 +197,9 @@ class HeteroMap:
         threshold earn (seeded-epsilon, budget-capped) simulate-only
         probes on every fleet device, recorded as ``explored`` audit
         records.  Served plans never change; with the policy detached the
-        path is bit-identical to plain :meth:`plan_batch`.
+        path is bit-identical to plain :meth:`plan_batch`.  The decision
+        cache is cleared, so no entry cached without a confidence escapes
+        the policy.
         """
         from repro.core.online import ExplorationPolicy
 
@@ -218,6 +207,7 @@ class HeteroMap:
             config, seed=self.seed if seed is None else seed
         )
         self.decisions.exploration = policy
+        self.decisions.clear_cache()
         return policy
 
     def enable_adaptation(
@@ -234,6 +224,8 @@ class HeteroMap:
         (generation-bumped cache keys make the swap atomic).  Candidates
         are fresh ``make_predictor`` instances of this map's family, fit
         on the offline database plus the replicated correction buffer.
+        The decision cache is cleared, so every decision the adapter
+        observes carries its confidence.
 
         Raises:
             NotTrainedError: before :meth:`train` (the adapter refits
@@ -254,6 +246,7 @@ class HeteroMap:
             config=config,
         )
         self.decisions.adapter = adapter
+        self.decisions.clear_cache()
         return adapter
 
     # -- online -----------------------------------------------------------

@@ -243,15 +243,6 @@ class CartPredictor(LearnedPredictor):
         self.max_depth = int(max_depth)
         self.min_samples = int(min_samples)
         self._root: _Node | None = None
-        # Flattened tree (built by _flatten) for the per-row walk.
-        self._node_feature: list[int] = []
-        self._node_threshold: list[float] = []
-        self._node_left: list[int] = []
-        self._node_right: list[int] = []
-        self._node_leaf: list[int] = []
-        self._leaf_values = np.empty((0, 0), dtype=np.float64)
-        self._leaf_spread = np.empty(0, dtype=np.float64)
-        self._leaf_count = np.empty(0, dtype=np.int64)
 
     #: Leaf uncertainty at which confidence crosses 0.5.
     CONFIDENCE_SCALE = 0.1
@@ -321,75 +312,23 @@ class CartPredictor(LearnedPredictor):
         self._root = self._build(
             features, targets, *_distinct(features, targets), depth=0
         )
-        self._flatten()
 
-    def _flatten(self) -> None:
-        """Lower the node tree into parallel lists for the per-row walk.
-
-        ``_node_feature[i]``/``_node_threshold[i]`` describe split node
-        ``i``; ``_node_left``/``_node_right`` hold child indices; leaves
-        carry ``_node_feature == -1`` and index their payload row in
-        ``_leaf_values`` via ``_node_leaf``.
-        """
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        leaf: list[int] = []
-        leaf_values: list[np.ndarray] = []
-        leaf_spread: list[float] = []
-        leaf_count: list[int] = []
-
-        def visit(node: _Node) -> int:
-            index = len(feature)
-            feature.append(node.feature)
-            threshold.append(node.threshold)
-            left.append(-1)
-            right.append(-1)
-            leaf.append(-1)
-            if node.is_leaf:
-                feature[index] = -1
-                leaf[index] = len(leaf_values)
-                assert node.value is not None
-                leaf_values.append(node.value)
-                leaf_spread.append(node.spread)
-                leaf_count.append(node.count)
-            else:
-                assert node.left is not None and node.right is not None
-                left[index] = visit(node.left)
-                right[index] = visit(node.right)
-            return index
-
-        assert self._root is not None
-        visit(self._root)
-        self._node_feature = feature
-        self._node_threshold = threshold
-        self._node_left = left
-        self._node_right = right
-        self._node_leaf = leaf
-        self._leaf_values = np.vstack(leaf_values)
-        self._leaf_spread = np.asarray(leaf_spread, dtype=np.float64)
-        self._leaf_count = np.asarray(leaf_count, dtype=np.int64)
-
-    def _leaf_rows(self, features: np.ndarray) -> np.ndarray:
-        """Each row's ``_leaf_values`` row index, walking each row down
-        the node lists in Python.
+    def _leaves(self, features: np.ndarray) -> list[_Node]:
+        """The leaf each row lands on, walking the fitted tree in Python.
 
         Each step compares ``value <= threshold`` on float64 values, as
-        the fit's partition does, so NaN goes right.
+        the fit's partition does, so ties go left and NaN goes right.
         """
-        feature, threshold = self._node_feature, self._node_threshold
-        left, right, leaf = self._node_left, self._node_right, self._node_leaf
         landed = []
         for row in features.tolist():
-            node = 0
-            while (split := feature[node]) >= 0:
-                node = left[node] if row[split] <= threshold[node] else right[node]
-            landed.append(leaf[node])
-        return np.array(landed, dtype=np.int64)
+            node = self._root
+            while node.value is None:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            landed.append(node)
+        return landed
 
     def _predict(self, features: np.ndarray) -> np.ndarray:
-        return self._leaf_values[self._leaf_rows(features)]
+        return np.array([leaf.value for leaf in self._leaves(features)])
 
     def _confidence(self, features: np.ndarray) -> np.ndarray:
         """Confidence from the landing leaf's purity and population.
@@ -399,11 +338,11 @@ class CartPredictor(LearnedPredictor):
         Uncertainty is the leaf's M1 std plus a ``1/population`` term so
         a unanimous-but-tiny leaf still reads as uncertain.
         """
-        rows = self._leaf_rows(features)
-        uncertainty = (
-            self._leaf_spread[rows]
-            + self.POPULATION_WEIGHT / np.maximum(self._leaf_count[rows], 1)
-        )
+        weight = self.POPULATION_WEIGHT
+        uncertainty = [
+            leaf.spread + weight / max(leaf.count, 1)
+            for leaf in self._leaves(features)
+        ]
         return squash_uncertainty(uncertainty, self.CONFIDENCE_SCALE)
 
     def depth(self) -> int:

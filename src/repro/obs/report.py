@@ -201,8 +201,6 @@ def _serve_section(registry: MetricsRegistry) -> str:
             f"; decision cache {size:g}/{capacity:g} entries, "
             f"{evictions or 0:g} evictions"
         )
-    elif lookups and misses == lookups and hits == 0:
-        line += " (decision cache possibly disabled via REPRO_DECISION_CACHE=0)"
     return line
 
 

@@ -130,13 +130,14 @@ class DecisionService:
         *,
         predictor_name: str,
         metric: str,
-        cache: DecisionCache | None = None,
     ) -> None:
         self.predictor = predictor
         self.fleet = fleet
         self.predictor_name = predictor_name
         self.metric = metric
-        self.cache = cache
+        #: The exact LRU decision cache.  Services that share one assign
+        #: the same cache here.
+        self.cache = DecisionCache()
         #: Measured predictor inference latency; ``None`` until trained.
         self.overhead_ms: float | None = None
         #: Predictor generation, bumped by :meth:`swap_predictor` when an
@@ -189,8 +190,7 @@ class DecisionService:
 
     def clear_cache(self) -> None:
         """Drop memoized decisions (a refit changes the mapping)."""
-        if self.cache is not None:
-            self.cache.clear()
+        self.cache.clear()
 
     # -- planning (spec + config only) -------------------------------------
 
@@ -263,10 +263,8 @@ class DecisionService:
 
         Returns one :class:`CachedDecision` per input row, in order.
         Equal feature rows share a single prediction (first occurrence
-        computes, the rest hit the freshly inserted cache entry or an
-        in-batch memo when the cache is disabled).  The async server's
-        plan mode and the shard workers call this directly with the
-        feature rows the workloads keep.
+        computes, the rest hit an in-batch memo).  The shard workers call
+        this directly with the feature rows the router ships them.
 
         The plan tier is feature-pure, so decoding anchors on the fleet
         primaries; cache keys carry the fleet fingerprint, so a cache
@@ -303,7 +301,7 @@ class DecisionService:
         for index, key in enumerate(keys):
             if key in decided:
                 continue
-            entry = cache.get(key) if cache is not None else None
+            entry = cache.get(key)
             if entry is not None:
                 decided[key] = entry
                 if row_traces and entry.origin_trace is not None:
@@ -360,8 +358,7 @@ class DecisionService:
                     confidence=confidence,
                 )
                 decided[keys[row]] = entry
-                if cache is not None:
-                    cache.put(keys[row], entry)
+                cache.put(keys[row], entry)
         if obs.enabled():
             obs.counter("serve.cache_hit", len(keys) - len(miss_rows))
             obs.counter("serve.cache_miss", len(miss_rows))
@@ -371,8 +368,6 @@ class DecisionService:
 
     def _export_cache_stats(self) -> None:
         """Gauge the decision cache so ``repro-obs-report`` can show it."""
-        if self.cache is None:
-            return
         stats = self.cache.stats
         obs.gauge("serve.decision_cache_size", len(self.cache))
         obs.gauge("serve.decision_cache_capacity", self.cache.capacity)
@@ -434,13 +429,12 @@ class DecisionService:
         equal metric, gets its decision assembled from those parts: nothing
         is decoded, costed, picked or validated again (the entry, specs,
         configs and profile are frozen, so the parts are exact).  The
-        other workloads are built and keep their parts, except without a
-        cache, whose entries are new on every decide, and for exploration
-        probes.
+        other workloads are built and keep their parts, except for
+        exploration probes.
         """
         devices = self.fleet.devices
         metric = self.metric
-        keep = self.cache is not None and not explored
+        keep = not explored
         decisions: list = [None] * len(workloads)
         build = []
         for index, (workload, entry) in enumerate(zip(workloads, entries)):

@@ -20,8 +20,9 @@ retraining buffer, Page–Hinkley drift alarms trigger shadow retrains,
 and a candidate that beats the incumbent's windowed regret is promoted
 live (generation-bumped cache keys make the swap atomic).
 ``--drift-inject FACTOR@FRACTION`` perturbs one device kind mid-trace to
-exercise exactly that loop; ``--exploration-rate`` additionally probes
-low-confidence rows with simulate-only costings in the audit stream.
+exercise exactly that loop.  With ``--exploration-rate`` (plan mode) each
+flush also probes low-confidence rows with simulate-only costings,
+recorded as explored audit records.
 
 Examples::
 
@@ -31,6 +32,7 @@ Examples::
         --output serve_latency.jsonl
     repro-serve --shards 4 --rate 100000 --duration 2
     repro-serve --mode run --adapt --drift-inject 4.0@0.3 --rate 2000
+    repro-serve --exploration-rate 0.05 --rate 2000
 """
 
 from __future__ import annotations
@@ -273,8 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--exploration-rate", type=float, default=None, metavar="EPS",
-        help="probe low-confidence rows with this epsilon (simulate-only "
-        "costings recorded in the audit stream; decisions unchanged)",
+        help="probe low-confidence rows with this epsilon (requires --mode "
+        "plan; simulate-only costings recorded in the audit stream; "
+        "decisions unchanged)",
     )
     parser.add_argument(
         "--confidence-threshold", type=float, default=0.6, metavar="C",
@@ -352,6 +355,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--adapt is incompatible with --shards")
     if args.drift_inject is not None and args.mode != "run":
         parser.error("--drift-inject requires --mode run")
+    if args.exploration_rate is not None and args.mode != "plan":
+        parser.error("--exploration-rate requires --mode plan")
     if args.exploration_rate is not None and args.shards:
         parser.error("--exploration-rate is incompatible with --shards")
     drift_spec: tuple[float, float, str] | None = None

@@ -37,8 +37,8 @@ Two request paths share the same flush machinery:
   result)`` for result delivery, ``False`` when admission is refused.
 
 Decisions are bit-identical to the synchronous ``plan_batch`` path by
-construction — the flush drains through the same decision cache and the
-same batched forward; only the batching schedule differs.
+construction — a plan-mode flush *is* ``plan_batch``, exploration probes
+included; only the batching schedule differs.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
-
-import numpy as np
 
 from repro import obs
 from repro.runtime.deploy import Workload
@@ -624,11 +622,9 @@ class DecisionServer(AdmissionWindow):
     def _serve(self, batch: list[_Request]) -> list:
         """Decide one assembled batch according to the configured mode."""
         mode = self.config.mode
-        if mode == "plan":
-            rows = np.array([request.workload.feature_row for request in batch])
-            entries = self.decisions.choose_encoded(rows)
-            return [(entry.spec, entry.config) for entry in entries]
         workloads = [request.workload for request in batch]
+        if mode == "plan":
+            return self.decisions.plan_batch(workloads)
         if mode == "decide":
             return self.decisions.decide_batch(workloads)
         return list(self.engine.run_fleet(workloads, policy="solo").outcomes)

@@ -23,7 +23,6 @@ results back out.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -33,11 +32,9 @@ from repro.machine.mvars import MachineConfig
 from repro.machine.specs import AcceleratorSpec
 
 __all__ = [
-    "CACHE_ENV_VAR",
     "CacheStats",
     "CachedDecision",
     "DecisionCache",
-    "capacity_from_env",
     "feature_keys_batch",
 ]
 
@@ -45,32 +42,6 @@ __all__ = [
 #: lattice is finite but large; 4096 entries comfortably covers the
 #: benchmark×dataset cross product many times over.
 DEFAULT_CAPACITY = 4096
-
-#: Environment override for the decision-cache capacity (0 disables).
-CACHE_ENV_VAR = "REPRO_DECISION_CACHE"
-
-
-def capacity_from_env(default: int = DEFAULT_CAPACITY) -> int:
-    """Decision-cache capacity from ``REPRO_DECISION_CACHE``.
-
-    Unset (or blank) falls back to ``default``; ``0`` means "disable the
-    cache" and is returned as-is for the caller to interpret.
-
-    Raises:
-        ValueError: for a non-integer or negative value.
-    """
-    raw = os.environ.get(CACHE_ENV_VAR)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        capacity = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{CACHE_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    if capacity < 0:
-        raise ValueError(f"{CACHE_ENV_VAR} must be >= 0, got {capacity}")
-    return capacity
 
 
 def feature_keys_batch(

@@ -114,12 +114,8 @@ class ShardSnapshot:
     flushes: int = 0
     unique_rows: int = 0
     mean_batch: float = 0.0
-    max_batch: int = 0
-    decide_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_evictions: int = 0
-    cache_entries: int = 0
     device_counts: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -178,7 +174,6 @@ class _ShardHandle:
         "process",
         "request_queue",
         "completed",
-        "ready_meta",
         "ready_event",
         "stopped_event",
         "final_stats",
@@ -189,7 +184,6 @@ class _ShardHandle:
         self.process = process
         self.request_queue = request_queue
         self.completed = 0  # requests answered (written by the collector)
-        self.ready_meta: dict | None = None
         self.ready_event = threading.Event()
         self.stopped_event = threading.Event()
         self.final_stats: dict | None = None
@@ -427,10 +421,8 @@ class ShardRouter(AdmissionWindow):
             if kind == "close":
                 return
             if kind == "ready":
-                _, name, meta = message
-                handle = self._handles[name]
-                handle.ready_meta = meta
-                handle.ready_event.set()
+                _, name = message
+                self._handles[name].ready_event.set()
             elif kind == "result":
                 _, _name, block_id, plans, inverse = message
                 handle, batch, flush_start = self._blocks.pop(block_id)

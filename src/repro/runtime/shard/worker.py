@@ -24,7 +24,6 @@ one labeled event stream per shard that ``repro-obs-report`` can merge.
 from __future__ import annotations
 
 import os
-import time
 import traceback
 from dataclasses import dataclass
 
@@ -49,30 +48,22 @@ class ShardSpec:
     train_samples: int = 48
     seed: int = 0
     metric: str = "time"
-    #: Decision-cache capacity; ``None`` reads ``REPRO_DECISION_CACHE``.
-    cache_capacity: int | None = None
 
 
 def _drain_stats(hetero, state: dict) -> dict:
     """The shard's final accounting, JSON-able for the rollup (one key
     per :class:`~repro.runtime.shard.router.ShardSnapshot` counter)."""
-    cache = hetero.decisions.cache
-    batch_sizes = state["batch_sizes"]
+    stats = hetero.decisions.cache.stats
+    completed, flushes = state["completed"], state["flushes"]
     return {
         "pid": os.getpid(),
-        "completed": state["completed"],
-        "flushes": state["flushes"],
+        "completed": completed,
+        "flushes": flushes,
         "unique_rows": state["unique_rows"],
-        "mean_batch": (
-            sum(batch_sizes) / len(batch_sizes) if batch_sizes else 0.0
-        ),
-        "max_batch": max(batch_sizes) if batch_sizes else 0,
-        "decide_s": state["decide_s"],
+        "mean_batch": completed / flushes if flushes else 0.0,
         "device_counts": dict(state["device_counts"]),
-        "cache_hits": cache.stats.hits if cache is not None else 0,
-        "cache_misses": cache.stats.misses if cache is not None else 0,
-        "cache_evictions": cache.stats.evictions if cache is not None else 0,
-        "cache_entries": len(cache) if cache is not None else 0,
+        "cache_hits": stats.hits,
+        "cache_misses": stats.misses,
     }
 
 
@@ -105,30 +96,11 @@ def shard_worker_main(
                 predictor=spec.predictor,
                 metric=spec.metric,
                 seed=spec.seed,
-                cache_capacity=spec.cache_capacity,
             )
             hetero.train(num_samples=spec.train_samples, seed=spec.seed)
         decisions = hetero.decisions
-        reply_queue.put(
-            (
-                "ready",
-                name,
-                {
-                    "pid": os.getpid(),
-                    "predictor": spec.predictor,
-                    "fleet_fingerprint": hetero.fleet.fingerprint,
-                    "devices": [d.name for d in hetero.fleet.devices],
-                },
-            )
-        )
-        state = {
-            "completed": 0,
-            "flushes": 0,
-            "unique_rows": 0,
-            "decide_s": 0.0,
-            "batch_sizes": [],
-            "device_counts": {},
-        }
+        reply_queue.put(("ready", name))
+        state = {"completed": 0, "flushes": 0, "unique_rows": 0, "device_counts": {}}
         traced = obs.enabled()
         while True:
             message = request_queue.get()
@@ -139,7 +111,6 @@ def shard_worker_main(
             if kind != "block":  # pragma: no cover - protocol guard
                 raise RuntimeError(f"unknown shard message {kind!r}")
             _, block_id, rows, inverse = message
-            started = time.perf_counter()
             with obs.span(
                 "shard.flush",
                 shard=name,
@@ -147,7 +118,6 @@ def shard_worker_main(
                 unique=int(len(rows)),
             ):
                 entries = decisions.choose_encoded(rows)
-            state["decide_s"] += time.perf_counter() - started
             # One (device name, config) plan per *unique* row; the
             # router fans them back out through ``inverse``.
             plans = [(entry.spec.name, entry.config) for entry in entries]
@@ -155,7 +125,6 @@ def shard_worker_main(
             state["completed"] += len(inverse)
             state["flushes"] += 1
             state["unique_rows"] += len(rows)
-            state["batch_sizes"].append(int(len(inverse)))
             counts = np.bincount(inverse, minlength=len(plans))
             device_counts = state["device_counts"]
             for (device, _config), count in zip(plans, counts):

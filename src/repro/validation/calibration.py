@@ -122,13 +122,9 @@ def check_tracking_differential(
     """Confidence computed (a zero-rate exploration policy attached) is
     decision-bit-identical to a bare service."""
     fleet = Fleet.from_names(DEFAULT_PAIR)
-    plain = DecisionService(
-        predictor, fleet, predictor_name=family, metric="time", cache=None
-    )
+    plain = DecisionService(predictor, fleet, predictor_name=family, metric="time")
     plain.overhead_ms = 0.0
-    tracked = DecisionService(
-        predictor, fleet, predictor_name=family, metric="time", cache=None
-    )
+    tracked = DecisionService(predictor, fleet, predictor_name=family, metric="time")
     tracked.overhead_ms = 0.0
     tracked.exploration = ExplorationPolicy(ExplorationConfig(rate=0.0))
     baseline = plain.choose_encoded(features)

@@ -1,5 +1,4 @@
-"""CART fuzz component: the screened split search vs a per-candidate loop,
-and the per-row walk vs a descent of the fitted node tree.
+"""CART fuzz component: the screened split search vs a per-candidate loop.
 
 :class:`~repro.core.predictors.tree_learner.CartPredictor` picks each
 node's split by exactly re-scoring the short list
@@ -8,15 +7,11 @@ per-candidate loop it replaced, which scores every (feature, threshold)
 candidate exactly, stays here as the reference:
 
 * **bit-identity** — a screened fit and a reference fit of the same
-  matrices have equal ``_node_*`` lists and ``_leaf_*`` arrays
-  (``np.array_equal``, no tolerance);
+  matrices build the same node tree: node by node, each split has the
+  same feature and threshold, and each leaf the same ``value``
+  (``np.array_equal``, no tolerance), ``spread`` and ``count``;
 * **soundness** — at every node of the reference tree, the reference's
-  split is inside the screen's shortlist;
-* **descent agreement** — the walk down the flattened node lists lands
-  each of the case's rows on the leaf that descending the fitted
-  ``_Node`` tree reaches, and so do edge rows built from the first one:
-  each split's feature set to exactly its threshold, to NaN and to
-  ``-0.0``.
+  split is inside the screen's shortlist.
 
 Matrices mix 0.1-step columns (as the encoder emits), continuous ones and
 half-thousandth ones, plus duplicated and mirrored (``x`` and ``1 - x``)
@@ -45,10 +40,8 @@ from repro.errors import OracleMismatchError
 
 __all__ = [
     "MAX_ROWS",
-    "TREE_ARRAYS",
     "ReferenceCart",
     "check_cart_fit",
-    "check_descents",
     "random_cart_matrices",
     "reference_split",
     "run_cart_case",
@@ -56,19 +49,6 @@ __all__ = [
 
 #: Largest matrix a fuzz case fits.
 MAX_ROWS = 300
-
-#: The fitted node lists and leaf arrays a screened and a reference tree
-#: must share.
-TREE_ARRAYS = (
-    "_node_feature",
-    "_node_threshold",
-    "_node_left",
-    "_node_right",
-    "_node_leaf",
-    "_leaf_values",
-    "_leaf_spread",
-    "_leaf_count",
-)
 
 
 def reference_split(
@@ -140,8 +120,8 @@ def check_cart_fit(
         The screened and the reference predictor.
 
     Raises:
-        OracleMismatchError: when a fitted array differs, or when a
-            reference split was missing from its node's shortlist.
+        OracleMismatchError: when a node of the two trees differs, or
+            when a reference split was missing from its node's shortlist.
     """
     screened = CartPredictor(max_depth=max_depth, min_samples=min_samples)
     screened.fit(features, targets)
@@ -152,53 +132,45 @@ def check_cart_fit(
             f"screen dropped the reference split {reference.missed[0]!r} "
             f"({len(reference.missed)} of {reference.searches} searches)"
         )
-    for name in TREE_ARRAYS:
-        got, want = getattr(screened, name), getattr(reference, name)
-        if not np.array_equal(got, want):
-            raise OracleMismatchError(
-                f"screened/reference CART divergence in {name}: "
-                f"{got!r} vs {want!r}"
-            )
+    difference = _first_difference(screened._root, reference._root)
+    if difference is not None:
+        path, got, want = difference
+        raise OracleMismatchError(
+            f"screened/reference CART divergence at {path}: "
+            f"{_describe(got)} vs {_describe(want)}"
+        )
     return screened, reference
 
 
-def check_descents(predictor: CartPredictor, features: np.ndarray) -> None:
-    """The walk must land every row on the leaf the fitted tree gives it.
+def _first_difference(got, want, path: str = "root"):
+    """The first node, in preorder, where two fitted trees differ, as
+    ``(path, got, want)`` with a path such as ``root.left.right``, or
+    ``None``.  Splits compare feature and threshold; leaves compare
+    ``value`` (``np.array_equal``), ``spread`` and ``count``."""
+    if got.is_leaf or want.is_leaf:
+        same = (
+            got.is_leaf
+            and want.is_leaf
+            and np.array_equal(got.value, want.value)
+            and got.spread == want.spread
+            and got.count == want.count
+        )
+        return None if same else (path, got, want)
+    if (got.feature, got.threshold) != (want.feature, want.threshold):
+        return path, got, want
+    return _first_difference(
+        got.left, want.left, f"{path}.left"
+    ) or _first_difference(got.right, want.right, f"{path}.right")
 
-    The reference descends the ``_Node`` objects the fit built, not the
-    flattened lists the walk reads, and compares the leaf's payload
-    (mean vector, M1 spread and population), all that prediction and
-    confidence read.  Beside ``features``, each
-    split node adds three copies of the first row with the node's
-    feature set to its threshold (a tie, which goes left), to NaN (which
-    goes right) and to ``-0.0``.
 
-    Raises:
-        OracleMismatchError: on the first row the two descents part on.
-    """
-    probes = [features]
-    for feature, threshold in zip(predictor._node_feature, predictor._node_threshold):
-        if feature >= 0:
-            edges = np.repeat(features[:1], 3, axis=0)
-            edges[:, feature] = (threshold, np.nan, -0.0)
-            probes.append(edges)
-    rows = np.vstack(probes)
-    walked = predictor._leaf_rows(rows).tolist()
-    for index, (row, leaf) in enumerate(zip(rows.tolist(), walked)):
-        node = predictor._root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        if not (
-            np.array_equal(predictor._leaf_values[leaf], node.value)
-            and predictor._leaf_spread[leaf] == node.spread
-            and predictor._leaf_count[leaf] == node.count
-        ):
-            raise OracleMismatchError(
-                f"CART walk/node-tree divergence on row {index} of {len(rows)} "
-                f"({row!r}): leaf {leaf} holds "
-                f"{predictor._leaf_values[leaf].tolist()!r}, the node tree's "
-                f"{node.value.tolist()!r}"
-            )
+def _describe(node) -> str:
+    """One node as a divergence report shows it."""
+    if node.is_leaf:
+        return (
+            f"leaf value={node.value.tolist()!r} spread={node.spread!r} "
+            f"count={node.count}"
+        )
+    return f"split x[{node.feature}] <= {node.threshold!r}"
 
 
 def _column(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, str]:
@@ -264,16 +236,14 @@ def random_cart_matrices(
 
 
 def run_cart_case(seed: int) -> str:
-    """One CART fuzz case: screened vs reference fit on seeded matrices,
-    then the screened tree's walk against its node tree on the same rows.
-    It draws nothing more than the fit, so a recorded
-    ``REPRO_FUZZ_SEED`` line replays the same case.
+    """One CART fuzz case: screened vs reference fit on seeded matrices.
+    It draws nothing more than the fit, so a recorded ``REPRO_FUZZ_SEED``
+    line replays the same case.
 
     Raises:
         OracleMismatchError: on any violation.
     """
     rng = np.random.default_rng(seed)
     features, targets, settings, description = random_cart_matrices(rng)
-    screened, reference = check_cart_fit(features, targets, **settings)
-    check_descents(screened, features)
+    _, reference = check_cart_fit(features, targets, **settings)
     return f"{description}: {reference.searches} split searches"

@@ -3,9 +3,9 @@
 Every fit goes through :func:`repro.validation.cart.check_cart_fit`: a
 screened :class:`CartPredictor` and a
 :class:`~repro.validation.cart.ReferenceCart` (the loop over every
-candidate) must agree by ``np.array_equal`` on each ``_node_*`` and
-``_leaf_*`` array, and at every node of the reference tree its split must
-be in the screen's shortlist; either failure raises.
+candidate) must build the same node tree, node by node, and at every
+node of the reference tree its split must be in the screen's shortlist;
+either failure raises.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from repro.core.predictors.tree_learner import (
     best_split,
     screen_splits,
 )
-from repro.validation.cart import TREE_ARRAYS, check_cart_fit, reference_split
+from repro.errors import OracleMismatchError
+from repro.validation.cart import check_cart_fit, reference_split
 
 
 def grid(rng, rows, columns):
@@ -48,6 +49,13 @@ def distinct_rows(features, targets):
     return len({tuple(row) for row in np.hstack([features, targets]).tolist()})
 
 
+def split_features(node) -> set[int]:
+    """The features the fitted node tree below ``node`` splits on."""
+    if node.is_leaf:
+        return set()
+    return {node.feature} | split_features(node.left) | split_features(node.right)
+
+
 def screened_nodes(monkeypatch, features, targets):
     """Fit a default CART and record each screened node: its full rows,
     the distinct feature rows and weighted matrix the fit screened, and
@@ -72,17 +80,24 @@ def screened_nodes(monkeypatch, features, targets):
     return [node for node in nodes if "shortlist" in node]
 
 
-class TestFittedArrays:
-    def test_compared_arrays_cover_every_fitted_array(self):
+class TestDivergenceReport:
+    def test_names_the_first_node_that_differs(self, monkeypatch):
+        """A screened search that makes its third node, ``root.left.left``
+        in preorder, a leaf: the comparison names that node and both
+        sides of it."""
+        calls, split = [], CartPredictor._split
+
+        def leaf_at_third(self, *args):
+            calls.append(None)
+            return None if len(calls) == 3 else split(self, *args)
+
+        monkeypatch.setattr(CartPredictor, "_split", leaf_at_third)
         rng = np.random.default_rng(0)
-        predictor = CartPredictor()
-        predictor.fit(grid(rng, 40, 3), rng.random((40, 2)))
-        fitted = {
-            name
-            for name in vars(predictor)
-            if name.startswith(("_node_", "_leaf_"))
-        }
-        assert fitted == set(TREE_ARRAYS)
+        with pytest.raises(
+            OracleMismatchError,
+            match=r"divergence at root\.left\.left: leaf value=.* vs split x\[",
+        ):
+            check_cart_fit(grid(rng, 200, 17), rng.random((200, 11)))
 
 
 class TestBitIdentity:
@@ -123,8 +138,8 @@ class TestBitIdentity:
         base = grid(rng, 150, 4)
         features = np.column_stack([base, base[:, 1]])
         screened, _ = check_cart_fit(features, rng.random((150, 6)))
-        assert 1 in screened._node_feature
-        assert 4 not in screened._node_feature
+        assert 1 in split_features(screened._root)
+        assert 4 not in split_features(screened._root)
 
     def test_mirrored_columns_earlier_feature_wins(self):
         """``x`` and ``1 - x`` split the same rows, summed in opposite
@@ -135,8 +150,8 @@ class TestBitIdentity:
         targets = rng.random((160, 4))
         assert {feature for feature, _ in screen_splits(features, targets, 8)} == {0, 1}
         screened, _ = check_cart_fit(features, targets)
-        assert 0 in screened._node_feature
-        assert 1 not in screened._node_feature
+        assert 0 in split_features(screened._root)
+        assert 1 not in split_features(screened._root)
 
     def test_replicated_rows(self):
         rng = np.random.default_rng(6)
@@ -162,7 +177,7 @@ class TestBitIdentity:
         targets = rng.random((120, 4))
         assert all(feature != 1 for feature, _ in screen_splits(features, targets, 1))
         screened, _ = check_cart_fit(features, targets)
-        assert 1 not in screened._node_feature
+        assert 1 not in split_features(screened._root)
 
     def test_fewer_rows_than_two_leaves(self):
         rng = np.random.default_rng(9)
@@ -307,7 +322,7 @@ class TestDistinctRows:
         assert screen_splits(features, targets, 1) == []
         screened, _ = check_cart_fit(features, targets)
         assert screened.depth() == 0
-        assert screened._leaf_count.tolist() == [40]
+        assert screened._root.count == 40
 
     def test_no_repeated_row(self, monkeypatch):
         rng = np.random.default_rng(16)

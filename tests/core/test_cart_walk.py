@@ -1,10 +1,11 @@
-"""CART's per-row walk against a descent of its fitted node tree.
+"""CART's per-row walk down the node tree its fit builds.
 
-CART walks each row down its flattened node lists in Python.  Every row
-must land on the leaf that descending the fit's ``_Node`` objects
-reaches, and every entry point must give a row the same arrays alone as
-inside a batch, for rows holding NaN, ±inf, ``-0.0`` and values equal to
-a node's threshold or the floats either side of it.
+Each row walks the fitted ``_Node`` objects in Python with the fit's own
+comparison, ``row[feature] <= threshold``: a row at a split's threshold
+goes left, NaN goes right and ``-0.0`` goes where ``0.0`` does.  Every
+entry point must give a row the same arrays alone as inside a batch, for
+rows holding NaN, ±inf, ``-0.0`` and values equal to a node's threshold
+or the floats either side of it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.encoding import NUM_FEATURES
 from repro.core.predictors.tree_learner import CartPredictor
-from repro.validation.cart import check_descents, random_cart_matrices
+from repro.validation.cart import random_cart_matrices
 
 #: One request, a fleet batch and a server flush.
 SIZES = (1, 27, 256)
@@ -22,6 +23,13 @@ SIZES = (1, 27, 256)
 TREES = ("retrain", "single-leaf") + tuple(f"fuzz-{seed}" for seed in range(6))
 
 EDGE_VALUES = (np.nan, np.inf, -np.inf, -0.0)
+
+
+def splits(node) -> list[tuple[int, float]]:
+    """Every split node's ``(feature, threshold)``, in preorder."""
+    if node.is_leaf:
+        return []
+    return [(node.feature, node.threshold), *splits(node.left), *splits(node.right)]
 
 
 def probe_rows(predictor: CartPredictor, features: np.ndarray) -> np.ndarray:
@@ -35,9 +43,7 @@ def probe_rows(predictor: CartPredictor, features: np.ndarray) -> np.ndarray:
     """
     first = features[0]
     edges = [np.full_like(first, value) for value in EDGE_VALUES]
-    for feature, threshold in zip(predictor._node_feature, predictor._node_threshold):
-        if feature < 0:
-            continue
+    for feature, threshold in splits(predictor._root):
         below, above = np.nextafter(threshold, -np.inf), np.nextafter(threshold, np.inf)
         for value in (threshold, below, above, *EDGE_VALUES):
             row = first.copy()
@@ -74,10 +80,28 @@ def tree(request):
 
 
 class TestWalk:
-    def test_walk_lands_where_the_node_tree_does(self, tree):
-        predictor, rows = tree
-        assert np.isnan(rows).any() and np.isinf(rows).any()
-        check_descents(predictor, rows)
+    def test_ties_go_left_and_nan_goes_right(self):
+        """On a depth-1 tree, a row at the threshold predicts the left
+        leaf's mean, a NaN row the right leaf's, and ``-0.0`` what ``0.0``
+        predicts; the means come from the fit's own partition."""
+        rng = np.random.default_rng(2)
+        features = rng.integers(0, 11, size=(60, NUM_FEATURES)) / 10.0
+        features[::2, 3] = 0.0
+        targets = np.column_stack(
+            [features[:, 3] > 0.0, rng.random(60)]
+        ).astype(np.float64)
+        predictor = CartPredictor(max_depth=1)
+        predictor.fit(features, targets)
+        root = predictor._root
+        assert predictor.depth() == 1 and (root.feature, root.threshold) == (3, 0.05)
+        left = features[:, root.feature] <= root.threshold
+        rows = np.repeat(features[:1], 4, axis=0)
+        rows[:, root.feature] = (root.threshold, np.nan, -0.0, 0.0)
+        got = predictor.predict_batch(rows)
+        assert np.array_equal(got[0], targets[left].mean(axis=0))
+        assert np.array_equal(got[1], targets[~left].mean(axis=0))
+        assert not np.array_equal(got[0], got[1])
+        assert np.array_equal(got[2], got[3])
 
     @pytest.mark.parametrize("size", SIZES)
     def test_entry_points_give_each_row_its_own_arrays(self, tree, size):

@@ -1,4 +1,4 @@
-"""Decision layer: both-device estimates, cache plumbing, env capacity."""
+"""Decision layer: both-device estimates and cache plumbing."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.accel.simulator import simulate
 from repro.core.heteromap import HeteroMap
 from repro.errors import NotTrainedError
 from repro.obs.config import ObsConfig
-from repro.runtime.serving import CACHE_ENV_VAR, capacity_from_env
 
 
 class TestDecideBatch:
@@ -59,37 +58,3 @@ class TestDecideBatch:
             assert "serve_decision_cache_evictions" in snapshot
         finally:
             obs.configure(ObsConfig(enabled=False))
-
-
-class TestCacheCapacityEnv:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        assert capacity_from_env() == 4096
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, "16")
-        hetero = HeteroMap.with_default_pair(predictor="decision_tree")
-        assert hetero.decision_cache is not None
-        assert hetero.decision_cache.capacity == 16
-
-    def test_zero_disables_cache(self, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, "0")
-        hetero = HeteroMap.with_default_pair(predictor="decision_tree")
-        assert hetero.decision_cache is None
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, "16")
-        hetero = HeteroMap.with_default_pair(
-            predictor="decision_tree", cache_capacity=8
-        )
-        assert hetero.decision_cache.capacity == 8
-
-    def test_blank_value_ignored(self, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, "  ")
-        assert capacity_from_env() == 4096
-
-    @pytest.mark.parametrize("raw", ["abc", "-1", "4.5"])
-    def test_malformed_values_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv(CACHE_ENV_VAR, raw)
-        with pytest.raises(ValueError):
-            capacity_from_env()

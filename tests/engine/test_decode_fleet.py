@@ -96,15 +96,19 @@ def count_decodes(monkeypatch) -> list[int]:
     return rows
 
 
-def service_like(service: DecisionService, fleet: Fleet, cache) -> DecisionService:
-    """A trained service with ``service``'s predictor on ``fleet``."""
+def service_like(
+    service: DecisionService, fleet: Fleet, cache: DecisionCache | None = None
+) -> DecisionService:
+    """A trained service with ``service``'s predictor on ``fleet``, sharing
+    ``cache`` when one is given, else with a cache of its own."""
     twin = DecisionService(
         service.predictor,
         fleet,
         predictor_name=service.predictor_name,
         metric=service.metric,
-        cache=cache,
     )
+    if cache is not None:
+        twin.cache = cache
     twin.overhead_ms = service.overhead_ms
     return twin
 
@@ -118,7 +122,6 @@ def cached_map(request):
     """A map whose predictor goes through the decision cache."""
     hetero = HeteroMap(request.param, predictor="linear", seed=5)
     hetero.train(num_samples=24, seed=5)
-    assert hetero.decisions.cache is not None
     return hetero
 
 
@@ -190,9 +193,7 @@ class TestKeptConfigs:
 
     @pytest.mark.parametrize("reset", ["clear_cache", "swap_predictor"])
     def test_reset_decodes_again(self, cached_map, batch, monkeypatch, reset):
-        service = service_like(
-            cached_map.decisions, cached_map.fleet, DecisionCache()
-        )
+        service = service_like(cached_map.decisions, cached_map.fleet)
         first = service.decide_batch(batch)
         if reset == "clear_cache":
             service.clear_cache()
@@ -234,7 +235,6 @@ def deep_map():
     """deep128 on synthetic_fleet(4), through the decision cache."""
     hetero = HeteroMap(synthetic_fleet(4), predictor="deep128", seed=5)
     hetero.train(num_samples=24, seed=5)
-    assert hetero.decisions.cache is not None
     return hetero
 
 
@@ -261,7 +261,7 @@ class TestKeptEstimates:
 
     @pytest.mark.parametrize("reset", ["clear_cache", "swap_predictor"])
     def test_reset_costs_every_row(self, deep_map, batch, monkeypatch, reset):
-        service = service_like(deep_map.decisions, deep_map.fleet, DecisionCache())
+        service = service_like(deep_map.decisions, deep_map.fleet)
         first = service.decide_batch(batch)
         if reset == "clear_cache":
             service.clear_cache()
@@ -272,16 +272,6 @@ class TestKeptEstimates:
         assert sum(counts.values()) == len(deep_map.fleet) * len(batch)
         assert_same_decisions(again, first)
         assert_estimates_equal_simulate(again)
-
-    def test_cart_costs_every_row(self, trained, batch, monkeypatch):
-        """Without a cache every decide makes new entries and configs, so
-        every row is costed."""
-        decisions = service_like(trained.decisions, trained.fleet, None)
-        first = decisions.decide_batch(batch)
-        counts = count_costing(monkeypatch)
-        again = decisions.decide_batch(batch)
-        assert sum(counts.values()) == len(trained.fleet) * len(batch)
-        assert_same_decisions(again, first)
 
     def test_drift_leaves_kept_estimates_unscaled(self, deep_map, batch):
         """A drift-injected backend scales what it executes, never the
@@ -429,7 +419,7 @@ class TestKeptDecisions:
         service with another metric or another device tuple sharing the
         cache, an exploration probe and a ``replace`` copy of the workload
         each build every decision again, as they would be built new."""
-        service = service_like(deep_map.decisions, deep_map.fleet, DecisionCache())
+        service = service_like(deep_map.decisions, deep_map.fleet)
         service.decide_batch(batch)  # keeps every workload's parts
         kept = [workload.kept_decision for workload in batch]
         assert all(parts is not None for parts in kept)
@@ -472,25 +462,11 @@ class TestKeptDecisions:
         assert counts["encoded"] == (len(batch) if change == "replace" else 0)
         assert_built_for(service, again)
 
-    def test_cart_keeps_nothing(self, trained, batch, monkeypatch):
-        """Without a cache every decide makes new entries that no kept part
-        could match: nothing is kept, and a repeat decide builds every
-        decision again."""
-        decisions = service_like(trained.decisions, trained.fleet, None)
-        fresh = [replace(workload) for workload in batch]
-        decisions.decide_batch(fresh)
-        assert all(workload.kept_decision is None for workload in fresh)
-        counts = count_building(monkeypatch)
-        decisions.decide_batch(fresh)
-        assert counts["decisions"] == len(batch)
-        assert counts["encoded"] == 0  # the rows are kept all the same
-        assert all(workload.kept_decision is None for workload in fresh)
-
     def test_cart_repeat_decide_builds_nothing(self, trained, batch, monkeypatch):
         """CART decides through the cache like every predictor, so its
         repeat decide is assembled from the kept parts; after a promotion
         (``swap_predictor``) every decision is built afresh."""
-        service = service_like(trained.decisions, trained.fleet, DecisionCache())
+        service = service_like(trained.decisions, trained.fleet)
         workloads = [replace(workload) for workload in batch]
         first = service.decide_batch(workloads)
         counts = count_building(monkeypatch)

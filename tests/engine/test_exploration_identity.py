@@ -33,9 +33,7 @@ ITEMS = (
 
 
 def _service(predictor, family: str, fleet) -> DecisionService:
-    service = DecisionService(
-        predictor, fleet, predictor_name=family, metric="time", cache=None
-    )
+    service = DecisionService(predictor, fleet, predictor_name=family, metric="time")
     service.overhead_ms = 0.0
     return service
 
@@ -112,6 +110,37 @@ class TestExplorationNeverChangesPlans:
         decisions.clear_cache()
         entries = decisions.choose_encoded(decisions.encode(workloads))
         assert all(0.0 <= entry.confidence <= 1.0 for entry in entries)
+
+
+class TestAttachingClearsTheCache:
+    """An entry cached while neither a policy nor an adapter was attached
+    carries no confidence.  Attaching either clears the cache, so rows
+    planned before it are still probed and carry confidence after it."""
+
+    @pytest.fixture
+    def planned(self):
+        hetero = HeteroMap.with_default_pair(predictor="deep16", seed=3)
+        hetero.train(num_samples=24, seed=3)
+        workloads = [prepare_workload(*item) for item in ITEMS]
+        hetero.plan_batch(workloads)
+        return hetero, workloads
+
+    def test_enable_exploration_probes_rows_planned_before(self, planned):
+        hetero, workloads = planned
+        policy = hetero.enable_exploration(
+            ExplorationConfig(rate=1.0, confidence_threshold=1.0)
+        )
+        hetero.plan_batch(workloads)
+        assert policy.probes == len(workloads)
+
+    def test_enable_adaptation_gives_rows_planned_before_confidence(
+        self, planned
+    ):
+        hetero, workloads = planned
+        hetero.enable_adaptation()
+        decisions = hetero.decisions
+        entries = decisions.choose_encoded(decisions.encode(workloads))
+        assert all(entry.confidence is not None for entry in entries)
 
 
 class TestProbeAuditRecord:

@@ -11,9 +11,11 @@ import pytest
 from repro import obs
 from repro.core.encoding import encode_features
 from repro.core.heteromap import HeteroMap
+from repro.core.online import ExplorationConfig
 from repro.errors import NotTrainedError
 from repro.machine.specs import DEFAULT_PAIR
 from repro.runtime import deploy
+from repro.runtime import serve_cli
 from repro.runtime.deploy import prepare_workload
 from repro.runtime.server import (
     DecisionServer,
@@ -402,6 +404,39 @@ class TestModes:
             assert adapter.observations == len(batch)
         finally:
             obs.reset()
+
+
+    def test_plan_mode_explores(self, pool):
+        """A plan-mode flush is ``plan_batch``: an attached policy probes
+        its low-confidence rows and records them as explored."""
+        model = HeteroMap.with_default_pair(predictor="deep16", seed=3)
+        model.train(num_samples=24, seed=3)
+        policy = model.enable_exploration(
+            ExplorationConfig(rate=1.0, confidence_threshold=1.0)
+        )
+        server = make_server(model, max_batch=len(pool))
+        state = obs.configure(obs.ObsConfig(enabled=True))
+        try:
+            for workload in pool:
+                server.try_submit(workload)
+            records = list(state.decisions)
+        finally:
+            obs.reset()
+        assert server.stats.completed == len(pool)
+        assert policy.probes == len(pool)
+        assert len(records) == len(pool)
+        assert all(record.explored for record in records)
+
+    @pytest.mark.parametrize("mode", ["decide", "run"])
+    def test_cli_explores_in_plan_mode_only(self, mode, capsys):
+        obs.configure(obs.ObsConfig(enabled=False))
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                serve_cli.main(["--mode", mode, "--exploration-rate", "0.1"])
+        finally:
+            obs.reset()
+        assert excinfo.value.code == 2
+        assert "--exploration-rate requires --mode plan" in capsys.readouterr().err
 
 
 class TestStats:

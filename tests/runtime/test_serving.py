@@ -331,17 +331,6 @@ class TestPlanBatch:
         hetero.train(num_samples=30, seed=7)
         assert len(hetero.decision_cache) == 0
 
-    def test_cache_disabled(self):
-        hetero = HeteroMap.with_default_pair(
-            predictor="decision_tree", cache_capacity=0
-        )
-        hetero.train(num_samples=1, seed=0)
-        assert hetero.decision_cache is None
-        plans = hetero.plan_batch(ITEMS)
-        assert len(plans) == len(ITEMS)
-        # Duplicates still agree via the in-batch memo.
-        assert plans[0][1] == plans[2][1]
-
 
 class TestCacheBypass:
     """CART once bypassed the cache; it now decides through it like every
