@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test serve fuzz fuzz-deep obs-report
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x
 
 # Seeded property-based validation (kernel invariants + batch/scalar
 # differential oracle).  Failures print a REPRO_FUZZ_SEED replay line.
@@ -13,7 +13,7 @@ fuzz:
 
 fuzz-deep:
 	$(PYTHON) -m repro.validation.fuzz --tier deep
-	$(PYTHON) -m pytest -m fuzz -q
+	$(PYTHON) -m pytest -m fuzz
 
 # Drive the async serving front end directly (see repro-serve --help for
 # trace shape, batching knobs, gates, and the JSONL artifact).

@@ -56,7 +56,7 @@ _SCHEDULE_TO_VALUE = {
 # so they track the dataclass definition.
 _CONFIG_DEFAULTS = dict(MachineConfig(accelerator="").__dict__)
 
-#: The config fields the knob lists of each kind fill, in list order.
+#: The config fields :func:`_knobs` fills on each kind, in its order.
 _MULTICORE_FIELDS = (
     "cores",
     "threads_per_core",
@@ -70,6 +70,12 @@ _MULTICORE_FIELDS = (
     "affinity",
 )
 _GPU_FIELDS = ("gpu_global_threads", "gpu_local_threads")
+#: M11 by the number of its cuts, 0.25 and 0.75, that the schedule target
+#: reaches.  An object array, so an array of counts indexes it as one
+#: count does.
+_SCHEDULES = np.array(
+    [OmpSchedule.STATIC, OmpSchedule.DYNAMIC, OmpSchedule.GUIDED], dtype=object
+)
 
 
 def encode_features(bvars: BVariables, ivars: IVariables) -> np.ndarray:
@@ -145,15 +151,14 @@ def decode_config_for(
 
     The fleet generalization of :func:`decode_config_batch`: the M1
     accelerator bit is *ignored* and every row's knobs are decoded onto
-    ``spec`` using its own architectural parameters.  The knob arithmetic
-    (rounding, log ramps, ceiling clamps) runs vectorized over the whole
-    matrix and is elementwise, and a one-row matrix computes the same
-    values on Python floats, so a row decodes the same alone or inside
-    any matrix.  For a device of the opposite kind to the M1 bit this is
-    bit-identical to re-decoding the vector with the bit flipped (the
-    pre-fleet runner-up path) — pinned by the fleet property tests,
-    because the N=2 fleet must reproduce the historical pair decisions
-    exactly.
+    ``spec`` using its own architectural parameters.  The knob formulas
+    (:func:`_knobs`: rounding, log ramps, ceiling clamps) are elementwise
+    and run on the matrix's columns, or on Python floats for a one-row
+    matrix, so a row decodes the same alone or inside any matrix.  For a
+    device of the opposite kind to the M1 bit this is bit-identical to
+    re-decoding the vector with the bit flipped (the pre-fleet runner-up
+    path) — pinned by the fleet property tests, because the N=2 fleet
+    must reproduce the historical pair decisions exactly.
     """
     return _decode_onto(_validated_matrix(vectors), spec)
 
@@ -163,25 +168,29 @@ def _decode_onto(
 ) -> list[MachineConfig]:
     """:func:`decode_config_for` on an already validated matrix.
 
-    Each config is built without ``__init__``: every knob is already
-    clamped into its valid range by the knob arithmetic (NaN, which
+    A one-row matrix, one request's, runs :func:`_knobs` on its Python
+    floats and builds its config directly; a larger one runs it on its
+    columns.  Each config is built without ``__init__``: every knob is
+    already clamped into its valid range by :func:`_knobs` (NaN, which
     clamping passes through, is rejected up front), so the checks could
     never fire.  The result is field-identical (``==`` and ``hash``) to a
     normally constructed instance.
     """
     if len(vectors) == 1:
-        return [_decode_row(vectors.tolist()[0], spec)]
-    if spec.is_gpu:
-        names, knob_lists = _GPU_FIELDS, _gpu_knob_lists(vectors, spec)
-    else:
-        names, knob_lists = _MULTICORE_FIELDS, _multicore_knob_lists(vectors, spec)
+        names, knobs = _knobs(vectors.tolist()[0], spec, _ONE_ROW)
+        config = object.__new__(MachineConfig)
+        state = vars(config)
+        state.update(_CONFIG_DEFAULTS, accelerator=spec.name)
+        state.update(zip(names, knobs))
+        return [config]
+    names, columns = _knobs(vectors.T, spec, _COLUMNS)
     base = {**_CONFIG_DEFAULTS, "accelerator": spec.name}
     # Knobs are snapped to a discrete lattice, so many rows decode to the
     # same configuration; MachineConfig is frozen, so duplicate rows can
     # share one instance, keyed by the row's knob tuple.
     memo: dict[tuple, MachineConfig] = {}
     configs: list[MachineConfig] = []
-    for knobs in zip(*knob_lists):
+    for knobs in zip(*[column.tolist() for column in columns]):
         config = memo.get(knobs)
         if config is None:
             config = memo[knobs] = object.__new__(MachineConfig)
@@ -190,55 +199,6 @@ def _decode_onto(
             state.update(zip(names, knobs))
         configs.append(config)
     return configs
-
-
-def _decode_row(row: list[float], spec: AcceleratorSpec) -> MachineConfig:
-    """One validated row's config on ``spec``, with no knob arrays.
-
-    The knob lists' formulas on Python floats, for one request's row.
-    Products, sums, clamps, comparisons and half-to-even ``round`` are
-    exact IEEE operations in Python as in NumPy, so each knob is the same
-    value; the power terms stay NumPy calls (:func:`_power`).
-    """
-    if spec.is_gpu:
-        knobs = (
-            min(max(1, round(row[8] * spec.max_threads)), spec.max_threads),
-            min(max(1, round(32.0 * _power(1024.0 / 32.0, row[9]))), 1024),
-        )
-        names = _GPU_FIELDS
-    else:
-        tpc_span = max(spec.threads_per_core - 1, 1)
-        simd_span = math.log2(max(spec.simd_width, 2))
-        simd = round(_power(2.0, row[3] * simd_span))
-        schedule = row[7]
-        knobs = (
-            min(max(1, round(row[1] * spec.cores)), spec.cores),
-            min(max(1, round(1 + row[2] * tpc_span)), max(1, spec.threads_per_core)),
-            min(max(1, simd), max(1, spec.simd_width)),
-            min(1000.0, max(1.0, _power(10.0, row[4] * 3.0))),
-            max(1, round(16.0 * _power(1024.0 / 16.0, row[10]))),
-            OmpSchedule.STATIC
-            if schedule < 0.25
-            else (OmpSchedule.DYNAMIC if schedule < 0.75 else OmpSchedule.GUIDED),
-            row[5],
-            row[5],
-            row[5],
-            row[6],
-        )
-        names = _MULTICORE_FIELDS
-    config = object.__new__(MachineConfig)
-    state = vars(config)
-    state.update(_CONFIG_DEFAULTS, accelerator=spec.name)
-    state.update(zip(names, knobs))
-    return config
-
-
-def _power(base: float, exponent: float) -> float:
-    """``base ** exponent`` as the knob lists compute it: NumPy's array
-    ``power`` with a scalar base, here over one element.  Python's ``**``
-    calls libm, which rounds about 1 in 18 results differently where
-    NumPy's ``power`` runs its AVX-512 loop."""
-    return np.power(base, [exponent]).item()
 
 
 def _validated_matrix(vectors: np.ndarray) -> np.ndarray:
@@ -258,69 +218,66 @@ def _validated_matrix(vectors: np.ndarray) -> np.ndarray:
     return np.clip(vectors, 0.0, 1.0)
 
 
-def _multicore_knob_lists(
-    vectors: np.ndarray, multicore: AcceleratorSpec
-) -> tuple[list, ...]:
-    """Multicore knobs (M2-M12) for every row, as plain-scalar lists in
-    :data:`_MULTICORE_FIELDS` order (the placement list fills M5-M7).
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent`` as the column form computes it: NumPy's array
+    ``power`` with a scalar base, here over one element.  Python's ``**``
+    calls libm, which rounds about 1 in 18 results differently where
+    NumPy's ``power`` runs its AVX-512 loop."""
+    return np.power(base, [exponent]).item()
 
-    Mirrors the scalar formulas exactly; ``tolist()`` up front keeps the
-    per-row fan-out loops on plain Python scalars.
+
+def _rint(values: np.ndarray) -> np.ndarray:
+    """``np.round`` (half to even, like Python's ``round``) as int64."""
+    return np.round(values).astype(np.int64)
+
+
+#: :func:`_knobs`'s (minimum, maximum, round to int, power) on one row of
+#: Python floats, and on a matrix's columns.
+_ONE_ROW = (min, max, round, _power)
+_COLUMNS = (np.minimum, np.maximum, _rint, np.power)
+
+
+def _knobs(columns, spec: AcceleratorSpec, ops: tuple) -> tuple[tuple[str, ...], tuple]:
+    """The knobs of ``spec``'s kind, as (config field names, values).
+
+    ``columns`` is a validated matrix's eleven target columns: one row's
+    Python floats with :data:`_ONE_ROW`, giving one value per knob, or
+    the matrix's column arrays with :data:`_COLUMNS`, giving one array
+    per knob.  Products, sums, clamps, comparisons and half-to-even
+    rounding are each one exact IEEE operation in Python as in NumPy,
+    and both forms take their powers from NumPy's array ``power``, so a
+    row's knobs are the same values of the same types in either form.
+    The placement fraction fills M5-M7.
     """
-    cores = np.minimum(
-        np.maximum(1, np.round(vectors[:, 1] * multicore.cores)),
-        multicore.cores,
-    ).astype(np.int64)
-    tpc_span = max(multicore.threads_per_core - 1, 1)
-    tpc = np.minimum(
-        np.maximum(1, np.round(1 + vectors[:, 2] * tpc_span)),
-        max(1, multicore.threads_per_core),
-    ).astype(np.int64)
-    simd_span = math.log2(max(multicore.simd_width, 2))
-    simd = np.minimum(
-        np.maximum(1, np.round(2.0 ** (vectors[:, 3] * simd_span))),
-        max(1, multicore.simd_width),
-    ).astype(np.int64)
-    blocktime = np.minimum(1000.0, np.maximum(1.0, 10.0 ** (vectors[:, 4] * 3.0)))
-    chunk_frac = np.clip(vectors[:, 10], 0.0, 1.0)
-    chunk = np.maximum(1, np.round(16.0 * (1024.0 / 16.0) ** chunk_frac)).astype(
-        np.int64
+    minimum, maximum, rint, power = ops
+    if spec.is_gpu:
+        return _GPU_FIELDS, (
+            minimum(maximum(1, rint(columns[8] * spec.max_threads)), spec.max_threads),
+            minimum(maximum(1, rint(32.0 * power(1024.0 / 32.0, columns[9]))), 1024),
+        )
+    tpc_span = max(spec.threads_per_core - 1, 1)
+    simd_span = math.log2(max(spec.simd_width, 2))
+    schedule, placement = columns[7], columns[5]
+    return _MULTICORE_FIELDS, (
+        minimum(maximum(1, rint(columns[1] * spec.cores)), spec.cores),
+        minimum(
+            maximum(1, rint(1 + columns[2] * tpc_span)),
+            max(1, spec.threads_per_core),
+        ),
+        minimum(
+            maximum(1, rint(power(2.0, columns[3] * simd_span))),
+            max(1, spec.simd_width),
+        ),
+        minimum(1000.0, maximum(1.0, power(10.0, columns[4] * 3.0))),
+        maximum(1, rint(16.0 * power(1024.0 / 16.0, columns[10]))),
+        # The leading 0 makes NumPy count the cuts reached (bool + bool
+        # is ``or`` on arrays).
+        _SCHEDULES[0 + (schedule >= 0.25) + (schedule >= 0.75)],
+        placement,
+        placement,
+        placement,
+        columns[6],  # affinity
     )
-    schedules = [
-        OmpSchedule.STATIC
-        if value < 0.25
-        else (OmpSchedule.DYNAMIC if value < 0.75 else OmpSchedule.GUIDED)
-        for value in vectors[:, 7].tolist()
-    ]
-    placement = vectors[:, 5].tolist()
-    return (
-        cores.tolist(),
-        tpc.tolist(),
-        simd.tolist(),
-        blocktime.tolist(),
-        chunk.tolist(),
-        schedules,
-        placement,
-        placement,
-        placement,
-        vectors[:, 6].tolist(),  # affinity
-    )
-
-
-def _gpu_knob_lists(
-    vectors: np.ndarray, gpu: AcceleratorSpec
-) -> tuple[list, list]:
-    """GPU knobs (M19-M20) for every row, ceiling-clamped, as lists in
-    :data:`_GPU_FIELDS` order."""
-    gthreads = np.minimum(
-        np.maximum(1, np.round(vectors[:, 8] * gpu.max_threads)),
-        gpu.max_threads,
-    ).astype(np.int64)
-    local_frac = np.clip(vectors[:, 9], 0.0, 1.0)
-    lthreads = np.minimum(
-        np.maximum(1, np.round(32.0 * (1024.0 / 32.0) ** local_frac)), 1024
-    ).astype(np.int64)
-    return gthreads.tolist(), lthreads.tolist()
 
 
 def choice_signature(

@@ -39,7 +39,7 @@ from repro import obs
 from repro.accel.simulator import SimulationResult
 from repro.core.database import TrainingDatabase
 from repro.core.overhead import measure_overhead_ms
-from repro.core.predictors import LearnedPredictor, make_predictor
+from repro.core.predictors import LearnedPredictor, Predictor, make_predictor
 from repro.core.training import build_training_database
 from repro.errors import NotTrainedError
 from repro.machine.fleet import Fleet
@@ -116,12 +116,12 @@ class HeteroMap:
         self.metric = metric
         self.seed = seed
         self.predictor_name = predictor
-        self.predictor = make_predictor(
-            predictor, self.gpu, self.multicore, seed=seed
-        )
         self.database: TrainingDatabase | None = None
         self.decisions = DecisionService(
-            self.predictor, self.fleet, predictor_name=predictor, metric=metric
+            make_predictor(predictor, self.gpu, self.multicore, seed=seed),
+            self.fleet,
+            predictor_name=predictor,
+            metric=metric,
         )
         self.scheduler = Scheduler(self.fleet)
         self.engine = Engine(self.decisions, self.scheduler, backend)
@@ -130,6 +130,12 @@ class HeteroMap:
     def with_default_pair(cls, **kwargs) -> "HeteroMap":
         """The paper's primary setup: GTX-750Ti + Xeon Phi 7120P."""
         return cls(DEFAULT_PAIR, **kwargs)
+
+    @property
+    def predictor(self) -> Predictor:
+        """The predictor that serves: the decision layer's, which an
+        online-adaptation promotion replaces."""
+        return self.decisions.predictor
 
     @property
     def decision_cache(self) -> DecisionCache:
@@ -145,7 +151,7 @@ class HeteroMap:
         seed: int | None = None,
         database: TrainingDatabase | None = None,
     ) -> TrainingDatabase:
-        """Run the offline pipeline and fit the predictor.
+        """Run the offline pipeline and fit the serving predictor.
 
         A pre-built ``database`` (e.g. shared across learners in the
         Table IV experiment) skips the auto-tuning sweep.
@@ -165,10 +171,11 @@ class HeteroMap:
                     seed=self.seed if seed is None else seed,
                 )
             self.database = database
-            if isinstance(self.predictor, LearnedPredictor):
+            predictor = self.predictor
+            if isinstance(predictor, LearnedPredictor):
                 with obs.span("heteromap.fit", predictor=self.predictor_name):
-                    self.predictor.fit(*database.matrices())
-            self.decisions.overhead_ms = measure_overhead_ms(self.predictor)
+                    predictor.fit(*database.matrices())
+            self.decisions.overhead_ms = measure_overhead_ms(predictor)
             obs.gauge("heteromap.overhead_ms", self.decisions.overhead_ms)
             # A refit changes predictions; memoized decisions from the
             # previous model must not survive it.

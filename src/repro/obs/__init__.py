@@ -71,9 +71,7 @@ from repro.obs.state import (
 from repro.obs.logger import StructuredLogger, get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace_context import (
-    TraceContext,
     active_trace_ids,
-    active_traces,
     current_trace,
     mint_trace,
     trace_scope,
@@ -100,9 +98,7 @@ __all__ = [
     "SLORegistry",
     "SLOSpec",
     "SLOTracker",
-    "TraceContext",
     "active_trace_ids",
-    "active_traces",
     "config_from_env",
     "configure",
     "counter",

@@ -172,7 +172,7 @@ def set_quiet(value: bool) -> None:
 def span(name: str, **attrs: object):
     """A tracing span context manager; shared no-op when disabled.
 
-    Active trace contexts tag the span automatically: a single-request
+    Active trace ids tag the span automatically: a single-request
     scope adds ``trace_id``, a batch scope adds the row-ordered
     ``trace_ids`` list.
     """

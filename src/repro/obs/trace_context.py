@@ -1,6 +1,6 @@
-"""Request-scoped trace contexts: one id stitches a request's spans.
+"""Request-scoped trace ids: one id stitches a request's spans.
 
-A :class:`TraceContext` is minted when a request enters the serving
+A trace id (a string) is minted when a request enters the serving
 stack (``DecisionServer.submit`` / ``try_submit``) and carried — via a
 :mod:`contextvars` scope, not by threading it through every signature —
 across flush assembly, the decision layer, the placement layer, and
@@ -11,10 +11,9 @@ execute chain from the JSONL stream.
 
 Two scope shapes cover the batching reality of the serving path:
 
-* a **single** active trace (``trace_scope((ctx,))`` with one id) tags
-  spans with ``trace_id`` — per-request work such as one backend
-  execution;
-* a **batch** scope (one context per batch row, in row order) tags
+* a **single** active trace (``trace_scope((trace_id,))``) tags spans
+  with ``trace_id`` — per-request work such as one backend execution;
+* a **batch** scope (one id per batch row, in row order) tags
   spans with the full ``trace_ids`` list — batch-level work such as a
   flush or a batched forward.  Row alignment is what lets the decision
   layer attribute per-row cache hits back to the request that originated
@@ -31,12 +30,9 @@ import itertools
 import os
 import threading
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 __all__ = [
-    "TraceContext",
-    "active_traces",
     "active_trace_ids",
     "current_trace",
     "mint_trace",
@@ -60,51 +56,37 @@ def _prefix() -> str:
     return _PREFIX
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """One request's identity in the trace stream."""
-
-    trace_id: str
+def mint_trace() -> str:
+    """A fresh process-unique trace id for one request."""
+    return f"{_prefix()}-{next(_COUNTER):x}"
 
 
-def mint_trace() -> TraceContext:
-    """A fresh request-scoped context with a process-unique trace id."""
-    return TraceContext(f"{_prefix()}-{next(_COUNTER):x}")
-
-
-_ACTIVE: ContextVar[tuple[TraceContext, ...]] = ContextVar(
-    "repro_obs_traces", default=()
-)
-
-
-def active_traces() -> tuple[TraceContext, ...]:
-    """The innermost active scope's contexts (``()`` outside any scope)."""
-    return _ACTIVE.get()
+_ACTIVE: ContextVar[tuple[str, ...]] = ContextVar("repro_obs_traces", default=())
 
 
 def active_trace_ids() -> tuple[str, ...]:
-    """The active scope's trace ids, batch-row order."""
-    return tuple(ctx.trace_id for ctx in _ACTIVE.get())
+    """The innermost active scope's trace ids, batch-row order (``()``
+    outside any scope)."""
+    return _ACTIVE.get()
 
 
-def current_trace() -> TraceContext | None:
-    """The single active context, or ``None`` outside/inside a batch scope."""
+def current_trace() -> str | None:
+    """The single active trace id, or ``None`` outside/inside a batch
+    scope."""
     active = _ACTIVE.get()
     return active[0] if len(active) == 1 else None
 
 
 @contextlib.contextmanager
-def trace_scope(
-    contexts: Sequence[TraceContext | None],
-) -> Iterator[tuple[TraceContext, ...]]:
-    """Activate a batch of trace contexts for the duration of the block.
+def trace_scope(trace_ids: Sequence[str | None]) -> Iterator[tuple[str, ...]]:
+    """Activate a batch of trace ids for the duration of the block.
 
     ``None`` entries (requests admitted while observability was off, or
     rows with no request identity) are preserved positionally for id
     lookup by the caller but dropped from the active tuple.  An
     all-``None`` batch activates nothing — spans inside stay untagged.
     """
-    resolved = tuple(ctx for ctx in contexts if ctx is not None)
+    resolved = tuple(trace_id for trace_id in trace_ids if trace_id is not None)
     token = _ACTIVE.set(resolved)
     try:
         yield resolved

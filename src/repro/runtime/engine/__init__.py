@@ -30,14 +30,13 @@ from repro.runtime.engine.execution import (
     SimulatedBackend,
     StreamingBackend,
 )
-from repro.runtime.engine.scheduler import POLICIES, DeviceState, Scheduler
+from repro.runtime.engine.scheduler import POLICIES, Scheduler
 
 __all__ = [
     "Decision",
     "DecisionService",
     "DeviceEstimate",
     "DeviceReport",
-    "DeviceState",
     "Engine",
     "ExecutionBackend",
     "FleetReport",

@@ -178,10 +178,6 @@ class DecisionService:
 
     # -- gates -------------------------------------------------------------
 
-    @property
-    def trained(self) -> bool:
-        return self.overhead_ms is not None
-
     def require_trained(self) -> float:
         """The measured overhead, or a :class:`NotTrainedError`."""
         if self.overhead_ms is None:
@@ -528,7 +524,6 @@ class DecisionService:
         costs = [e.result.objective(self.metric) for e in decision.estimates]
         ran = [s.name for s in specs].index(spec.name)
         runner_up = decision.estimates[select_runner_up(specs, costs, ran)]
-        trace = obs.current_trace()
         obs.record_decision(
             obs.DecisionRecord(
                 benchmark=decision.workload.benchmark,
@@ -546,7 +541,7 @@ class DecisionService:
                 devices=tuple(e.spec.name for e in decision.estimates),
                 costs_ms=decision.costs_ms,
                 observed_time_ms=observed_time_ms,
-                trace_id=trace.trace_id if trace is not None else None,
+                trace_id=obs.current_trace(),
                 confidence=decision.confidence,
                 explored=explored,
             )

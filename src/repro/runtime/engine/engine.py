@@ -65,12 +65,12 @@ class Engine:
         # One trace per workload: adopt the caller's request scope when it
         # is row-aligned (the async server's flush), otherwise mint fresh
         # ids so offline fleet runs are traceable end to end too.
-        contexts: tuple[obs.TraceContext, ...] = ()
+        trace_ids: tuple[str, ...] = ()
         if obs.enabled():
-            contexts = obs.active_traces()
-            if len(contexts) != len(workloads):
-                contexts = tuple(obs.mint_trace() for _ in workloads)
-        with obs.trace_scope(contexts), obs.span(
+            trace_ids = obs.active_trace_ids()
+            if len(trace_ids) != len(workloads):
+                trace_ids = tuple(obs.mint_trace() for _ in workloads)
+        with obs.trace_scope(trace_ids), obs.span(
             "engine.run_fleet", policy=policy, batch=len(workloads)
         ) as span:
             decisions = self.decisions.decide_batch(list(workloads))
@@ -78,7 +78,7 @@ class Engine:
             outcomes = []
             for placement in placements:  # input order: audits line up
                 deployed = placement.deployed
-                result = self._execute(placement, contexts)
+                result = self._execute(placement, trace_ids)
                 outcomes.append(
                     RunOutcome.from_execution(
                         placement.decision.workload,
@@ -107,19 +107,19 @@ class Engine:
                     )
         return report
 
-    def _execute(self, placement, contexts):
+    def _execute(self, placement, trace_ids):
         """Run one placement under its request trace (if any) and audit it."""
         deployed = placement.deployed
-        context = (
-            contexts[placement.order]
-            if placement.order < len(contexts)
+        trace_id = (
+            trace_ids[placement.order]
+            if placement.order < len(trace_ids)
             else None
         )
         # trace_scope((None,)) would clear the batch scope, so a row
-        # without a context keeps it.
+        # without a trace id keeps it.
         scope = (
-            obs.trace_scope((context,))
-            if context is not None
+            obs.trace_scope((trace_id,))
+            if trace_id is not None
             else nullcontext()
         )
         with scope:

@@ -3,8 +3,8 @@
 The scheduler turns a batch of fleet-costed
 :class:`~repro.runtime.engine.contracts.Decision`\\ s into
 :class:`~repro.runtime.engine.contracts.Placement`\\ s on simulated
-per-device clocks (:class:`DeviceState`), one clock per fleet device.
-Three pluggable policies:
+per-device clocks, one float per fleet device: the time it next goes
+idle.  Three pluggable policies:
 
 * ``solo`` — the pre-engine behavior, bit-identical outcomes: every
   workload deploys on its predictor-chosen device and the batch executes
@@ -12,8 +12,8 @@ Three pluggable policies:
   idles exactly as ``run_many`` always modeled it.
 * ``load-aware`` — online greedy earliest-finish: each workload (in
   arrival order) lands on whichever device finishes it soonest given the
-  device's current ``busy_until`` clock and the decision's per-device
-  estimate.  Ties prefer the predictor's choice.
+  device's clock and the decision's per-device estimate.  Ties prefer the
+  predictor's choice.
 * ``makespan`` — offline longest-processing-time-first: the batch is
   sorted by descending chosen-device estimate, then placed greedily
   earliest-finish — the classic N-machine LPT heuristic, which needs the
@@ -30,47 +30,25 @@ scheduler take their device order from one :class:`~repro.machine.fleet.Fleet`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro import obs
 from repro.machine.fleet import Fleet
 from repro.machine.specs import AcceleratorSpec
-from repro.runtime.engine.contracts import Decision, DeviceEstimate, Placement
+from repro.runtime.engine.contracts import Decision, Placement
 
-__all__ = ["POLICIES", "DeviceState", "Scheduler"]
+__all__ = ["POLICIES", "Scheduler"]
 
 #: Placement policies, in documentation order.
 POLICIES = ("solo", "load-aware", "makespan")
 
 
-@dataclass
-class DeviceState:
-    """One device's simulated queue clock during placement."""
-
-    spec: AcceleratorSpec
-    busy_until_ms: float = 0.0  # when the device next goes idle
-    busy_ms: float = 0.0  # summed on-accelerator time
-    items: int = 0  # queue depth: placements assigned so far
-
-    def assign(
-        self, time_ms: float, *, not_before_ms: float = 0.0
-    ) -> tuple[float, float]:
-        """Queue one deployment of ``time_ms``; returns its (start, finish)
-        times."""
-        start = max(self.busy_until_ms, not_before_ms)
-        finish = start + time_ms
-        self.busy_until_ms = finish
-        self.busy_ms += time_ms
-        self.items += 1
-        return start, finish
-
-
-def _misaligned(decision: Decision, states: "list[DeviceState]") -> ValueError:
+def _misaligned(
+    decision: Decision, devices: "tuple[AcceleratorSpec, ...]"
+) -> ValueError:
     """The error for a decision whose estimates are not the scheduler's
     devices in the scheduler's order."""
     return ValueError(
         f"decision estimates {[e.spec.name for e in decision.estimates]} are "
-        f"not this scheduler's fleet {[s.spec.name for s in states]}, in order"
+        f"not this scheduler's fleet {[spec.name for spec in devices]}, in order"
     )
 
 
@@ -119,25 +97,21 @@ class Scheduler:
 
     # -- policies ----------------------------------------------------------
 
-    def _states(self) -> list[DeviceState]:
-        return [DeviceState(spec) for spec in self.fleet.devices]
-
     def _place_solo(self, decisions: "list[Decision]") -> list[Placement]:
-        states = self._states()
+        devices = self.fleet.devices
         placements = []
-        clock = 0.0  # serial execution: one workload at a time, fleet-wide
+        # Serial execution, one workload at a time fleet-wide: one clock
+        # serves every device.
+        finish = 0.0
         for index, decision in enumerate(decisions):
             chosen = decision.chosen_index
             estimate = decision.estimates[chosen]
             if (
-                len(decision.estimates) != len(states)
-                or estimate.spec is not states[chosen].spec
+                len(decision.estimates) != len(devices)
+                or estimate.spec is not devices[chosen]
             ):
-                raise _misaligned(decision, states)
-            start, finish = states[chosen].assign(
-                decision.costs_ms[chosen], not_before_ms=clock
-            )
-            clock = finish
+                raise _misaligned(decision, devices)
+            start, finish = finish, finish + decision.costs_ms[chosen]
             placements.append(
                 Placement(
                     decision=decision,
@@ -153,27 +127,28 @@ class Scheduler:
         self, decisions: "list[Decision]", *, order
     ) -> list[Placement]:
         """Earliest-finish placement over ``order``; returns input order."""
-        states = self._states()
+        devices = self.fleet.devices
+        busy_until = [0.0] * len(devices)  # when each device next goes idle
         placements: list[Placement | None] = [None] * len(decisions)
         for index in order:
             decision = decisions[index]
             estimates = decision.estimates
-            if len(estimates) != len(states):
-                raise _misaligned(decision, states)
+            if len(estimates) != len(devices):
+                raise _misaligned(decision, devices)
             costs = decision.costs_ms
             chosen = decision.chosen_index
             best: tuple[float, bool, int] | None = None
-            for rank, state in enumerate(states):
-                if estimates[rank].spec is not state.spec:
-                    raise _misaligned(decision, states)
+            for rank, spec in enumerate(devices):
+                if estimates[rank].spec is not spec:
+                    raise _misaligned(decision, devices)
                 # Tie-break: the predictor's chosen device wins, then the
                 # rank keeps the result order-independent of float noise.
-                candidate = (state.busy_until_ms + costs[rank], rank != chosen, rank)
+                candidate = (busy_until[rank] + costs[rank], rank != chosen, rank)
                 if best is None or candidate < best:
                     best = candidate
             assert best is not None
-            rank = best[2]
-            start, finish = states[rank].assign(costs[rank])
+            finish, _, rank = best
+            start, busy_until[rank] = busy_until[rank], finish
             placements[index] = Placement(
                 decision=decision,
                 deployed=estimates[rank],

@@ -204,7 +204,7 @@ class _Request:
         self.arrival_s = arrival_s
         self.callback = callback
         self.tenant = tenant
-        self.trace = trace  # TraceContext | None (None when obs is off)
+        self.trace = trace  # trace id, or None when obs is off
 
 
 class _Waiter:
@@ -667,7 +667,7 @@ class DecisionServer(AdmissionWindow):
                     "server.queue_wait",
                     start_s=request.arrival_s,
                     end_s=flush_start,
-                    trace_id=request.trace.trace_id,
+                    trace_id=request.trace,
                     tenant=request.tenant,
                 )
             obs.slo_observe("queue_wait_ms", wait)

@@ -225,23 +225,27 @@ class TestBatchEncoding:
                 assert _state(alone[0]) == _state(config)
 
     def test_one_row_decode_builds_no_knob_lists(self, monkeypatch):
+        """A one-row matrix runs the knob formulas on its Python floats; a
+        larger one runs them on its column arrays, once per kind."""
         calls = []
-        for name in ("_multicore_knob_lists", "_gpu_knob_lists"):
+        knobs = encoding._knobs
 
-            def counted(*args, _name=name, _original=getattr(encoding, name)):
-                calls.append(_name)
-                return _original(*args)
+        def recorded(columns, spec, ops):
+            calls.append((spec.name, {type(column) for column in columns}))
+            return knobs(columns, spec, ops)
 
-            monkeypatch.setattr(encoding, name, counted)
+        monkeypatch.setattr(encoding, "_knobs", recorded)
         vector = np.full(NUM_TARGETS, 0.5)
         for accel in (0.2, 0.8):
             vector[0] = accel
             decode_config_batch(vector[None], GPU, PHI)
             for spec in (GPU, PHI):
                 decode_config_for(vector[None], spec)
-        assert calls == []
+        order = (GPU, GPU, PHI, PHI, GPU, PHI)
+        assert calls == [(spec.name, {float}) for spec in order]
+        calls.clear()
         decode_config_batch(np.vstack([vector, vector]), GPU, PHI)
-        assert calls == ["_multicore_knob_lists"]
+        assert calls == [(PHI.name, {np.ndarray})]
 
     def test_one_row_errors_match_the_batch(self):
         vector = np.full(NUM_TARGETS, 0.5)

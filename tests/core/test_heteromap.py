@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import heteromap
 from repro.core.heteromap import HeteroMap
+from repro.core.predictors import make_predictor
 from repro.errors import NotTrainedError, UnknownAcceleratorError
 from repro.runtime.deploy import prepare_workload
 
@@ -72,6 +74,30 @@ class TestRun(object):
     def test_database_retained(self, trained):
         assert trained.database is not None
         assert len(trained.database) == 40
+
+
+class TestPromotion:
+    def test_train_fits_the_promoted_predictor(self, trained, monkeypatch):
+        """After a promotion, ``predictor`` is the one that serves, and a
+        retrain fits and times it rather than the model it replaced."""
+        hetero = HeteroMap.with_default_pair(predictor="linear", seed=3)
+        hetero.train(database=trained.database)
+        candidate = make_predictor("linear", hetero.gpu, hetero.multicore, seed=3)
+        hetero.decisions.swap_predictor(candidate)
+        assert hetero.predictor is candidate
+        timed = []
+        measure = heteromap.measure_overhead_ms
+        monkeypatch.setattr(
+            heteromap,
+            "measure_overhead_ms",
+            lambda predictor: timed.append(predictor) or measure(predictor),
+        )
+        hetero.train(database=trained.database)
+        assert hetero.predictor is hetero.decisions.predictor is candidate
+        assert timed == [candidate]
+        # An unfit candidate would raise NotTrainedError here.
+        spec, _ = hetero.predict(prepare_workload("bfs", "cage14"))
+        assert spec in (hetero.gpu, hetero.multicore)
 
 
 class TestBaselines:

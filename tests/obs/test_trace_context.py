@@ -1,11 +1,10 @@
-"""Request-scoped trace contexts: minting, scoping, and span tagging."""
+"""Request-scoped trace ids: minting, scoping, and span tagging."""
 
 from __future__ import annotations
 
 import repro.obs as obs
 from repro.obs.trace_context import (
     active_trace_ids,
-    active_traces,
     current_trace,
     mint_trace,
     trace_scope,
@@ -14,55 +13,54 @@ from repro.obs.trace_context import (
 
 class TestMinting:
     def test_ids_are_unique_and_prefixed(self):
-        contexts = [mint_trace() for _ in range(100)]
-        ids = {ctx.trace_id for ctx in contexts}
+        ids = {mint_trace() for _ in range(100)}
         assert len(ids) == 100
+        assert all(type(trace_id) is str for trace_id in ids)
         # All ids from one process share the process-unique prefix.
-        prefixes = {ctx.trace_id.rsplit("-", 1)[0] for ctx in contexts}
+        prefixes = {trace_id.rsplit("-", 1)[0] for trace_id in ids}
         assert len(prefixes) == 1
 
 
 class TestScopes:
     def test_no_scope_by_default(self):
-        assert active_traces() == ()
         assert active_trace_ids() == ()
         assert current_trace() is None
 
     def test_single_scope_sets_current(self):
-        ctx = mint_trace()
-        with trace_scope((ctx,)):
-            assert current_trace() is ctx
-            assert active_trace_ids() == (ctx.trace_id,)
+        trace_id = mint_trace()
+        with trace_scope((trace_id,)):
+            assert current_trace() == trace_id
+            assert active_trace_ids() == (trace_id,)
         assert current_trace() is None
 
     def test_batch_scope_has_no_single_current(self):
         a, b = mint_trace(), mint_trace()
         with trace_scope((a, b)):
             assert current_trace() is None
-            assert active_trace_ids() == (a.trace_id, b.trace_id)
+            assert active_trace_ids() == (a, b)
 
     def test_none_rows_are_dropped(self):
         a = mint_trace()
         with trace_scope((None, a, None)) as resolved:
             assert resolved == (a,)
-            assert active_traces() == (a,)
+            assert active_trace_ids() == (a,)
 
     def test_scopes_nest_and_restore(self):
         outer, inner = mint_trace(), mint_trace()
         with trace_scope((outer,)):
             with trace_scope((inner,)):
-                assert current_trace() is inner
-            assert current_trace() is outer
+                assert current_trace() == inner
+            assert current_trace() == outer
 
 
 class TestSpanTagging:
     def test_single_scope_tags_trace_id(self, enabled_obs):
-        ctx = mint_trace()
-        with trace_scope((ctx,)):
+        trace_id = mint_trace()
+        with trace_scope((trace_id,)):
             with obs.span("unit.work"):
                 pass
         (record,) = enabled_obs.tracer.records
-        assert record.attrs["trace_id"] == ctx.trace_id
+        assert record.attrs["trace_id"] == trace_id
 
     def test_batch_scope_tags_trace_ids_list(self, enabled_obs):
         a, b = mint_trace(), mint_trace()
@@ -70,7 +68,7 @@ class TestSpanTagging:
             with obs.span("unit.flush"):
                 pass
         (record,) = enabled_obs.tracer.records
-        assert record.attrs["trace_ids"] == [a.trace_id, b.trace_id]
+        assert record.attrs["trace_ids"] == [a, b]
 
     def test_unscoped_span_is_untagged(self, enabled_obs):
         with obs.span("unit.naked"):

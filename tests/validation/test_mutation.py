@@ -5,7 +5,7 @@ phase's component moved by one ULP in its result, must be caught by the
 differential oracle, a deliberate perturbation of a
 kernel by the invariant registry, a zero rounding bound in the CART
 split screen or a screen that ignores how often a row repeats by the
-``cart`` component, and a one-row decode
+``cart`` component, and a one-row or a column decode
 whose powers, or a one-row cost whose square root, round one ULP up, or
 a one-row or lattice square root that rounds correctly instead of as
 libm's ``pow(x, 0.5)``, by the ``fleet`` component — each with a
@@ -143,15 +143,33 @@ def test_cart_unweighted_screen_mutation_is_caught(monkeypatch):
 
 
 def test_one_row_decode_mutation_is_caught(monkeypatch):
-    """A one-row power one ULP off the batch's, as libm's ``**`` is on
-    about 1 in 18 inputs where NumPy's ``power`` is SIMD: the ``fleet``
-    component's one-row decode check must see it on any host."""
-    power = encoding._power
+    """A one-row power one ULP off the column form's, as libm's ``**`` is
+    on about 1 in 18 inputs where NumPy's ``power`` is SIMD: the
+    ``fleet`` component's one-row decode check must see it on any host."""
+    minimum, maximum, rint, power = encoding._ONE_ROW
 
     def ulp_up(base, exponent):
         return math.nextafter(power(base, exponent), math.inf)
 
-    monkeypatch.setattr(encoding, "_power", ulp_up)
+    monkeypatch.setattr(encoding, "_ONE_ROW", (minimum, maximum, rint, ulp_up))
+    with pytest.raises(FuzzFailure) as excinfo:
+        for seed in range(50):
+            run_case("fleet", seed)
+    message = str(excinfo.value)
+    assert "one-row decode_config" in message
+    assert "--component fleet --cases 1" in message
+
+
+def test_column_decode_mutation_is_caught(monkeypatch):
+    """The twin: the column form's power one ULP up, the one-row form
+    untouched.  A row decoded alone then differs from its batch row, and
+    the ``fleet`` component must see it."""
+    minimum, maximum, rint, power = encoding._COLUMNS
+
+    def ulp_up(base, exponents):
+        return np.nextafter(power(base, exponents), np.inf)
+
+    monkeypatch.setattr(encoding, "_COLUMNS", (minimum, maximum, rint, ulp_up))
     with pytest.raises(FuzzFailure) as excinfo:
         for seed in range(50):
             run_case("fleet", seed)
