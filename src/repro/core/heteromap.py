@@ -19,7 +19,7 @@ prediction, costed on every fleet device), a
 :class:`~repro.runtime.engine.scheduler.Scheduler` (``solo`` /
 ``load-aware`` / ``makespan`` placement policies), and a pluggable
 :class:`~repro.runtime.engine.execution.ExecutionBackend`.
-:meth:`predict` answers from the decision layer's plan tier, so it
+:meth:`predict` answers from the decision layer's decide tier, so it
 names the deployment that runs.  :meth:`run_workload` (one item,
 ``solo``), :meth:`run_many` (the outcomes only) and :meth:`run_fleet`
 (the full :class:`~repro.runtime.engine.contracts.FleetReport` with
@@ -261,14 +261,17 @@ class HeteroMap:
     def predict(self, workload: Workload) -> tuple[AcceleratorSpec, MachineConfig]:
         """The deployment :meth:`run_workload` would execute.
 
-        One row through the plan tier's cache and canonical decode;
-        unlike :meth:`plan_batch` it never spends exploration budget.
+        The decide tier's chosen device and config: the predicted kind,
+        then the argmin of the fleet's estimates within it.  On a pair
+        that is the plan tier's deployment; on a larger fleet the plan
+        tier's name-minimal device of the kind may not be the one that
+        runs.  Like the decide tier, it never spends exploration budget.
 
         Raises:
             NotTrainedError: before :meth:`train`.
         """
-        entry = self.decisions.choose_encoded(self.decisions.encode([workload]))[0]
-        return entry.spec, entry.config
+        chosen = self.decisions.decide(workload).chosen
+        return chosen.spec, chosen.config
 
     def run(self, benchmark: str, dataset: str) -> RunOutcome:
         """Schedule and execute one benchmark-input combination."""

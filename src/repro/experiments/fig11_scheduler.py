@@ -33,7 +33,7 @@ __all__ = ["SchedulerCell", "Fig11Result", "run_experiment", "render"]
 
 @dataclass(frozen=True)
 class SchedulerCell:
-    """One benchmark-input combination, normalized to tuned GPU-only."""
+    """One benchmark-input combination, normalized to untuned GPU-only."""
 
     benchmark: str
     dataset: str

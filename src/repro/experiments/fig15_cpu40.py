@@ -31,7 +31,7 @@ PAIRS = (("gtx750ti", "cpu40core"), ("gtx970", "cpu40core"))
 class CpuPairRow:
     pair: tuple[str, str]
     benchmark: str
-    cpu_only: float  # normalized to tuned GPU-only
+    cpu_only: float  # normalized to untuned GPU-only
     heteromap: float
     ideal: float
 
@@ -99,7 +99,7 @@ def render(result: Fig15Result) -> str:
         )
         gain = 100 * (result.gain_over_gpu(pair) - 1)
         blocks.append(
-            f"pair {pair} (normalized to tuned GPU-only)\n{table}\n"
+            f"pair {pair} (normalized to untuned GPU-only)\n{table}\n"
             f"HeteroMap gain over GPU-only: {gain:+.1f}%"
         )
     return "Figure 15: 40-core CPU pairs\n" + "\n\n".join(blocks)

@@ -56,8 +56,8 @@ TABLE4_LEARNERS = (
 @dataclass(frozen=True)
 class LearnerRow:
     learner: str
-    speedup_percent: float  # geomean gain over tuned GPU-only
-    accuracy_percent: float  # geomean ideal/achieved
+    speedup_percent: float  # geomean gain over untuned GPU-only
+    accuracy_percent: float  # mean share of choice selections matching the ideal's
     overhead_ms: float
 
 
@@ -79,7 +79,7 @@ def run_experiment(
         for benchmark in benchmarks
         for dataset in datasets
     ]
-    # Shared baselines: tuned GPU-only and the exhaustive ideal.
+    # Shared baselines: untuned GPU-only and the exhaustive ideal.
     probe = HeteroMap(pair, predictor="decision_tree", seed=seed)
     gpu_times = [
         probe.run_single_accelerator(w, "gpu", tuned=False).time_ms

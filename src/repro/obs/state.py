@@ -1,12 +1,13 @@
 """Process-wide observability state and the no-op fast path.
 
 One :class:`ObsState` singleton owns the tracer, the metrics registry,
-the decision-record buffer, the prediction-quality observatory, the SLO
-registry, and the optional JSONL sink.  The facade functions here are
-what instrumented code calls; all of them check ``state.enabled`` first
-and fall through to a no-op, so with ``REPRO_OBS`` unset the per-call
-cost is one attribute load and a branch — no allocations, no locks, no
-I/O.  The guard test in ``tests/obs/test_disabled.py`` pins that
+the decision-record buffer (the newest
+:data:`~repro.obs.tracer.MAX_KEPT_RECORDS`), the prediction-quality
+observatory, the SLO registry, and the optional JSONL sink.  The facade
+functions here are what instrumented code calls; all of them check
+``state.enabled`` first and fall through to a no-op, so with
+``REPRO_OBS`` unset the per-call cost is one attribute load and a
+branch — no allocations, no locks, no I/O.  The guard test in ``tests/obs/test_disabled.py`` pins that
 contract.
 
 Spans created while a :func:`repro.obs.trace_context.trace_scope` is
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import atexit
 import time
+from collections import deque
 from dataclasses import replace
 from typing import Callable, Iterable
 
@@ -32,7 +34,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.quality import RegretTracker
 from repro.obs.slo import SLORegistry, SLOSpec
 from repro.obs.trace_context import active_trace_ids
-from repro.obs.tracer import NOOP_SPAN, SpanRecord, Tracer
+from repro.obs.tracer import MAX_KEPT_RECORDS, NOOP_SPAN, SpanRecord, Tracer
 
 __all__ = [
     "ObsState",
@@ -72,7 +74,7 @@ class ObsState:
         self.sink = JsonlSink(config.jsonl_path) if config.jsonl_path else None
         self.tracer = Tracer(clock=clock, emit=self._emit_span)
         self.metrics = MetricsRegistry()
-        self.decisions: list[DecisionRecord] = []
+        self.decisions: deque[DecisionRecord] = deque(maxlen=MAX_KEPT_RECORDS)
         #: The prediction-quality observatory and the SLO registry only
         #: exist on the enabled path — disabled states keep the ``None``
         #: so the facade's single-branch contract holds.

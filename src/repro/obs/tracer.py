@@ -1,10 +1,11 @@
 """Nested wall-clock span tracing.
 
 ``Tracer.span("tuning.sweep", accelerator="gtx750ti")`` returns a context
-manager; on exit a :class:`SpanRecord` is appended to the tracer (and
-emitted to the JSONL sink when one is attached).  Nesting is tracked per
-thread, so records carry a depth and a parent index and a run's span tree
-can be reconstructed offline.
+manager; on exit a :class:`SpanRecord` is appended to the tracer, which
+keeps only the newest :data:`MAX_KEPT_RECORDS`, and emitted to the JSONL
+sink when one is attached, which gets every record.  Nesting is tracked
+per thread, so records carry a depth and a parent index and a run's span
+tree can be reconstructed offline.
 
 The clock is injected (default :func:`time.perf_counter`): tests drive a
 fake clock to make span timings — and therefore the exported records —
@@ -19,10 +20,16 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-__all__ = ["SpanRecord", "Span", "NOOP_SPAN", "Tracer"]
+__all__ = ["MAX_KEPT_RECORDS", "SpanRecord", "Span", "NOOP_SPAN", "Tracer"]
+
+#: Newest records a tracer (and the obs state's decision buffer) keeps
+#: in memory; older ones drop, so a long-running traced server holds a
+#: bounded tail.  The JSONL sink is where the whole run goes.
+MAX_KEPT_RECORDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,7 @@ class Tracer:
         emit: Callable[[SpanRecord], None] | None = None,
     ) -> None:
         self.clock = clock
-        self.records: list[SpanRecord] = []
+        self.records: deque[SpanRecord] = deque(maxlen=MAX_KEPT_RECORDS)
         self._emit = emit
         self._lock = threading.Lock()
         self._local = threading.local()

@@ -15,7 +15,6 @@ from repro.runtime.server import (
     low_latency_gc,
 )
 from repro.runtime.shard import (
-    HashRing,
     RouterConfig,
     ShardReport,
     ShardRouter,
@@ -40,7 +39,6 @@ __all__ = [
     "CacheStats",
     "DecisionCache",
     "DecisionServer",
-    "HashRing",
     "OpenLoopReport",
     "RouterConfig",
     "ServerConfig",

@@ -9,10 +9,11 @@ histograms) and enforces absolute tail-latency / throughput gates for CI
 smoke runs (exit code 3 on violation).
 
 With ``--shards N`` the same trace is served through a
-:class:`~repro.runtime.shard.ShardRouter` instead: N worker processes,
-each training its own HeteroMap and serving consistent-hash-routed flush
-blocks (plan mode only).  The artifact then carries one ``shard`` line
-per worker with its cache hit rate and per-device plan counts.
+:class:`~repro.runtime.shard.ShardRouter` instead: a fixed pool of N
+worker processes, each training its own HeteroMap and serving the rows
+whose stable hash falls in its slot (plan mode only).  The artifact then
+carries one ``shard`` line per worker with its cache hit rate and
+per-device plan counts.
 
 With ``--adapt`` (run mode) the served map closes the online-adaptation
 loop: executed outcomes feed per-device correction ratios and a
@@ -166,7 +167,6 @@ def _write_artifact(
                 {
                     "kind": "shard",
                     "shard": snap.shard,
-                    "active": snap.active,
                     "completed": snap.completed,
                     "flushes": snap.flushes,
                     "unique_rows": snap.unique_rows,
@@ -264,9 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shards", type=int, default=0, metavar="N",
-        help="serve through N shard worker processes behind a "
-        "consistent-hash router (plan mode only; default: 0 = single "
-        "process)",
+        help="serve through a fixed pool of N shard worker processes, "
+        "each feature row routed to one slot by a stable hash (plan mode "
+        "only; default: 0 = single process)",
     )
     parser.add_argument(
         "--adapt", action="store_true",

@@ -51,8 +51,8 @@ def feature_keys_batch(
 
     Feature rows are already discretized, so equal workloads produce
     float-equal rows, and a row's float64 byte image is an exact key (no
-    rounding or hashing tricks needed): the shard ring's
-    :func:`~repro.runtime.shard.ring.ring_key` of the same row.  Adding
+    rounding or hashing tricks needed): the bytes the shard router hashes
+    to pick the row's worker (:mod:`repro.runtime.shard`).  Adding
     ``0.0`` first turns ``-0.0`` into ``0.0``, the one pair of values
     that compare equal as floats with different bytes, so rows equal as
     floats share a key.  One void view of the matrix yields every row's

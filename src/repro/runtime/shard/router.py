@@ -1,4 +1,4 @@
-"""Shard router: consistent-hash admission over N worker processes.
+"""Shard router: batched admission over a fixed pool of worker processes.
 
 :class:`ShardRouter` is the multi-process sibling of
 :class:`~repro.runtime.server.DecisionServer`: both run on the same
@@ -8,10 +8,11 @@ serving surface (``start`` / ``try_submit`` / ``submit`` / ``drain`` /
 ``wait_idle`` / ``stats`` / ``clock``) are shared, and ``run_open_loop``
 drives either unchanged.  Only the flush sink differs:
 
-* each flushed batch routes at flush time by every workload's canonical
-  feature-key bytes through a :class:`~repro.runtime.shard.ring.HashRing`,
-  so equal workloads always hit the shard whose decision cache already
-  holds their entry — repeat decisions stay shard-local by construction;
+* each flushed batch routes at flush time: a workload's feature-row
+  bytes go to slot ``stable_hash(bytes) % N`` of the pool
+  :meth:`ShardRouter.launch` starts, so equal workloads always hit the
+  shard whose decision cache already holds their entry — repeat
+  decisions stay shard-local by construction;
 * the batch splits into one **flush block** per owning shard — the
   block's unique feature rows as one ``(u, 17)`` float64 matrix plus an
   ``int32`` inverse index — shipped over a multiprocessing queue.  IPC
@@ -20,12 +21,10 @@ drives either unchanged.  Only the flush sink differs:
   block through the window's accounting, and folds worker exits into the
   cross-shard :class:`ShardReport`.
 
-Membership is dynamic: :meth:`ShardRouter.add_shard` and
-:meth:`ShardRouter.remove_shard` re-ring live traffic with the ring's
-bounded-movement guarantee (~K/N keys remapped); a leaving shard answers
-the blocks already shipped to it before it stops, and requests still
-queued route to the new owner at their flush, so admitted requests never
-drop.
+The pool is fixed for the router's life: ``RouterConfig.shards``
+workers, slot ``i`` running ``shard-i``.  Any deterministic partition of
+the rows keeps sharded decisions exact, because each decision is a
+function of its discretized feature row alone.
 
 Decisions are bit-identical to the unsharded ``plan_batch`` path:
 workers train the same predictor from the same :class:`ShardSpec` seed,
@@ -34,19 +33,19 @@ and the block protocol moves feature rows and plans verbatim.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from repro import obs
 from repro.machine.specs import AcceleratorSpec, get_accelerator
 from repro.runtime.server import AdmissionWindow, WindowConfig, _Request
-from repro.runtime.shard.ring import DEFAULT_VNODES, HashRing
 from repro.runtime.shard.worker import ShardSpec, shard_worker_main
 
 __all__ = [
@@ -56,6 +55,7 @@ __all__ = [
     "ShardSnapshot",
     "ShardSpec",
     "ShardWorkerError",
+    "stable_hash",
 ]
 
 
@@ -76,6 +76,12 @@ READY_TIMEOUT_S = 120.0
 START_METHOD: str | None = None
 
 
+def stable_hash(data: bytes) -> int:
+    """A 64-bit hash from SHA-256: a key's slot never depends on the
+    process's ``PYTHONHASHSEED``, as ``hash()`` would."""
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+
+
 @dataclass(frozen=True)
 class RouterConfig(WindowConfig):
     """Tuning knobs for one :class:`ShardRouter`.
@@ -86,17 +92,14 @@ class RouterConfig(WindowConfig):
     ``max_batch / shards`` requests each.
     """
 
-    #: Worker processes to launch (ring members at startup).
+    #: Worker processes in the pool; a row goes to slot
+    #: ``stable_hash(row bytes) % shards``.
     shards: int = 2
-    #: Virtual nodes per shard on the hash ring.
-    vnodes: int = DEFAULT_VNODES
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {self.vnodes}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,6 @@ class ShardSnapshot:
     """
 
     shard: str
-    active: bool
     pid: int = 0
     completed: int = 0
     flushes: int = 0
@@ -127,11 +129,7 @@ class ShardSnapshot:
 
 @dataclass(frozen=True)
 class ShardReport:
-    """The cross-shard rollup: every shard's snapshot plus the totals.
-
-    ``shards`` includes retired members (``active=False``) so a
-    join/leave run still accounts for every decision that was served.
-    """
+    """The cross-shard rollup: every shard's snapshot plus the totals."""
 
     shards: tuple[ShardSnapshot, ...]
     completed: int
@@ -150,9 +148,8 @@ class ShardReport:
         """Human-readable rollup, one line per shard plus a total."""
         out = []
         for snap in self.shards:
-            state = "" if snap.active else " (retired)"
             out.append(
-                f"{snap.shard}{state}: completed={snap.completed} "
+                f"{snap.shard}: completed={snap.completed} "
                 f"flushes={snap.flushes} mean_batch={snap.mean_batch:.1f} "
                 f"cache_hit_rate={snap.cache_hit_rate:.3f} "
                 f"devices={snap.device_counts}"
@@ -207,7 +204,7 @@ def _shard_obs_env(name: str) -> str | None:
 
 
 class ShardRouter(AdmissionWindow):
-    """Consistent-hash admission layer over N shard worker processes.
+    """Admission layer over a fixed pool of shard worker processes.
 
     The serving surface is the :class:`~repro.runtime.server.AdmissionWindow`
     the single-process server runs on, so the open-loop load generator
@@ -228,10 +225,8 @@ class ShardRouter(AdmissionWindow):
     ) -> None:
         super().__init__(config or RouterConfig(), clock)
         self.spec = spec
-        self.ring = HashRing(vnodes=self.config.vnodes)
-        self._handles: dict[str, _ShardHandle] = {}
-        self._retired: list[ShardSnapshot] = []
-        self._next_index = 0
+        #: Slot ``i`` of the pool runs worker ``shard-i``.
+        self._pool: tuple[_ShardHandle, ...] = ()
         self._next_block = 0
         # block_id -> (handle, batch, flush_start); distinct-key dict ops
         # from two threads are safe under the GIL.
@@ -247,23 +242,22 @@ class ShardRouter(AdmissionWindow):
     # -- lifecycle ---------------------------------------------------------
 
     def launch(self) -> "ShardRouter":
-        """Spawn the initial shard fleet and wait for every ready signal.
+        """Spawn the pool and wait for every ready signal.
 
         Workers train their predictors before signalling ready, so this
         blocks for N trainings' worth of wall clock (they overlap when
-        the host has cores to spare).  Idempotent.
+        the host has cores to spare).  Ready replies wait in the reply
+        queue until the collector starts.  Idempotent.
         """
         if self._launched:
             return self
         self._launched = True
+        self._pool = tuple(self._spawn(slot) for slot in range(self.config.shards))
         self._collector = threading.Thread(
             target=self._collect, name="shard-router-collector", daemon=True
         )
         self._collector.start()
-        handles = [self._spawn() for _ in range(self.config.shards)]
-        self._await_ready(handles)
-        for handle in handles:
-            self.ring.add(handle.name)
+        self._await_ready()
         return self
 
     def start(self) -> "ShardRouter":
@@ -275,9 +269,8 @@ class ShardRouter(AdmissionWindow):
         await self.stop()
         self.close()
 
-    def _spawn(self) -> _ShardHandle:
-        name = f"shard-{self._next_index}"
-        self._next_index += 1
+    def _spawn(self, slot: int) -> _ShardHandle:
+        name = f"shard-{slot}"
         request_queue = self._mp.Queue()
         process = self._mp.Process(
             target=shard_worker_main,
@@ -291,14 +284,12 @@ class ShardRouter(AdmissionWindow):
             name=f"repro-{name}",
             daemon=True,
         )
-        handle = _ShardHandle(name, process, request_queue)
-        self._handles[name] = handle
         process.start()
-        return handle
+        return _ShardHandle(name, process, request_queue)
 
-    def _await_ready(self, handles: Sequence[_ShardHandle]) -> None:
+    def _await_ready(self) -> None:
         deadline = time.monotonic() + READY_TIMEOUT_S
-        for handle in handles:
+        for handle in self._pool:
             remaining = deadline - time.monotonic()
             if not handle.ready_event.wait(max(0.0, remaining)):
                 self._raise_failure()
@@ -308,65 +299,14 @@ class ShardRouter(AdmissionWindow):
                 )
             self._raise_failure()
 
-    # -- membership --------------------------------------------------------
-
-    @property
-    def shards(self) -> tuple[str, ...]:
-        """Active shard names, sorted."""
-        return self.ring.shards
-
-    def add_shard(self) -> str:
-        """Join one new shard: spawn, train, then take ring ownership.
-
-        The new member only enters the ring after it signals ready, so
-        no request ever routes to a shard that can't serve it.  Returns
-        the new shard's name.
-        """
-        self._raise_failure()
-        handle = self._spawn()
-        self._await_ready([handle])
-        self.ring.add(handle.name)
-        return handle.name
-
-    def remove_shard(self, name: str, *, timeout_s: float = 30.0) -> ShardSnapshot:
-        """Retire one shard with zero request loss.
-
-        The shard leaves the ring first, so requests still queued in the
-        window route to their keys' new owners when they flush (same
-        plans: decisions are a pure function of the feature row).  The
-        blocks already shipped to it still resolve: the worker answers
-        its request queue in order, so every block reply precedes its
-        final ``stopped`` message.  The retired shard's final snapshot
-        stays in the close-time report.
-
-        Raises:
-            KeyError: for an unknown or already-retired shard.
-            ValueError: for the last ring member — an empty ring would
-                strand the requests already admitted.
-        """
-        handle = self._handles.get(name)
-        if handle is None:
-            raise KeyError(f"unknown shard {name!r}")
-        if len(self.ring) == 1:
-            raise ValueError(f"cannot remove {name!r}: it is the last shard")
-        self.ring.remove(name)
-        snapshot = self._stop_worker(handle, timeout_s=timeout_s)
-        self._retired.append(snapshot)
-        del self._handles[name]
-        return snapshot
-
-    def _stop_worker(
-        self, handle: _ShardHandle, *, timeout_s: float, active: bool = False
-    ) -> ShardSnapshot:
+    def _stop_worker(self, handle: _ShardHandle, *, timeout_s: float) -> ShardSnapshot:
         handle.request_queue.put(("stop",))
         if not handle.stopped_event.wait(timeout_s):
             self._raise_failure()
             raise TimeoutError(f"shard {handle.name!r} did not stop")
         handle.process.join(timeout_s)
         handle.request_queue.close()
-        return ShardSnapshot(
-            shard=handle.name, active=active, **(handle.final_stats or {})
-        )
+        return ShardSnapshot(shard=handle.name, **(handle.final_stats or {}))
 
     # -- flush sink --------------------------------------------------------
 
@@ -377,23 +317,25 @@ class ShardRouter(AdmissionWindow):
         inverse map, so a hot pool of H workloads ships at most H rows
         per block no matter how many requests rode in.
         """
-        lookup = self.ring.lookup
-        # shard -> (requests, unique rows, inverse); key -> (block, row)
-        blocks: dict[str, tuple[list, list, list]] = {}
-        slots: dict[bytes, tuple[tuple, int]] = {}
+        pool = self._pool
+        if not pool:
+            raise RuntimeError("shard pool not launched: call launch() first")
+        # slot -> (requests, unique rows, inverse); key -> (block, row)
+        blocks: dict[int, tuple[list, list, list]] = {}
+        seen: dict[bytes, tuple[tuple, int]] = {}
         for request in batch:
             row = request.workload.feature_row
             key = row.tobytes()
-            slot = slots.get(key)
-            if slot is None:
-                block = blocks.setdefault(lookup(key), ([], [], []))
-                slot = slots[key] = (block, len(block[1]))
+            placed = seen.get(key)
+            if placed is None:
+                block = blocks.setdefault(stable_hash(key) % len(pool), ([], [], []))
+                placed = seen[key] = (block, len(block[1]))
                 block[1].append(row)
-            block, row_index = slot
+            block, row_index = placed
             block[0].append(request)
             block[2].append(row_index)
-        for name, (requests, rows, inverse) in blocks.items():
-            handle = self._handles[name]
+        for slot, (requests, rows, inverse) in blocks.items():
+            handle = pool[slot]
             block_id = self._next_block
             self._next_block += 1
             self._blocks[block_id] = (handle, requests, flush_start)
@@ -401,7 +343,7 @@ class ShardRouter(AdmissionWindow):
                 ("block", block_id, np.vstack(rows), np.asarray(inverse, np.int32))
             )
             if obs.enabled():
-                obs.counter("router.flush", reason=reason, shard=name)
+                obs.counter("router.flush", reason=reason, shard=handle.name)
                 obs.histogram("router.block_occupancy", len(requests))
                 obs.histogram("router.block_unique_rows", len(rows))
 
@@ -415,6 +357,7 @@ class ShardRouter(AdmissionWindow):
 
     def _collect(self) -> None:
         """Reply-queue loop: complete each answered block."""
+        handles = {handle.name: handle for handle in self._pool}
         while True:
             message = self._reply_queue.get()
             kind = message[0]
@@ -422,7 +365,7 @@ class ShardRouter(AdmissionWindow):
                 return
             if kind == "ready":
                 _, name = message
-                self._handles[name].ready_event.set()
+                handles[name].ready_event.set()
             elif kind == "result":
                 _, _name, block_id, plans, inverse = message
                 handle, batch, flush_start = self._blocks.pop(block_id)
@@ -437,16 +380,15 @@ class ShardRouter(AdmissionWindow):
                 handle.completed += len(batch)
             elif kind == "stopped":
                 _, name, final = message
-                handle = self._handles.get(name)
-                if handle is not None:
-                    handle.final_stats = final
-                    handle.stopped_event.set()
+                handle = handles[name]
+                handle.final_stats = final
+                handle.stopped_event.set()
             elif kind == "error":
                 _, name, details = message
                 self._failure = ShardWorkerError(name, details)
                 # Unblock anyone waiting on ready/stopped; they re-check
                 # the failure and raise it with the worker traceback.
-                for handle in self._handles.values():
+                for handle in self._pool:
                     handle.ready_event.set()
                     handle.stopped_event.set()
 
@@ -470,37 +412,29 @@ class ShardRouter(AdmissionWindow):
             except (TimeoutError, ShardWorkerError):
                 pass  # report what we can; failure re-raises below
         snapshots: list[ShardSnapshot] = []
-        for handle in list(self._handles.values()):
+        for handle in self._pool:
             if self._failure is None:
-                # Shards alive at close time report active=True; only
-                # mid-run remove_shard() retirees report active=False.
-                snapshot = self._stop_worker(
-                    handle, timeout_s=timeout_s, active=True
-                )
+                snapshot = self._stop_worker(handle, timeout_s=timeout_s)
             else:
                 handle.process.terminate()
                 handle.process.join(timeout_s)
-                snapshot = ShardSnapshot(
-                    shard=handle.name, active=True, completed=handle.completed
-                )
+                snapshot = ShardSnapshot(shard=handle.name, completed=handle.completed)
             snapshots.append(snapshot)
-        self._handles.clear()
         self._reply_queue.put(("close",))
         if self._collector is not None:
             self._collector.join(timeout_s)
         self._reply_queue.close()
         device_counts: dict[str, int] = {}
-        all_snaps = tuple(self._retired) + tuple(snapshots)
-        for snap in all_snaps:
+        for snap in snapshots:
             for device, count in snap.device_counts.items():
                 device_counts[device] = device_counts.get(device, 0) + count
         self._report = ShardReport(
-            shards=all_snaps,
-            completed=sum(s.completed for s in all_snaps),
-            flushes=sum(s.flushes for s in all_snaps),
-            unique_rows=sum(s.unique_rows for s in all_snaps),
-            cache_hits=sum(s.cache_hits for s in all_snaps),
-            cache_misses=sum(s.cache_misses for s in all_snaps),
+            shards=tuple(snapshots),
+            completed=sum(s.completed for s in snapshots),
+            flushes=sum(s.flushes for s in snapshots),
+            unique_rows=sum(s.unique_rows for s in snapshots),
+            cache_hits=sum(s.cache_hits for s in snapshots),
+            cache_misses=sum(s.cache_misses for s in snapshots),
             device_counts=device_counts,
         )
         self._raise_failure()

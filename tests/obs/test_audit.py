@@ -10,6 +10,7 @@ import repro.obs as obs
 from repro.core.heteromap import HeteroMap
 from repro.machine.mvars import MachineConfig, OmpSchedule
 from repro.obs.audit import DECISION_FIELDS
+from repro.obs.tracer import MAX_KEPT_RECORDS
 
 
 def _sample_record(**overrides) -> obs.DecisionRecord:
@@ -74,6 +75,19 @@ class TestConfigSummary:
             obs.config_summary(config, is_gpu=False)
             == "mc(c=61,tpc=4,simd=16,sched=dynamic,chunk=64)"
         )
+
+
+class TestKeptRecords:
+    def test_memory_keeps_the_newest_decisions(self, jsonl_obs):
+        state, path = jsonl_obs
+        emitted = MAX_KEPT_RECORDS + 3
+        for i in range(emitted):
+            obs.record_decision(_sample_record(predicted_time_ms=float(i + 1)))
+        assert len(state.decisions) == MAX_KEPT_RECORDS
+        assert state.decisions[0].predicted_time_ms == 4.0
+        assert state.decisions[-1].predicted_time_ms == float(emitted)
+        lines = path.read_text().splitlines()
+        assert len(lines) == emitted
 
 
 class TestEndToEnd:

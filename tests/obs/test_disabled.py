@@ -30,7 +30,7 @@ class TestDisabledPath:
             obs.counter("cache.hit")
             obs.gauge("g", 1.0)
             obs.histogram("h", 2.0)
-        assert state.tracer.records == []
+        assert not state.tracer.records
         assert state.metrics.counters == {}
         assert state.metrics.gauges == {}
         assert state.metrics.histograms == {}
@@ -52,7 +52,7 @@ class TestDisabledPath:
             runner_up_time_ms=2.0,
         )
         obs.record_decision(record)
-        assert state.decisions == []
+        assert not state.decisions
 
     def test_quality_and_slo_planes_are_not_built(self):
         state = obs.configure(obs.ObsConfig(enabled=False))
@@ -65,7 +65,7 @@ class TestDisabledPath:
         obs.trace_link("t-hit", "t-miss")
         obs.install_slos(obs.DEFAULT_SERVE_SLOS)
         obs.slo_observe("decision_latency_ms", 100.0)
-        assert state.tracer.records == []
+        assert not state.tracer.records
         assert state.metrics.counters == {}
         assert state.slos is None
         assert obs.current_trace() is None
@@ -96,4 +96,4 @@ class TestDisabledPath:
         )
         simulate(profile, spec, MachineConfig(accelerator=spec.name))
         assert state.metrics.counters == {}
-        assert state.tracer.records == []
+        assert not state.tracer.records

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import repro.obs as obs
+from repro.obs.tracer import MAX_KEPT_RECORDS
 
 
 def _record_tuples(state):
@@ -98,3 +99,17 @@ class TestJsonlExport:
         assert [e["kind"] for e in events] == ["span", "span"]
         assert [e["name"] for e in events] == ["inner", "outer"]
         assert events[0]["parent"] == events[1]["index"]
+
+
+class TestKeptRecords:
+    def test_memory_keeps_the_newest_and_the_sink_gets_all(self, jsonl_obs):
+        state, path = jsonl_obs
+        emitted = MAX_KEPT_RECORDS + 7
+        for _ in range(emitted):
+            with obs.span("tick"):
+                pass
+        records = state.tracer.records
+        assert len(records) == MAX_KEPT_RECORDS
+        assert (records[0].index, records[-1].index) == (7, emitted - 1)
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [e["index"] for e in events] == list(range(emitted))

@@ -177,7 +177,7 @@ class TestDisabledServerPath:
             server, results = _serve(hetero, pool)
             assert len(results) == 2
             state = obs.state()
-            assert state.tracer.records == []
+            assert not state.tracer.records
             assert state.metrics.counters == {}
             assert state.quality is None
             assert state.slos is None

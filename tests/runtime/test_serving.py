@@ -22,7 +22,6 @@ from repro.runtime.serving import (
     DecisionCache,
     feature_keys_batch,
 )
-from repro.runtime.shard import ring_key
 from repro.workload.synthetic import generate_samples
 
 GPU = get_accelerator("gtx750ti")
@@ -117,10 +116,11 @@ class TestFeatureKeyBytes:
             other[column] += 0.1
             assert _key(other) != _key(row)
 
-    def test_row_bytes_are_the_ring_key(self):
+    def test_row_bytes_are_the_routing_key(self):
+        """The shard router hashes ``row.tobytes()``: the same bytes."""
         matrix = _table_i_rows()
         keys = feature_keys_batch(matrix, fleet="ffff", predictor="cart#g0")
-        assert [key[2] for key in keys] == [ring_key(row) for row in matrix]
+        assert [key[2] for key in keys] == [row.tobytes() for row in matrix]
 
     @pytest.mark.parametrize("source", ["table_i", "synthetic", "grid0", "grid1"])
     def test_groups_match_float_tuples(self, source):
@@ -264,8 +264,9 @@ class TestPlanBatch:
     def test_matches_scalar_predict(self, trained_cart):
         """Batched plans equal the one-row ``predict`` answers.
 
-        Both go through the plan tier.  CART's tree walk needs no
-        canonical rounding; the MLP case below does.
+        On a pair the decide tier ``predict`` reads picks the plan tier's
+        deployment.  CART's tree walk needs no canonical rounding; the
+        MLP case below does.
         """
         workloads = [prepare_workload(b, d) for b, d in ITEMS]
         plans = trained_cart.plan_batch(workloads)
@@ -304,6 +305,26 @@ class TestPlanBatch:
             outcome = hetero.run_workload(workload)
             assert spec.name == outcome.chosen_accelerator
             assert config == outcome.config
+
+    def test_predict_is_what_runs_on_four_devices(self):
+        """Past two devices the plan tier decodes onto the name-minimal
+        device of the called kind, while a run takes the kind's argmin
+        of the fleet's estimates; ``predict`` must name the latter.  With
+        the plan tier's answer, 47 of the 81 Table I workloads named a
+        deployment other than the one that ran."""
+        hetero = HeteroMap(
+            ["gtx750ti", "gtx970", "xeonphi7120p", "cpu40core"],
+            predictor="decision_tree",
+            seed=0,
+        )
+        hetero.train(num_samples=1, seed=0)
+        for benchmark in benchmark_names():
+            for dataset in dataset_names():
+                workload = prepare_workload(benchmark, dataset)
+                spec, config = hetero.predict(workload)
+                outcome = hetero.run_workload(workload)
+                assert spec.name == outcome.chosen_accelerator, workload
+                assert config == outcome.config, workload
 
     def test_cache_hits_bit_identical(self, trained):
         """A cache hit returns the identical decision, not a recompute."""

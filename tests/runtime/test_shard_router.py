@@ -1,11 +1,11 @@
-"""Tests for the consistent-hash shard router (ISSUE 9 tentpole).
+"""Tests for the shard router over a fixed worker pool.
 
 One router process fans batched decision requests out to N worker
 processes, each running its own trained HeteroMap.  The properties that
 make that safe: sharded decisions are **bit-identical** to the unsharded
 ``plan_batch`` path, repeat keys stay **shard-local** (total cache
-misses across shards == distinct keys), membership changes lose **zero
-requests**, and backpressure **rejects instead of dropping**.
+misses across shards == distinct keys), and backpressure **rejects
+instead of dropping**.
 
 decision_tree (the analytical model, train_samples=1) keeps worker
 startup cheap; it is per-row exact, so bit-identity holds with no
@@ -29,8 +29,8 @@ from repro.runtime.shard import (
     RouterConfig,
     ShardReport,
     ShardRouter,
-    ShardSnapshot,
     ShardSpec,
+    stable_hash,
 )
 from repro.runtime.shard.router import ShardWorkerError
 
@@ -68,7 +68,6 @@ class TestRouterConfig:
             {"max_batch": 0},
             {"flush_deadline_ms": 0.0},
             {"max_batch": 8, "queue_capacity": 4},
-            {"vnodes": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -171,51 +170,22 @@ class TestShapeDependentModel:
         assert report.cache_misses == len(deep_pool)
 
 
-class TestMembership:
-    def test_join_and_leave_lose_nothing(self, pool, reference):
-        requests = [pool[i % len(pool)] for i in range(30)]
-        expected = reference.plan_batch(requests * 3)
-        router = make_router()
-        router.launch()
-        try:
-            results: dict[int, tuple] = {}
+class TestFanOut:
+    # At 2 shards this pool splits 2/2: pagerank/facebook and
+    # sssp_bf/usa-cal hash to slot 0, bfs/usa-cal and dfs/facebook to
+    # slot 1.  The module's pool lands wholly in slot 0.
+    POOL = (
+        ("pagerank", "facebook"),
+        ("sssp_bf", "usa-cal"),
+        ("bfs", "usa-cal"),
+        ("dfs", "facebook"),
+    )
 
-            def offer(base):
-                for i, workload in enumerate(requests):
-                    assert router.try_submit(
-                        workload,
-                        tag=base + i,
-                        callback=lambda t, r, o=results: o.__setitem__(t, r),
-                    )
-                router.wait_idle()
-
-            offer(0)
-            joined = router.add_shard()
-            assert joined in router.shards
-            assert len(router.shards) == 3
-            offer(len(requests))
-            retired = router.remove_shard(router.shards[0])
-            assert isinstance(retired, ShardSnapshot)
-            assert retired.active is False
-            assert len(router.shards) == 2
-            offer(2 * len(requests))
-
-            assert len(results) == len(expected)
-            for i, (spec, config) in enumerate(expected):
-                assert results[i][0].name == spec.name
-                assert results[i][1] == config
-        finally:
-            report = router.close()
-        # The retired shard's counters survive into the final report.
-        assert retired.shard in {s.shard for s in report.shards}
-        assert report.completed == len(expected)
-
-    def test_remove_with_requests_still_queued(self, pool, reference):
-        """Requests admitted before a leave, still queued or in flight,
-        resolve anyway: the leaving shard answers its in-flight blocks
-        before it stops, and queued requests route to the new owner at
-        their flush."""
-        requests = [pool[i % len(pool)] for i in range(30)]
+    def test_two_shards_both_complete_requests(self, reference):
+        fanned = [prepare_workload(*item) for item in self.POOL]
+        slots = [stable_hash(w.feature_row.tobytes()) % 2 for w in fanned]
+        assert slots == [0, 0, 1, 1]
+        requests = [fanned[i % len(fanned)] for i in range(40)]
         expected = reference.plan_batch(requests)
         router = make_router()
         router.launch()
@@ -227,43 +197,13 @@ class TestMembership:
                     tag=i,
                     callback=lambda t, r, o=results: o.__setitem__(t, r),
                 )
-            # max_batch=8: three flushes shipped, six requests still queued.
-            assert router.pending > 0
-            key = pool[0].feature_row.tobytes()
-            owner = router.ring.lookup(key)
-            router.remove_shard(owner)
-            assert router.ring.lookup(key) != owner
-            router.wait_idle()
-            assert len(results) == len(requests)
-            for i, (spec, config) in enumerate(expected):
-                assert results[i][0].name == spec.name
-                assert results[i][1] == config
-        finally:
-            report = router.close()
-        assert report.completed == len(requests)
-
-    def test_last_shard_cannot_leave(self, pool):
-        router = make_router(shards=1)
-        router.launch()
-        try:
-            (only,) = router.shards
-            with pytest.raises(ValueError):
-                router.remove_shard(only)
-            assert router.shards == (only,)
-            assert router.try_submit(pool[0])
             router.wait_idle()
         finally:
             report = router.close()
-        assert report.completed == 1
-
-    def test_remove_unknown_shard_raises(self):
-        router = make_router()
-        router.launch()
-        try:
-            with pytest.raises(KeyError):
-                router.remove_shard("no-such-shard")
-        finally:
-            router.close()
+        assert [results[i] for i in range(len(requests))] == expected
+        completed = {s.shard: s.completed for s in report.shards}
+        assert completed == {"shard-0": 20, "shard-1": 20}
+        assert report.cache_misses == len(fanned)
 
 
 class TestBackpressure:
@@ -338,7 +278,7 @@ class TestWorkerFailure:
         router.launch()
         try:
             # A protocol violation kills one worker; it reports the error.
-            router._handles[router.shards[0]].request_queue.put(("bogus",))
+            router._pool[0].request_queue.put(("bogus",))
             with pytest.raises(ShardWorkerError):
                 for _ in range(2000):
                     router.try_submit(pool[0])
