@@ -14,7 +14,6 @@ __all__ = [
     "from_edge_list",
     "from_adjacency",
     "empty_graph",
-    "dedupe_edges",
 ]
 
 
@@ -56,29 +55,26 @@ def from_edge_array(
     if edges.size and (edges.min() < 0 or edges.max() >= num_vertices):
         raise GraphError("edge endpoint out of range")
 
-    if drop_self_loops and edges.size:
+    # Sorting the packed key orders the edges by (source, destination);
+    # V**2 fits in int64 for any V whose indptr fits in memory.
+    span = np.int64(max(num_vertices, 1))
+    keys = edges[:, 0] * span + edges[:, 1]
+    if drop_self_loops:
         keep = edges[:, 0] != edges[:, 1]
-        edges, weights = edges[keep], weights[keep]
-    if dedupe and edges.size:
-        edges, weights = dedupe_edges(num_vertices, edges, weights)
-
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges = edges[order]
-    weights = weights[order]
-    counts = np.bincount(edges[:, 0], minlength=num_vertices)
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return CSRGraph(indptr, edges[:, 1].copy(), weights, name=name)
-
-
-def dedupe_edges(
-    num_vertices: int, edges: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Remove parallel duplicates, keeping the first occurrence of each pair."""
-    keys = edges[:, 0] * np.int64(max(num_vertices, 1)) + edges[:, 1]
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
-    return edges[first], weights[first]
+        keys, weights = keys[keep], weights[keep]
+    if dedupe and keys.size:
+        # Any order within a run of equal keys: the run's smallest input
+        # position is its first occurrence, whose weight it keeps.
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys = keys[starts]
+        weights = weights[np.minimum.reduceat(order, starts)]
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys, weights = keys[order], weights[order]
+    indptr = np.searchsorted(keys, np.arange(num_vertices + 1, dtype=np.int64) * span)
+    return CSRGraph(indptr, keys % span, weights, name=name)
 
 
 def from_edge_list(

@@ -17,7 +17,20 @@ import numpy as np
 
 from repro.errors import GraphError
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "edge_positions"]
+
+
+def edge_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions ``starts[i] .. starts[i] + counts[i] - 1`` for each ``i``, in order.
+
+    With ``starts = indptr[frontier]`` and ``counts`` the frontier's
+    out-degrees, ``indices[edge_positions(starts, counts)]`` gathers every
+    out-neighbor of the frontier in one step, in the order of concatenating
+    the per-vertex slices ``indices[indptr[v]:indptr[v + 1]]``.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - (ends - counts), counts) + np.arange(total)
 
 
 @dataclass(frozen=True)
@@ -137,22 +150,15 @@ class CSRGraph:
         Parallel duplicate edges created by symmetrization are removed,
         keeping the first-seen weight for each (source, destination) pair.
         """
+        from repro.graph.builders import from_edge_array  # builders imports csr
+
         edges = self.edges()
-        both = np.vstack([edges, edges[:, ::-1]])
-        both_weights = np.concatenate([self.weights, self.weights])
-        keys = both[:, 0] * np.int64(self.num_vertices) + both[:, 1]
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        unique_edges = both[first]
-        unique_weights = both_weights[first]
-        order = np.lexsort((unique_edges[:, 1], unique_edges[:, 0]))
-        unique_edges = unique_edges[order]
-        unique_weights = unique_weights[order]
-        counts = np.bincount(unique_edges[:, 0], minlength=self.num_vertices)
-        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return CSRGraph(
-            indptr, unique_edges[:, 1], unique_weights, name=f"{self.name}.sym"
+        return from_edge_array(
+            self.num_vertices,
+            np.vstack([edges, edges[:, ::-1]]),
+            np.concatenate([self.weights, self.weights]),
+            name=f"{self.name}.sym",
+            dedupe=True,
         )
 
     def memory_footprint_bytes(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, edge_positions
 
 __all__ = ["bfs_levels", "eccentricity", "exact_diameter", "approximate_diameter"]
 
@@ -23,24 +23,24 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
         raise GraphError(f"source {source} out of range")
     levels = np.full(graph.num_vertices, -1, dtype=np.int64)
     levels[source] = 0
+    # Scratch for deduping a level: each fresh vertex claims its slot,
+    # and the one occurrence whose claim stuck survives.  Only entries at
+    # fresh vertices are written and read, so a level costs its own size.
+    claim = np.empty(graph.num_vertices, dtype=np.int64)
     frontier = np.asarray([source], dtype=np.int64)
     depth = 0
     indptr, indices = graph.indptr, graph.indices
     while frontier.size:
         depth += 1
         starts = indptr[frontier]
-        ends = indptr[frontier + 1]
-        # Gather all out-neighbors of the frontier in one shot.
-        counts = ends - starts
-        if counts.sum() == 0:
-            break
-        gather = np.concatenate(
-            [indices[s:e] for s, e in zip(starts, ends) if e > s]
-        )
+        counts = indptr[frontier + 1] - starts
+        gather = indices[edge_positions(starts, counts)]
         fresh = gather[levels[gather] == -1]
         if fresh.size == 0:
             break
-        fresh = np.unique(fresh)
+        slots = np.arange(fresh.size)
+        claim[fresh] = slots
+        fresh = fresh[claim[fresh] == slots]
         levels[fresh] = depth
         frontier = fresh
     return levels

@@ -9,7 +9,6 @@ extreme point of the paper's diameter normalization.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.errors import GraphError
 from repro.graph.builders import from_edge_array
@@ -46,6 +45,10 @@ def random_geometric_graph(
         radius = float(np.sqrt(target_avg_degree / (np.pi * max(num_vertices - 1, 1))))
     if radius <= 0:
         raise GraphError("radius must be positive")
+
+    # Imported here, so a process that never builds a geometric graph
+    # does not load scipy.spatial (and the scipy.special it pulls in).
+    from scipy.spatial import cKDTree
 
     rng = np.random.default_rng(seed)
     points = rng.random((num_vertices, 2))

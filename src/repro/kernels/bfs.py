@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
+from repro.graph.diameter import bfs_levels
 from repro.kernels.base import Kernel, KernelResult, graph_skew
 from repro.workload.phases import PhaseKind
 from repro.workload.profile import KernelTrace, PhaseTrace
@@ -27,40 +27,19 @@ class BreadthFirstSearch(Kernel):
     def run(self, graph: CSRGraph, source: int = 0) -> KernelResult:
         """Compute hop levels from ``source`` (-1 for unreachable).
 
+        Each level's frontier is expanded once, so the per-level counts
+        follow from the levels: the items are the reached vertices, the
+        edges their out-degrees, and the widest frontier the fullest level.
+
         Raises:
             GraphError: when the source is out of range.
         """
-        if not 0 <= source < graph.num_vertices:
-            raise GraphError(f"source {source} out of range")
-
-        indptr, indices = graph.indptr, graph.indices
-        levels = np.full(graph.num_vertices, -1, dtype=np.int64)
-        levels[source] = 0
-        frontier = np.asarray([source], dtype=np.int64)
-
-        total_items = 0.0
-        total_edges = 0.0
-        max_frontier = 1.0
-        depth = 0
-        while frontier.size:
-            total_items += frontier.size
-            max_frontier = max(max_frontier, float(frontier.size))
-            starts = indptr[frontier]
-            ends = indptr[frontier + 1]
-            total_edges += float((ends - starts).sum())
-            if (ends - starts).sum() == 0:
-                break
-            gather = np.concatenate(
-                [indices[s:e] for s, e in zip(starts, ends) if e > s]
-            )
-            fresh = np.unique(gather[levels[gather] == -1])
-            if fresh.size == 0:
-                break
-            depth += 1
-            levels[fresh] = depth
-            frontier = fresh
-
-        iterations = max(1, depth)
+        levels = bfs_levels(graph, source)
+        reached = levels >= 0
+        total_items = float(np.count_nonzero(reached))
+        total_edges = float(graph.out_degree()[reached].sum())
+        max_frontier = float(np.bincount(levels[reached]).max())
+        iterations = max(1, int(levels.max()))
         trace = KernelTrace(
             benchmark=self.name,
             graph_name=graph.name,
@@ -81,6 +60,6 @@ class BreadthFirstSearch(Kernel):
             stats={
                 "levels": iterations,
                 "max_frontier": max_frontier,
-                "reached": float(np.count_nonzero(levels >= 0)),
+                "reached": total_items,
             },
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, edge_positions
 from repro.kernels.base import Kernel, KernelResult, graph_skew
 from repro.workload.phases import PhaseKind
 from repro.workload.profile import KernelTrace, PhaseTrace
@@ -60,15 +60,12 @@ class PageRankDelta(Kernel):
             iterations += 1
             total_items += active.size
             starts = indptr[active]
-            ends = indptr[active + 1]
-            degs = ends - starts
+            degs = indptr[active + 1] - starts
             total_edges += float(degs.sum())
             contrib = damping * deltas[active] / safe_degree[active]
             new_deltas = np.zeros(num_vertices)
             if degs.sum():
-                gather = np.concatenate(
-                    [indices[s:e] for s, e in zip(starts, ends) if e > s]
-                )
+                gather = indices[edge_positions(starts, degs)]
                 weights_rep = np.repeat(contrib, degs)
                 # bincount replaces the np.add.at scatter (same semantics
                 # for repeated destinations, an order of magnitude faster).

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, edge_positions
 from repro.kernels.base import Kernel, KernelResult, graph_skew
 from repro.workload.phases import PhaseKind
 from repro.workload.profile import KernelTrace, PhaseTrace
@@ -91,17 +91,13 @@ class SsspDeltaStepping(Kernel):
                 max_frontier = max(max_frontier, float(frontier.size))
                 total_relax_items += frontier.size
                 starts = indptr[frontier]
-                ends = indptr[frontier + 1]
-                degs = ends - starts
+                degs = indptr[frontier + 1] - starts
                 total_relax_edges += float(degs.sum())
                 if degs.sum() == 0:
                     break
-                gather = np.concatenate(
-                    [indices[s:e] for s, e in zip(starts, ends) if e > s]
-                )
-                wts = np.concatenate(
-                    [weights[s:e] for s, e in zip(starts, ends) if e > s]
-                )
+                positions = edge_positions(starts, degs)
+                gather = indices[positions]
+                wts = weights[positions]
                 candidate = np.repeat(dist[frontier], degs) + wts
                 old = dist[gather].copy()
                 np.minimum.at(dist, gather, candidate)

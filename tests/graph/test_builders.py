@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graph.builders import (
-    dedupe_edges,
     empty_graph,
     from_adjacency,
     from_edge_array,
@@ -133,18 +132,3 @@ class TestEmptyGraph:
         with pytest.raises(GraphError):
             empty_graph(-1)
 
-
-class TestDedupeEdges:
-    def test_removes_duplicates(self):
-        edges = np.array([[0, 1], [0, 1], [1, 2]])
-        weights = np.array([1.0, 2.0, 3.0])
-        out_edges, out_weights = dedupe_edges(3, edges, weights)
-        assert out_edges.shape[0] == 2
-        assert 1.0 in out_weights and 3.0 in out_weights
-
-    def test_preserves_order_of_first_occurrence(self):
-        edges = np.array([[1, 0], [0, 1], [1, 0]])
-        weights = np.array([9.0, 8.0, 7.0])
-        out_edges, out_weights = dedupe_edges(2, edges, weights)
-        assert [tuple(e) for e in out_edges] == [(1, 0), (0, 1)]
-        assert list(out_weights) == [9.0, 8.0]

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -34,6 +39,22 @@ class TestLazyExports:
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError):
             _ = repro.nonexistent_thing
+
+    def test_serving_imports_leave_out_scipy_spatial(self):
+        # Only the geometric-graph generator needs scipy.spatial, so the
+        # framework and runtime imports must not load it.
+        code = (
+            "import sys; import repro, repro.core.heteromap, repro.runtime; "
+            "print('scipy.spatial' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestErrorHierarchy:
