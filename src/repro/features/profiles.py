@@ -19,6 +19,7 @@ __all__ = [
     "BENCHMARK_DISPLAY_NAMES",
     "benchmark_names",
     "get_profile",
+    "normalize_benchmark_name",
 ]
 
 BENCHMARK_PROFILES: dict[str, BVariables] = {
@@ -85,18 +86,38 @@ def benchmark_names() -> list[str]:
     return list(BENCHMARK_PROFILES)
 
 
-def get_profile(name: str) -> BVariables:
-    """B-variable profile for a benchmark (canonical or display name).
+def _spelling(name: str) -> str:
+    return name.lower().replace("-", "_").replace(".", "").replace(" ", "_")
+
+
+# Every accepted name's normal spelling -> its canonical key.
+_CANONICAL: dict[str, str] = {
+    **{_spelling(display): key for key, display in BENCHMARK_DISPLAY_NAMES.items()},
+    **{key: key for key in BENCHMARK_PROFILES},
+}
+
+
+def normalize_benchmark_name(name: str) -> str:
+    """Resolve a benchmark name to its canonical key: canonical keys,
+    display names ("Tri.Cnt."), paper spellings ("PageRank-DP") and
+    CLI-friendly variants ("sssp delta"), in any casing.  Idempotent.
+    Kernels, profiles and trace-cache keys all resolve through it.
 
     Raises:
         UnknownBenchmarkError: when nothing matches.
     """
-    key = name.lower().replace("-", "_").replace(".", "").replace(" ", "_")
-    if key in BENCHMARK_PROFILES:
-        return BENCHMARK_PROFILES[key]
-    for canonical, display in BENCHMARK_DISPLAY_NAMES.items():
-        if display.lower().replace("-", "_").replace(".", "") == key:
-            return BENCHMARK_PROFILES[canonical]
-    raise UnknownBenchmarkError(
-        f"unknown benchmark {name!r}; known: {benchmark_names()}"
-    )
+    key = _CANONICAL.get(_spelling(name))
+    if key is None:
+        raise UnknownBenchmarkError(
+            f"unknown benchmark {name!r}; known: {benchmark_names()}"
+        )
+    return key
+
+
+def get_profile(name: str) -> BVariables:
+    """B-variable profile for a benchmark, by any accepted name.
+
+    Raises:
+        UnknownBenchmarkError: when nothing matches.
+    """
+    return BENCHMARK_PROFILES[normalize_benchmark_name(name)]

@@ -12,6 +12,7 @@ from repro.graph.datasets import (
     DATASETS,
     DatasetSpec,
     PaperGraphMeta,
+    ProxyMeta,
     dataset_names,
     get_dataset,
     load_proxy_graph,
@@ -32,6 +33,7 @@ __all__ = [
     "GraphChunk",
     "GraphStats",
     "PaperGraphMeta",
+    "ProxyMeta",
     "approximate_diameter",
     "bfs_levels",
     "compute_stats",

@@ -2,7 +2,7 @@
 
 The paper evaluates on nine real-world graphs (USA-Cal roads through a 134M
 vertex Kronecker graph).  Those inputs are multi-gigabyte downloads we do
-not have, so each entry pairs:
+not have, so each entry holds:
 
 * **paper metadata** — the published #V, #E, max degree, and diameter from
   Table I.  The I variables the predictor consumes are computed from these
@@ -14,6 +14,9 @@ not have, so each entry pairs:
   R-MAT for KronLarge.  Kernels execute on the proxy, which preserves the
   frontier shapes, locality, and divergence behaviour that drive the cost
   model.
+* **the proxy's recorded #V, #E and double-sweep diameter**, which
+  deployment scales each cached kernel trace by without building the
+  proxy.  A recipe change must update them (a test rebuilds and compares).
 
 Table I's CO/CAGE diameter cells are garbled in the source text ("1 8" /
 blank); we read them as CO = 1 (a 562-vertex graph with 0.57M edges is a
@@ -27,18 +30,17 @@ from functools import lru_cache
 
 from repro.errors import UnknownDatasetError
 from repro.graph.csr import CSRGraph
-from repro.graph.diameter import approximate_diameter
 from repro.graph.generators import make_graph
 
 __all__ = [
     "PaperGraphMeta",
+    "ProxyMeta",
     "DatasetSpec",
     "DATASETS",
     "dataset_names",
     "dataset_codes",
     "get_dataset",
     "load_proxy_graph",
-    "proxy_diameter",
 ]
 
 
@@ -58,13 +60,24 @@ class PaperGraphMeta:
 
 
 @dataclass(frozen=True)
+class ProxyMeta:
+    """A proxy graph's size and its diameter as deployment reads it,
+    ``max(1, approximate_diameter(graph, num_sweeps=2, seed=1))``."""
+
+    num_vertices: int
+    num_edges: int
+    diameter: int
+
+
+@dataclass(frozen=True)
 class DatasetSpec:
-    """A named dataset: paper metadata plus proxy-generator recipe."""
+    """A named dataset: paper metadata plus proxy facts and recipe."""
 
     name: str
     code: str
     family: str
     paper: PaperGraphMeta
+    proxy: ProxyMeta
     proxy_params: dict
     description: str
 
@@ -80,6 +93,7 @@ DATASETS: dict[str, DatasetSpec] = {
             code="CA",
             family="road",
             paper=PaperGraphMeta(1_900_000, 4_700_000, 12, 850),
+            proxy=ProxyMeta(16_200, 61_134, 90),
             proxy_params={"width": 120, "height": 135, "seed": 11},
             description="California road network (DIMACS); sparse, huge diameter",
         ),
@@ -88,6 +102,7 @@ DATASETS: dict[str, DatasetSpec] = {
             code="FB",
             family="social",
             paper=PaperGraphMeta(2_900_000, 41_900_000, 90_000, 12),
+            proxy=ProxyMeta(20_000, 246_672, 6),
             proxy_params={
                 "num_vertices": 20_000,
                 "avg_degree": 12,
@@ -102,6 +117,7 @@ DATASETS: dict[str, DatasetSpec] = {
             code="LJ",
             family="social",
             paper=PaperGraphMeta(4_800_000, 85_700_000, 20_000, 16),
+            proxy=ProxyMeta(24_000, 382_950, 6),
             proxy_params={
                 "num_vertices": 24_000,
                 "avg_degree": 16,
@@ -116,6 +132,7 @@ DATASETS: dict[str, DatasetSpec] = {
             code="Twtr",
             family="social",
             paper=PaperGraphMeta(41_700_000, 1_470 * _M, 3_000_000, 5),
+            proxy=ProxyMeta(30_000, 944_039, 4),
             proxy_params={
                 "num_vertices": 30_000,
                 "avg_degree": 30,
@@ -130,6 +147,7 @@ DATASETS: dict[str, DatasetSpec] = {
             code="Frnd",
             family="social",
             paper=PaperGraphMeta(65_600_000, 1_810 * _M, 5_200, 32),
+            proxy=ProxyMeta(32_000, 820_299, 5),
             proxy_params={
                 "num_vertices": 32_000,
                 "avg_degree": 26,
@@ -144,6 +162,7 @@ DATASETS: dict[str, DatasetSpec] = {
             code="CO",
             family="uniform",
             paper=PaperGraphMeta(562, 570_000, 1027, 1),
+            proxy=ProxyMeta(562, 54_648, 2),
             proxy_params={"num_vertices": 562, "num_edges": 60_000, "seed": 66},
             description="Mouse retina connectome 3; tiny, near-clique dense",
         ),
@@ -152,6 +171,7 @@ DATASETS: dict[str, DatasetSpec] = {
             code="CAGE",
             family="cage",
             paper=PaperGraphMeta(1_500_000, 25_600_000, 80, 8),
+            proxy=ProxyMeta(16_000, 255_126, 8),
             proxy_params={"num_vertices": 16_000, "avg_degree": 17, "seed": 77},
             description="CAGE-14 DNA electrophoresis matrix; banded, uniform degree",
         ),
@@ -160,6 +180,7 @@ DATASETS: dict[str, DatasetSpec] = {
             code="Rgg",
             family="rgg",
             paper=PaperGraphMeta(16_800_000, 387_000_000, 40, 2622),
+            proxy=ProxyMeta(16_000, 314_382, 82),
             proxy_params={
                 "num_vertices": 16_000,
                 "target_avg_degree": 20.0,
@@ -172,6 +193,7 @@ DATASETS: dict[str, DatasetSpec] = {
             code="Kron",
             family="kronecker",
             paper=PaperGraphMeta(134_000_000, 2_150 * _M, 16_000_000, 12),
+            proxy=ProxyMeta(16_384, 228_334, 6),
             proxy_params={"scale": 14, "edge_factor": 16, "seed": 99},
             description="Large synthetic Kronecker graph",
         ),
@@ -220,11 +242,3 @@ def load_proxy_graph(name: str) -> CSRGraph:
     return CSRGraph(
         graph.indptr, graph.indices, graph.weights, name=spec.name
     )
-
-
-@lru_cache(maxsize=None)
-def proxy_diameter(name: str) -> int:
-    """The proxy graph's approximate diameter (at least 1), computed once
-    per dataset: deployment scales iteration-bound work by it."""
-    graph = load_proxy_graph(name)
-    return max(1, approximate_diameter(graph, num_sweeps=2, seed=1))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.errors import UnknownBenchmarkError
+from repro.features.profiles import normalize_benchmark_name
 from repro.kernels.base import Kernel
 from repro.kernels.bfs import BreadthFirstSearch
 from repro.kernels.community import CommunityDetection
@@ -37,26 +37,11 @@ def kernel_names() -> list[str]:
     return list(KERNELS)
 
 
-def normalize_benchmark_name(name: str) -> str:
-    """Map a user-facing benchmark spelling onto its canonical key.
-
-    Accepts paper spellings ("PageRank-DP"), CLI-friendly variants
-    ("sssp delta"), and any casing; canonical keys map to themselves, so
-    ``normalize_benchmark_name`` is idempotent and ``kernel_names()``
-    round-trips through ``get_kernel``.
-    """
-    return name.lower().replace("-", "_").replace(".", "").replace(" ", "_")
-
-
 def get_kernel(name: str) -> Kernel:
-    """Instantiate a kernel by canonical name or any recognised alias.
+    """Instantiate a kernel by any spelling :func:`normalize_benchmark_name`
+    accepts.
 
     Raises:
         UnknownBenchmarkError: when the name is not registered.
     """
-    key = normalize_benchmark_name(name)
-    if key not in KERNELS:
-        raise UnknownBenchmarkError(
-            f"unknown benchmark {name!r}; known: {kernel_names()}"
-        )
-    return KERNELS[key]()
+    return KERNELS[normalize_benchmark_name(name)]()

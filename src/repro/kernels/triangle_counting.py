@@ -12,7 +12,6 @@ per-vertex intersection work the loop formulation would do.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import Kernel, KernelResult, graph_skew
@@ -47,6 +46,10 @@ class TriangleCounting(Kernel):
             count = 0
             wedge_checks = 0.0
         else:
+            # Imported here so that importing the kernel registry (every
+            # serving process does) does not load SciPy.
+            from scipy import sparse
+
             oriented = sparse.csr_matrix(
                 (np.ones(osrc.size), (osrc, odst)),
                 shape=(num_vertices, num_vertices),

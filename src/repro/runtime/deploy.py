@@ -3,9 +3,10 @@
 This is the bridge the whole evaluation stands on.  For a (benchmark,
 dataset) pair it:
 
-1. loads the dataset's structural proxy graph and runs the real kernel on
-   it (memoised via the trace cache),
-2. scales the measured trace to the dataset's *published* Table I
+1. reads the real kernel's trace on the dataset's structural proxy graph
+   from the trace cache; only a miss builds the proxy and runs the kernel,
+2. scales the trace from the proxy's recorded V, E and diameter
+   (``DatasetSpec.proxy``) to the dataset's *published* Table I
    characteristics (vertex/edge counts linearly; iteration-dependent work
    by the diameter ratio, per kernel semantics),
 3. produces the :class:`WorkloadProfile` that
@@ -25,8 +26,8 @@ from repro.accel.simulator import SimulationResult, simulate
 from repro.core.encoding import encode_features
 from repro.features.bvars import BVariables
 from repro.features.ivars import IVariables, ivars_from_meta
-from repro.features.profiles import get_profile
-from repro.graph.datasets import get_dataset, load_proxy_graph, proxy_diameter
+from repro.features.profiles import get_profile, normalize_benchmark_name
+from repro.graph.datasets import get_dataset, load_proxy_graph
 from repro.kernels.registry import get_kernel
 from repro.machine.mvars import MachineConfig
 from repro.machine.specs import AcceleratorSpec
@@ -44,8 +45,9 @@ __all__ = [
     "trace_cache_key",
 ]
 
-# Bump when kernel instrumentation changes so stale cached traces are
-# regenerated rather than silently reused.
+# Bump when kernel instrumentation or a proxy recipe changes so stale
+# cached traces are regenerated rather than silently reused; a recipe
+# change must also update the dataset's recorded ``DatasetSpec.proxy``.
 _TRACE_VERSION = 2
 
 # Kernels whose per-iteration work covers the whole graph: total work (not
@@ -92,7 +94,7 @@ class Workload:
 
 
 def trace_cache_key(benchmark: str, dataset: str) -> str:
-    """Versioned cache key for a proxy-graph kernel trace.
+    """Versioned cache key for a proxy-graph kernel trace (canonical names).
 
     The key embeds ``_TRACE_VERSION``, so bumping the version orphans
     every previously stored entry: stale traces become cache misses and
@@ -102,7 +104,7 @@ def trace_cache_key(benchmark: str, dataset: str) -> str:
 
 
 def _proxy_trace(benchmark: str, dataset: str):
-    """Run (or recall) the kernel on the dataset proxy graph."""
+    """Recall (or, on a miss, run) the kernel on the dataset proxy graph."""
     key = trace_cache_key(benchmark, dataset)
     cached = load_trace(key)
     if cached is not None:
@@ -125,15 +127,15 @@ def prepare_workload(benchmark: str, dataset: str) -> Workload:
 
 
 def _prepare_workload(benchmark: str, dataset: str) -> Workload:
+    benchmark = normalize_benchmark_name(benchmark)
     spec = get_dataset(dataset)
-    graph = load_proxy_graph(spec.name)
     trace = _proxy_trace(benchmark, spec.name)
 
-    depth_ratio = max(0.25, spec.paper.diameter / proxy_diameter(spec.name))
-    kernel_key = trace.benchmark
-    work_scale = depth_ratio if kernel_key in _WORK_SCALES_WITH_DEPTH else 1.0
+    proxy = spec.proxy
+    depth_ratio = max(0.25, spec.paper.diameter / proxy.diameter)
+    work_scale = depth_ratio if benchmark in _WORK_SCALES_WITH_DEPTH else 1.0
     overhead_scale = (
-        depth_ratio if kernel_key in _OVERHEAD_SCALES_WITH_DEPTH else 1.0
+        depth_ratio if benchmark in _OVERHEAD_SCALES_WITH_DEPTH else 1.0
     )
 
     bvars = get_profile(benchmark)
@@ -142,13 +144,13 @@ def _prepare_workload(benchmark: str, dataset: str) -> Workload:
         bvars,
         target_vertices=float(spec.paper.num_vertices),
         target_edges=float(spec.paper.num_edges),
-        source_vertices=float(graph.num_vertices),
-        source_edges=float(max(graph.num_edges, 1)),
+        source_vertices=float(proxy.num_vertices),
+        source_edges=float(max(proxy.num_edges, 1)),
         work_iteration_scale=work_scale,
         overhead_iteration_scale=overhead_scale,
     )
     return Workload(
-        benchmark=trace.benchmark,
+        benchmark=benchmark,
         dataset=spec.name,
         bvars=bvars,
         ivars=ivars_from_meta(spec.paper),

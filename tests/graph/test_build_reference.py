@@ -5,7 +5,8 @@ The references are the earlier implementations, kept here as they were:
 the build deduped with ``np.unique(return_index)`` and ``first.sort()``,
 ordered with ``lexsort`` and gathered ``(E, 2)`` rows; the BFS
 concatenated one Python slice per frontier vertex and deduped each level
-with ``np.unique``.
+with ``np.unique``.  Each dataset's recorded proxy facts
+(``DatasetSpec.proxy``) are checked against the proxy they describe.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from repro.graph import diameter
 from repro.graph.builders import from_edge_array
 from repro.graph.csr import CSRGraph, edge_positions
-from repro.graph.datasets import DATASETS, load_proxy_graph, proxy_diameter
+from repro.graph.datasets import DATASETS, ProxyMeta, load_proxy_graph
 from repro.graph.generators import make_graph
 from repro.kernels.bfs import BreadthFirstSearch
 
@@ -241,11 +242,16 @@ class TestBfsMatchesReference:
 
     @pytest.mark.parametrize("name", sorted(DATASETS))
     def test_proxy_diameter(self, name, monkeypatch):
-        got = proxy_diameter(name)
-        monkeypatch.setattr(diameter, "bfs_levels", reference_bfs_levels)
+        """Each dataset's recorded proxy facts are the proxy's size and its
+        double-sweep diameter, read with either BFS."""
         graph = load_proxy_graph(name)
+        got = max(1, diameter.approximate_diameter(graph, num_sweeps=2, seed=1))
+        monkeypatch.setattr(diameter, "bfs_levels", reference_bfs_levels)
         expected = max(1, diameter.approximate_diameter(graph, num_sweeps=2, seed=1))
         assert got == expected
+        assert DATASETS[name].proxy == ProxyMeta(
+            graph.num_vertices, graph.num_edges, expected
+        )
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import UnknownBenchmarkError
-from repro.features.profiles import BENCHMARK_PROFILES
+from repro.features.profiles import BENCHMARK_DISPLAY_NAMES, BENCHMARK_PROFILES
 from repro.kernels import (
     KERNELS,
     get_kernel,
@@ -32,6 +32,8 @@ class TestRegistry:
     def test_unknown(self):
         with pytest.raises(UnknownBenchmarkError):
             get_kernel("matmul")
+        with pytest.raises(UnknownBenchmarkError):
+            normalize_benchmark_name("matmul")
 
 
 class TestNameNormalization:
@@ -50,6 +52,15 @@ class TestNameNormalization:
     def test_aliases_resolve(self, alias, canonical):
         assert normalize_benchmark_name(alias) == canonical
         assert get_kernel(alias).name == canonical
+
+    @pytest.mark.parametrize(
+        ("canonical", "display"), sorted(BENCHMARK_DISPLAY_NAMES.items())
+    )
+    def test_display_names_resolve(self, canonical, display):
+        # One resolution serves the kernels, the profiles and the
+        # trace-cache key, so every name get_profile takes runs a kernel.
+        assert normalize_benchmark_name(display) == canonical
+        assert get_kernel(display).name == canonical
 
     def test_normalization_is_idempotent(self):
         for name in kernel_names():

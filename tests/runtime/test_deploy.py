@@ -4,12 +4,40 @@ from __future__ import annotations
 
 import pytest
 
+import repro.graph.datasets as datasets
+import repro.runtime.deploy as deploy
+import repro.runtime.trace_cache as trace_cache
 from repro.errors import UnknownBenchmarkError, UnknownDatasetError
+from repro.graph import diameter
 from repro.kernels.registry import kernel_names
 from repro.machine.mvars import default_config
 from repro.machine.specs import get_accelerator
 from repro.runtime.deploy import prepare_workload, run_workload
 from repro.workload.profile import footprint_for
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("built a proxy graph or ran a BFS")
+
+
+@pytest.fixture
+def empty_trace_cache(monkeypatch, tmp_path):
+    """A fresh on-disk trace cache, an empty memory tier and no proxy
+    graph built yet in this process."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(trace_cache, "_memory_cache", {})
+    datasets.load_proxy_graph.cache_clear()
+    return tmp_path
+
+
+def _forbid_builds(monkeypatch):
+    """From here on, read traces from disk as a new process would, and
+    fail any proxy build or diameter sweep."""
+    monkeypatch.setattr(trace_cache, "_memory_cache", {})
+    datasets.load_proxy_graph.cache_clear()
+    monkeypatch.setattr(datasets, "make_graph", _fail)
+    monkeypatch.setattr(diameter, "approximate_diameter", _fail)
+    monkeypatch.setattr(diameter, "bfs_levels", _fail)
 
 
 class TestPrepareWorkload:
@@ -19,9 +47,11 @@ class TestPrepareWorkload:
         assert workload.dataset == "usa-cal"
         assert workload.profile.phases
 
-    def test_unknown_benchmark(self):
+    def test_unknown_benchmark(self, empty_trace_cache, monkeypatch):
+        _forbid_builds(monkeypatch)
         with pytest.raises(UnknownBenchmarkError):
             prepare_workload("sorting", "usa-cal")
+        assert not any(empty_trace_cache.iterdir())
 
     def test_unknown_dataset(self):
         with pytest.raises(UnknownDatasetError):
@@ -64,8 +94,6 @@ class TestPrepareWorkload:
 
 class TestTraceCacheVersioning:
     def test_key_embeds_version(self, monkeypatch):
-        import repro.runtime.deploy as deploy
-
         key = deploy.trace_cache_key("bfs", "cage14")
         assert str(deploy._TRACE_VERSION) in key
         monkeypatch.setattr(deploy, "_TRACE_VERSION", deploy._TRACE_VERSION + 1)
@@ -74,8 +102,6 @@ class TestTraceCacheVersioning:
     def test_version_bump_invalidates_stale_traces(self, monkeypatch, tmp_path):
         """Bumping _TRACE_VERSION must force a kernel re-run; the same
         version must keep reusing the cached trace."""
-        import repro.runtime.deploy as deploy
-
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         # A version no other test (or the in-memory cache) has used.
         monkeypatch.setattr(deploy, "_TRACE_VERSION", 9001)
@@ -101,34 +127,56 @@ class TestTraceCacheVersioning:
         assert kernel_runs == ["dfs", "dfs"]  # new version now cached
 
 
-class TestProxyDiameterMemo:
-    def test_nine_benchmarks_on_one_dataset_run_the_diameter_once(
-        self, monkeypatch
+class TestProxyFactsAreRecorded:
+    """Preparation scales by each dataset's recorded ``DatasetSpec.proxy``;
+    only a trace-cache miss builds the proxy graph."""
+
+    def test_stored_traces_prepare_without_building(
+        self, empty_trace_cache, monkeypatch
     ):
-        import repro.graph.datasets as datasets
-        import repro.runtime.deploy as deploy
-
-        calls = []
-        real_diameter = datasets.approximate_diameter
-
-        def counting_diameter(graph, **kwargs):
-            calls.append(graph.name)
-            return real_diameter(graph, **kwargs)
-
-        monkeypatch.setattr(datasets, "approximate_diameter", counting_diameter)
-        datasets.proxy_diameter.cache_clear()
         benchmarks = kernel_names()
         assert len(benchmarks) == 9
-        memoized = [prepare_workload(name, "cage14") for name in benchmarks]
-        assert calls == ["cage14"]
+        stored = [prepare_workload(name, "m-ret-3") for name in benchmarks]
 
-        # Without the memo every call reruns the diameter, to equal effect.
-        monkeypatch.setattr(
-            deploy, "proxy_diameter", datasets.proxy_diameter.__wrapped__
-        )
-        unmemoized = [prepare_workload(name, "cage14") for name in benchmarks]
-        assert len(calls) == 1 + len(benchmarks)
-        assert unmemoized == memoized
+        _forbid_builds(monkeypatch)
+        assert [prepare_workload(name, "m-ret-3") for name in benchmarks] == stored
+
+    def test_misses_build_each_proxy_once(self, empty_trace_cache, monkeypatch):
+        builds = []
+        real_make_graph = datasets.make_graph
+
+        def counting_make_graph(family, **params):
+            builds.append(family)
+            return real_make_graph(family, **params)
+
+        monkeypatch.setattr(datasets, "make_graph", counting_make_graph)
+        for name in ("bfs", "pagerank", "sssp_bf"):
+            for dataset in ("m-ret-3", "usa-cal"):
+                prepare_workload(name, dataset)
+        assert sorted(builds) == ["road", "uniform"]
+        assert len(list(empty_trace_cache.glob("*.json"))) == 6
+
+
+class TestBenchmarkSpellings:
+    @pytest.mark.parametrize(
+        ("alias", "canonical"),
+        [
+            ("PageRank-DP", "pagerank_dp"),
+            ("Tri.Cnt.", "triangle_counting"),
+            ("Comm.", "community"),
+            ("Conn.Comp.", "connected_components"),
+        ],
+    )
+    def test_alias_reads_the_canonical_entry(
+        self, alias, canonical, empty_trace_cache, monkeypatch
+    ):
+        expected = prepare_workload(canonical, "m-ret-3")
+        files = sorted(path.name for path in empty_trace_cache.iterdir())
+        assert files == [f"{deploy.trace_cache_key(canonical, 'm-ret-3')}.json"]
+
+        _forbid_builds(monkeypatch)
+        assert prepare_workload(alias, "CO") == expected
+        assert sorted(path.name for path in empty_trace_cache.iterdir()) == files
 
 
 class TestRunWorkload:

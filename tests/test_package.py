@@ -41,11 +41,14 @@ class TestLazyExports:
             _ = repro.nonexistent_thing
 
     def test_serving_imports_leave_out_scipy_spatial(self):
-        # Only the geometric-graph generator needs scipy.spatial, so the
-        # framework and runtime imports must not load it.
+        # The serving path uses SciPy only inside two calls, the
+        # geometric-graph generator (scipy.spatial) and the
+        # triangle-counting kernel (scipy.sparse), so the framework,
+        # runtime and serving imports must not load any scipy module.
         code = (
-            "import sys; import repro, repro.core.heteromap, repro.runtime; "
-            "print('scipy.spatial' in sys.modules)"
+            "import sys; import repro, repro.core.heteromap, repro.runtime, "
+            "repro.runtime.deploy, repro.runtime.server; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -54,7 +57,7 @@ class TestLazyExports:
             check=True,
             env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 
 class TestErrorHierarchy:
